@@ -8,7 +8,7 @@ errors, 2 on bad usage.
 import argparse
 import sys
 
-from . import chunker, glosser, lattice_lm, parser, posteditor, realizer, semantics
+from . import chunker, lattice_lm, parser, posteditor, semantics
 from .pipeline import Pipeline, ResourceError, format_trace, load_config, parse_trace, run_trace_report
 
 
@@ -81,57 +81,35 @@ def _cmd_parse(pipe, args):
 def _cmd_gloss(pipe, args):
     blocks = []
     for line in _lines(_read_input(args)):
-        forest = pipe.parse(pipe.chunk(line))
-        gfs = glosser.gloss_forest(
-            forest,
-            pipe.rb,
-            verbal_categories=pipe.cfg.verbal_categories,
-            category_order=pipe.cfg.category_order,
-        )
-        lattice = glosser.flatten_gloss(gfs, pipe.irregulars)
+        lattice = pipe.gloss(pipe.parse(pipe.chunk(line)))
         blocks.append("# %s\n%s" % (line, lattice_lm.dump_lattice(lattice)))
     return "".join(blocks)
 
 
-def _cmd_analyze(pipe, args):
-    if pipe.taxonomy is None:
-        raise ResourceError("analyze requires a taxonomy")
-    out = []
-    for line in _lines(_read_input(args)):
-        forest = pipe.parse(pipe.chunk(line))
-        analyses = semantics.analyze(
-            forest, pipe.rb, cap=pipe.cfg.get("candidate_cap")
-        )
-        candidates = semantics.root_candidates(forest, analyses)
-        for c in candidates:
-            if pipe.cfg.get("infer_before_rank"):
-                c.graph = semantics.infer(c.graph)
-            c.score = semantics.score_assertions(
-                semantics.to_assertions(c.graph), pipe.taxonomy
-            )
-        for c in semantics.rank_candidates(candidates):
-            out.append("%.6g\t%s" % (c.score, semantics.serialize_spl(c.graph)))
+def _format_candidates(candidates):
+    out = ["%.6g\t%s" % (c.score, semantics.serialize_spl(c.graph)) for c in candidates]
     return "\n".join(out) + ("\n" if out else "")
+
+
+def _cmd_analyze(pipe, args):
+    ranked = []
+    for line in _lines(_read_input(args)):
+        ranked.extend(pipe.rank(pipe.analyze(pipe.parse(pipe.chunk(line)))))
+    return _format_candidates(ranked)
 
 
 def _cmd_rank(pipe, args):
-    if pipe.taxonomy is None:
-        raise ResourceError("rank requires a taxonomy")
-    candidates = []
-    for line in _lines(_read_input(args)):
-        graph = semantics.parse_spl(line)
-        score = semantics.score_assertions(semantics.to_assertions(graph), pipe.taxonomy)
-        candidates.append(semantics.SemCandidate(graph, score))
-    ranked = semantics.rank_candidates(candidates)
-    out = ["%.6g\t%s" % (c.score, semantics.serialize_spl(c.graph)) for c in ranked]
-    return "\n".join(out) + ("\n" if out else "")
+    candidates = [
+        semantics.SemCandidate(semantics.parse_spl(line))
+        for line in _lines(_read_input(args))
+    ]
+    return _format_candidates(pipe.rank(candidates))
 
 
 def _cmd_realize(pipe, args):
     blocks = []
     for line in _lines(_read_input(args)):
-        graph = semantics.parse_spl(line)
-        lattice = realizer.realize(graph, pipe.gen_lexicon)
+        lattice = pipe.realize(semantics.parse_spl(line))
         blocks.append("# %s\n%s" % (line, lattice_lm.dump_lattice(lattice)))
     return "".join(blocks)
 
@@ -148,12 +126,7 @@ def _cmd_extract(pipe, args):
 
 
 def _cmd_postedit(pipe, args):
-    text = _read_input(args)
-    text = posteditor.apply_repairs(text, pipe.repairs)
-    if pipe.tree is not None and pipe.nouns:
-        text = posteditor.insert_articles(
-            text, pipe.tree, pipe.nouns, pipe.exceptions, pipe.countability
-        )
+    text = pipe.postedit(_read_input(args))
     return text if text.endswith("\n") or not text else text + "\n"
 
 

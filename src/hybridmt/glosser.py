@@ -15,8 +15,9 @@ parallel sub-lattices, multiword strings split into edge sequences.
 
 import re
 
-from .featstruct import FeatStruct, apply_equations, canonical
-from .parser import fragment_cover
+# apply_equations is unused here but kept: the benchmark tracer wraps it by this name
+from .featstruct import FeatStruct, apply_equations, canonical  # noqa: F401
+from .parser import compose, fragment_cover
 from .sexpr import QuotedString
 from . import lattice_lm as wl
 
@@ -24,7 +25,6 @@ __all__ = [
     "GlossError",
     "VerbGroupSpec",
     "gloss_leaf",
-    "gloss_constituent",
     "gloss_forest",
     "realize_verbgroup",
     "analyze_verbgroup",
@@ -225,54 +225,8 @@ def gloss_leaf(token, rb, verbal_categories=frozenset()):
 
 
 # ---------------------------------------------------------------------
-# Bottom-up composition
+# Forest glossing
 # ---------------------------------------------------------------------
-
-def gloss_constituent(forest, cid, rb, verbal_categories=frozenset(),
-                      solution_cap=64, alt_cap=64, missing=None):
-    """All gloss structures for one constituent (one per derivation and
-    equation solution, deduplicated)."""
-    memo = {}
-    if missing is None:
-        missing = set()
-
-    def compute(i):
-        if i in memo:
-            return memo[i]
-        const = forest[i]
-        if const.lexical or not const.derivations:
-            memo[i] = [gloss_leaf(const.token, rb, verbal_categories)]
-            return memo[i]
-        results, seen = [], set()
-        for rule_key, child_ids in const.derivations:
-            rule = rb.rules.get(rule_key)
-            if rule is None or not rule.gloss_sets:
-                missing.add(rule_key)
-                continue
-            child_options = [compute(cid2) for cid2 in child_ids]
-            if any(not options for options in child_options):
-                continue
-            combos = [()]
-            for options in child_options:
-                combos = [c + (o,) for c in combos for o in options][:alt_cap]
-            for combo in combos:
-                bindings = {"X0": FeatStruct.empty()}
-                for pos, childgloss in enumerate(combo, 1):
-                    bindings["X%d" % pos] = childgloss
-                for eqset in rule.gloss_sets:
-                    for sol in apply_equations(bindings, eqset.equations, solution_cap):
-                        fs = sol["X0"]
-                        key = canonical(fs)
-                        if key not in seen:
-                            seen.add(key)
-                            results.append(fs)
-            if len(results) >= alt_cap:
-                break
-        memo[i] = results[:alt_cap]
-        return memo[i]
-
-    return compute(cid)
-
 
 def _merge_alternatives(structures):
     if len(structures) == 1:
@@ -291,13 +245,25 @@ def gloss_forest(forest, rb, verbal_categories=frozenset(),
     Raises GlossError naming missing gloss backbones when a cover
     constituent has no glossable derivation.
     """
-    cover = fragment_cover(forest, category_order)
     missing = set()
+
+    def gloss_sets(rule_key):
+        rule = rb.rules.get(rule_key)
+        if rule is None or not rule.gloss_sets:
+            missing.add(rule_key)
+            return ()
+        return rule.gloss_sets
+
+    compute = compose(
+        forest,
+        lambda const: [gloss_leaf(const.token, rb, verbal_categories)],
+        gloss_sets,
+        alt_cap,
+        solution_cap,
+    )
     pieces = []
-    for cid in cover:
-        options = gloss_constituent(
-            forest, cid, rb, verbal_categories, solution_cap, alt_cap, missing
-        )
+    for cid in fragment_cover(forest, category_order):
+        options = compute(cid)
         if not options:
             raise GlossError(
                 "no gloss rules for backbones: %s"

@@ -23,7 +23,6 @@ __all__ = [
     "all_paths",
     "TrigramModel",
     "train_trigram",
-    "trigram_prob",
     "score_sequence",
     "best_path",
     "top_n",
@@ -444,22 +443,15 @@ class TrigramModel:
         return TrigramModel(uni, bi, tri, k=k)
 
 
-def train_trigram(sentences, k=5, map_singletons=False):
+def train_trigram(sentences, k=5):
     """Count a tokenized corpus (iterable of token lists or strings)."""
     if k < 1:
         raise ValueError("cutoff k must be >= 1")
     uni, bi, tri = Counter(), Counter(), Counter()
-    toks_list = []
     for sent in sentences:
         toks = sent.split() if isinstance(sent, str) else list(sent)
-        if toks:
-            toks_list.append(toks)
-    if map_singletons:
-        raw = Counter(t for toks in toks_list for t in toks)
-        toks_list = [
-            [t if raw[t] > 1 else OOV for t in toks] for toks in toks_list
-        ]
-    for toks in toks_list:
+        if not toks:
+            continue
         padded = [BOS, BOS] + toks + [EOS]
         # n-grams predicting the start symbol are never counted; BOS is
         # context only, or backoff mass would leak onto it
@@ -469,10 +461,6 @@ def train_trigram(sentences, k=5, map_singletons=False):
             tri[(padded[i - 2], padded[i - 1], padded[i])] += 1
         uni[BOS] += 2
     return TrigramModel(uni, bi, tri, k=k)
-
-
-def trigram_prob(model, w, history):
-    return model.prob(w, history)
 
 
 def score_sequence(model, words):

@@ -7,7 +7,8 @@ single entry carrying multiple derivations.  Chunker barrier markers of
 category C forbid any C constituent from strictly crossing the marked
 region.  When no full parse exists the forest still contains lexical
 constituents for every position, so a left-to-right fragment cover
-always exists.
+always exists.  ``compose`` builds feature structures bottom-up over a
+forest; the glosser and the semantic analyzer both use it.
 """
 
 from . import sexpr
@@ -19,6 +20,7 @@ __all__ = [
     "ParseError",
     "parse",
     "enumerate_trees",
+    "compose",
     "fragment_cover",
     "dump_forest",
 ]
@@ -296,6 +298,55 @@ def count_trees(forest, cid):
         return total
 
     return count(cid)
+
+
+def compose(forest, leaf, equation_sets, cap, solution_cap):
+    """Bottom-up feature-structure composition over the packed forest.
+
+    Returns a memoised ``compute(cid)`` giving the first ``cap`` distinct
+    X0 solutions in derivation order.  A leaf or underived constituent
+    takes ``leaf(const)``; a derivation contributes the solutions of
+    each set in ``equation_sets(rule_key)`` over the capped cross
+    product of its children's options, and is skipped when that is
+    empty or a child has no option.
+    """
+    memo = {}
+
+    def compute(cid):
+        if cid in memo:
+            return memo[cid]
+        const = forest[cid]
+        if const.lexical or not const.derivations:
+            memo[cid] = leaf(const)[:cap]
+            return memo[cid]
+        results, seen = [], set()
+        for rule_key, child_ids in const.derivations:
+            sets = equation_sets(rule_key)
+            if not sets:
+                continue
+            child_options = [compute(child_id) for child_id in child_ids]
+            if not all(child_options):
+                continue
+            combos = [()]
+            for options in child_options:
+                combos = [c + (o,) for c in combos for o in options][:cap]
+            for combo in combos:
+                bindings = {"X0": FeatStruct.empty()}
+                for pos, child_fs in enumerate(combo, 1):
+                    bindings["X%d" % pos] = child_fs
+                for eqset in sets:
+                    for sol in apply_equations(bindings, eqset.equations, solution_cap):
+                        fs = sol["X0"]
+                        key = canonical(fs)
+                        if key not in seen:
+                            seen.add(key)
+                            results.append(fs)
+            if len(results) >= cap:
+                break
+        memo[cid] = results[:cap]
+        return memo[cid]
+
+    return compute
 
 
 def fragment_cover(forest, category_order=()):

@@ -45,8 +45,6 @@ _DEFAULTS = {
     "edge_cap": parser.DEFAULT_EDGE_CAP,
     "candidate_cap": 256,
     "gt_cutoff": 5,
-    "top_n": 1,
-    "seed": 0,
     "fallback": True,
     "infer_before_rank": True,
 }
@@ -72,7 +70,7 @@ _FILE_KEYS = (
     "article_corpus",
 )
 
-_INT_KEYS = ("solution_cap", "edge_cap", "candidate_cap", "gt_cutoff", "top_n", "seed")
+_INT_KEYS = ("solution_cap", "edge_cap", "candidate_cap", "gt_cutoff")
 _BOOL_KEYS = ("fallback", "infer_before_rank")
 
 
@@ -312,7 +310,7 @@ class Pipeline:
             if e.category == "noun"
         }
 
-    # -- front end -------------------------------------------------------
+    # -- stages ------------------------------------------------------------
 
     def chunk(self, line):
         tokens = chunker.parse_token_line(line)
@@ -328,35 +326,7 @@ class Pipeline:
             solution_cap=self.cfg.get("solution_cap"),
         )
 
-    # -- per-sentence paths ------------------------------------------------
-
-    def _front(self, line, trace):
-        raw = chunker.parse_token_line(line)
-        tokens = self.chunk(line)
-        trace.stage("chunk", "transformer", len(raw), len(tokens))
-        forest = self.parse(tokens)
-        trace.stage("parse", "transformer", len(tokens), len(forest.constituents))
-        trace.notes["full_parse"] = 1 if forest.roots else 0
-        return forest
-
-    def _finish(self, lattice, trace):
-        if self.lm is None:
-            raise ResourceError("translation requires a trained language model (lm_model)")
-        n_paths = _path_count(lattice)
-        trace.notes["paths"] = n_paths
-        words, score = lattice_lm.best_path(lattice, self.lm)
-        trace.stage("extract", "ranker-pruner", max(n_paths, 1), 1)
-        trace.notes["lm_score"] = "%.6f" % score
-        text = " ".join(words)
-        repaired = posteditor.apply_repairs(text, self.repairs)
-        if self.tree is not None and self.nouns:
-            repaired = posteditor.insert_articles(
-                repaired, self.tree, self.nouns, self.exceptions, self.countability
-            )
-        trace.stage("postedit", "transformer", 1, 1)
-        return repaired.rstrip("\n")
-
-    def _gloss_path(self, forest, trace):
+    def gloss(self, forest):
         gfs = glosser.gloss_forest(
             forest,
             self.rb,
@@ -364,11 +334,10 @@ class Pipeline:
             solution_cap=self.cfg.get("solution_cap"),
             category_order=self.cfg.category_order,
         )
-        lattice = glosser.flatten_gloss(gfs, self.irregulars)
-        trace.stage("gloss", "transformer", len(forest.constituents), _path_count(lattice))
-        return self._finish(lattice, trace)
+        return glosser.flatten_gloss(gfs, self.irregulars)
 
-    def _interlingua_path(self, forest, trace):
+    def analyze(self, forest):
+        """Root meaning candidates, inferred when ``infer_before_rank``."""
         analyses = semantics.analyze(
             forest,
             self.rb,
@@ -376,28 +345,75 @@ class Pipeline:
             solution_cap=self.cfg.get("solution_cap"),
         )
         candidates = semantics.root_candidates(forest, analyses)
-        trace.stage("analyze", "transformer", len(forest.constituents), len(candidates))
-        trace.notes["candidates"] = len(candidates)
-        if not candidates:
-            return None
-        if self.taxonomy is None:
-            raise ResourceError("interlingua path requires a taxonomy")
         if self.cfg.get("infer_before_rank"):
             for c in candidates:
                 c.graph = semantics.infer(c.graph)
+        return candidates
+
+    def rank(self, candidates):
+        """Score by coherence; best first, at most ``candidate_cap``."""
+        if self.taxonomy is None:
+            raise ResourceError("ranking requires a taxonomy")
         for c in candidates:
             c.score = semantics.score_assertions(
                 semantics.to_assertions(c.graph), self.taxonomy
             )
         ranked = semantics.rank_candidates(candidates)
-        kept = ranked[: self.cfg.get("candidate_cap")]
+        return ranked[: self.cfg.get("candidate_cap")]
+
+    def realize(self, graph):
+        return realizer.realize(graph, self.gen_lexicon, irregulars=self.irregulars)
+
+    def postedit(self, text):
+        text = posteditor.apply_repairs(text, self.repairs)
+        if self.tree is not None and self.nouns:
+            text = posteditor.insert_articles(
+                text, self.tree, self.nouns, self.exceptions, self.countability
+            )
+        return text
+
+    # -- per-sentence paths ------------------------------------------------
+
+    def _front(self, line, trace):
+        tokens = self.chunk(line)
+        trace.stage("chunk", "transformer", len(line.split()), len(tokens))
+        forest = self.parse(tokens)
+        trace.stage("parse", "transformer", len(tokens), len(forest.constituents))
+        trace.notes["full_parse"] = 1 if forest.roots else 0
+        return forest
+
+    def _finish(self, lattice, n_paths, trace):
+        if self.lm is None:
+            raise ResourceError("translation requires a trained language model (lm_model)")
+        trace.notes["paths"] = n_paths
+        words, score = lattice_lm.best_path(lattice, self.lm)
+        trace.stage("extract", "ranker-pruner", max(n_paths, 1), 1)
+        trace.notes["lm_score"] = "%.6f" % score
+        text = self.postedit(" ".join(words))
+        trace.stage("postedit", "transformer", 1, 1)
+        return text.rstrip("\n")
+
+    def _gloss_path(self, forest, trace):
+        lattice = self.gloss(forest)
+        n_paths = _path_count(lattice)
+        trace.stage("gloss", "transformer", len(forest.constituents), n_paths)
+        return self._finish(lattice, n_paths, trace)
+
+    def _interlingua_path(self, forest, trace):
+        candidates = self.analyze(forest)
+        trace.stage("analyze", "transformer", len(forest.constituents), len(candidates))
+        trace.notes["candidates"] = len(candidates)
+        if not candidates:
+            return None
+        kept = self.rank(candidates)
         trace.stage("rank", "ranker-pruner", len(candidates), len(kept))
         best = kept[0]
         graph = best.graph if self.cfg.get("infer_before_rank") else semantics.infer(best.graph)
         trace.notes["best_score"] = "%.6g" % best.score
-        lattice = realizer.realize(graph, self.gen_lexicon, irregulars=self.irregulars)
-        trace.stage("realize", "transformer", 1, _path_count(lattice))
-        return self._finish(lattice, trace)
+        lattice = self.realize(graph)
+        n_paths = _path_count(lattice)
+        trace.stage("realize", "transformer", 1, n_paths)
+        return self._finish(lattice, n_paths, trace)
 
     def translate_line(self, line, index=0):
         trace = SentenceTrace(index)

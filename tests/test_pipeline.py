@@ -1,8 +1,9 @@
 import os
+import re
 
 import pytest
 
-from hybridmt import posteditor
+from hybridmt import lattice_lm, posteditor
 from hybridmt.cli import main
 from hybridmt.pipeline import (
     Pipeline,
@@ -45,8 +46,9 @@ def test_config_type_validation():
         cfg.set("solution_cap", "many")
     with pytest.raises(ResourceError):
         cfg.set("fallback", "maybe")
-    with pytest.raises(ResourceError):
-        cfg.set("no_such_key", "1")
+    for key in ("no_such_key", "top_n", "seed"):
+        with pytest.raises(ResourceError):
+            cfg.set(key, "1")
 
 
 def test_config_missing_file_rejected_at_load():
@@ -201,6 +203,46 @@ def test_cli_chunk(tmp_path, capsys):
     )
     assert code == 0
     assert out == "BEGIN-NPT john/N wa/HA END-NPT\n"
+
+
+def _cli_output(capsys, cfg, command, inp):
+    code, out, err = _run(
+        capsys, ["--config", fixture_path(cfg), command, "--input", str(inp)]
+    )
+    assert code == 0, err
+    return out
+
+
+def test_cli_realize_uses_irregular_forms(tmp_path, capsys):
+    inp = tmp_path / "in.spl"
+    inp.write_text("(|i-1| / |ingest| :TENSE past :AGENT (|n-2| / |named person|))\n")
+    out = _cli_output(capsys, "interlingua.cfg", "realize", inp)
+    labels = [line.split()[3] for line in out.splitlines() if line.startswith("E ")]
+    assert "ate" in labels and "eated" not in labels
+
+
+def test_cli_gloss_stages_chain_into_translate(tmp_path, capsys, gloss_pipeline):
+    batch = fixture_path("batch50.txt")
+    glossed = _cli_output(capsys, "gloss.cfg", "gloss", batch)
+    blocks = re.split(r"^# .*\n", glossed, flags=re.M)[1:]
+    assert len(blocks) == 50
+    extracted = tmp_path / "extracted.txt"
+    with extracted.open("w") as fh:
+        for block in blocks:
+            lattice = lattice_lm.parse_lattice(block)
+            words, _score = lattice_lm.best_path(lattice, gloss_pipeline.lm)
+            fh.write(" ".join(words) + "\n")
+    postedited = _cli_output(capsys, "gloss.cfg", "postedit", extracted)
+    translated = _cli_output(capsys, "gloss.cfg", "translate", batch)
+    assert postedited.splitlines() == translated.splitlines()
+
+
+def test_cli_rank_reproduces_analyze(tmp_path, capsys):
+    analyzed = _cli_output(capsys, "interlingua.cfg", "analyze", fixture_path("batch50.txt"))
+    assert analyzed
+    spl = tmp_path / "candidates.spl"
+    spl.write_text("".join(line.split("\t")[1] + "\n" for line in analyzed.splitlines()))
+    assert _cli_output(capsys, "interlingua.cfg", "rank", spl) == analyzed
 
 
 def test_cli_train_lm_reproduces_model(tmp_path, capsys):
