@@ -8,7 +8,7 @@ errors, 2 on bad usage.
 import argparse
 import sys
 
-from . import chunker, lattice_lm, parser, posteditor, semantics
+from . import chunker, lattice_lm, parser, posteditor, realizer, semantics
 from .pipeline import Pipeline, ResourceError, format_trace, load_config, parse_trace, run_trace_report
 
 
@@ -109,7 +109,11 @@ def _cmd_rank(pipe, args):
 def _cmd_realize(pipe, args):
     blocks = []
     for line in _lines(_read_input(args)):
-        lattice = pipe.realize(semantics.parse_spl(line))
+        try:
+            lattice = pipe.realize(semantics.parse_spl(line))
+        except realizer.RealizeError as err:
+            blocks.append("# %s\n# error: %s\n" % (line, err))
+            continue
         blocks.append("# %s\n%s" % (line, lattice_lm.dump_lattice(lattice)))
     return "".join(blocks)
 

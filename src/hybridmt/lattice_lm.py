@@ -261,12 +261,32 @@ def parse_lattice(text):
 # Trigram model
 # ---------------------------------------------------------------------
 
+def _index_contexts(table, width):
+    """Context -> summed count, and context -> its followers' table keys.
+    A bigram context is the bare word, a trigram context the word
+    pair."""
+    ctx_counts, followers = {}, {}
+    for key, c in table.items():
+        ctx = key[0] if width == 1 else key[:width]
+        seen = followers.get(ctx)
+        if seen is None:
+            followers[ctx] = [key]
+            ctx_counts[ctx] = c
+        else:
+            seen.append(key)
+            ctx_counts[ctx] += c
+    return ctx_counts, followers
+
+
 class TrigramModel:
     """Counts plus Good-Turing discounts and Katz backoff weights.
 
     Probabilities are derived deterministically from the count tables,
-    so persisting and reloading the counts reproduces the model bit for
-    bit.
+    and every floating-point sum over a table runs in sorted key order
+    whatever order the table was filled in, so persisting and reloading
+    the counts reproduces the model bit for bit.  Katz backoff weights
+    are computed lazily, once per context, from an index of each
+    context's followers built with the model.
     """
 
     def __init__(self, unigrams, bigrams, trigrams, k=5, warnings=None):
@@ -286,13 +306,14 @@ class TrigramModel:
         self._discount = {}
         for order, table in ((1, self.unigrams), (2, self.bigrams), (3, self.trigrams)):
             self._discount[order] = self._gt_discounts(table, order)
-        # context sums are the backoff denominators
-        self.bigram_ctx = Counter()
-        for (u, v), c in self.bigrams.items():
-            self.bigram_ctx[u] += c
-        self.trigram_ctx = Counter()
-        for (u, v, w), c in self.trigrams.items():
-            self.trigram_ctx[(u, v)] += c
+        # context sums are the backoff denominators; the followers index
+        # lets a backoff weight visit only its own context's n-grams
+        self.bigram_ctx, self._bigram_followers = _index_contexts(
+            self.bigrams, 1
+        )
+        self.trigram_ctx, self._trigram_followers = _index_contexts(
+            self.trigrams, 2
+        )
         self._unigram_dist = None
         self._alpha_bi = {}
         self._alpha_tri = {}
@@ -346,10 +367,10 @@ class TrigramModel:
                 dist[w] = 1.0 / 2
         else:
             mass = 0.0
-            for w, c in self.unigrams.items():
+            for w in sorted(self.unigrams):
                 if w == BOS:
                     continue
-                p = self.adjusted_count(1, c) / self.total
+                p = self.adjusted_count(1, self.unigrams[w]) / self.total
                 dist[w] = p
                 mass += p
             dist[OOV] = max(1.0 - mass, 1e-12)
@@ -373,16 +394,12 @@ class TrigramModel:
             return self.adjusted_count(2, c) / ctx
         alpha = self._alpha_bi.get(v)
         if alpha is None:
+            # key order, not fill order, so a reloaded model sums alike
+            followers = sorted(self._bigram_followers[v])
             seen_mass = sum(
-                self.adjusted_count(2, c2) / ctx
-                for (u2, w2), c2 in self.bigrams.items()
-                if u2 == v
+                self.adjusted_count(2, self.bigrams[key]) / ctx for key in followers
             )
-            seen_lower = sum(
-                self.prob_unigram(w2)
-                for (u2, w2), c2 in self.bigrams.items()
-                if u2 == v
-            )
+            seen_lower = sum(self.prob_unigram(key[1]) for key in followers)
             alpha = max(1.0 - seen_mass, 1e-12) / max(1.0 - seen_lower, 1e-12)
             self._alpha_bi[v] = alpha
         return alpha * self.prob_unigram(w)
@@ -399,13 +416,11 @@ class TrigramModel:
             return self.adjusted_count(3, c) / ctx
         alpha = self._alpha_tri.get((u, v))
         if alpha is None:
-            followers = [
-                (w3, c3)
-                for (u3, v3, w3), c3 in self.trigrams.items()
-                if (u3, v3) == (u, v)
-            ]
-            seen_mass = sum(self.adjusted_count(3, c3) / ctx for _w3, c3 in followers)
-            seen_lower = sum(self.prob_bigram(w3, v) for w3, _c3 in followers)
+            followers = sorted(self._trigram_followers[(u, v)])
+            seen_mass = sum(
+                self.adjusted_count(3, self.trigrams[key]) / ctx for key in followers
+            )
+            seen_lower = sum(self.prob_bigram(key[2], v) for key in followers)
             alpha = max(1.0 - seen_mass, 1e-12) / max(1.0 - seen_lower, 1e-12)
             self._alpha_tri[(u, v)] = alpha
         return alpha * self.prob_bigram(w, v)
@@ -424,23 +439,48 @@ class TrigramModel:
 
     @staticmethod
     def load(text):
+        """Parse ``dump`` output in one pass.  Lines whose first column
+        is not ``#k``, ``1``, ``2`` or ``3`` are ignored; such a line
+        with the wrong column count or a non-integer count raises
+        LatticeError naming its line number."""
         k = 5
-        uni, bi, tri = Counter(), Counter(), Counter()
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if cols[0] == "#k":
-                k = int(cols[1])
-            elif cols[0].startswith("#"):
-                continue
-            elif cols[0] == "1":
-                uni[cols[1]] = int(cols[2])
-            elif cols[0] == "2":
-                bi[(cols[1], cols[2])] = int(cols[3])
-            elif cols[0] == "3":
-                tri[(cols[1], cols[2], cols[3])] = int(cols[4])
+        uni, bi, tri = {}, {}, {}
+        try:
+            for lineno, line in enumerate(text.splitlines(), 1):
+                cols = line.split("\t")
+                tag = cols[0]
+                # unpacking a line of the wrong width raises ValueError
+                if tag == "3":
+                    _tag, u, v, w, c = cols
+                    tri[(u, v, w)] = int(c)
+                elif tag == "2":
+                    _tag, u, v, c = cols
+                    bi[(u, v)] = int(c)
+                elif tag == "1":
+                    _tag, u, c = cols
+                    uni[u] = int(c)
+                elif tag == "#k":
+                    _tag, c = cols
+                    k = int(c)
+        except ValueError:
+            raise _bad_model_line(lineno, cols) from None
         return TrigramModel(uni, bi, tri, k=k)
+
+
+# first column of a model line -> its column count
+_MODEL_LINE_WIDTH = {"#k": 2, "1": 3, "2": 4, "3": 5}
+
+
+def _bad_model_line(lineno, cols):
+    width = _MODEL_LINE_WIDTH[cols[0]]
+    if len(cols) != width:
+        return LatticeError(
+            "model line %d: %r needs %d tab-separated columns, got %d"
+            % (lineno, cols[0], width, len(cols))
+        )
+    return LatticeError(
+        "model line %d: count %r is not an integer" % (lineno, cols[-1])
+    )
 
 
 def train_trigram(sentences, k=5):

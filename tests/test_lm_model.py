@@ -1,0 +1,198 @@
+"""The trigram model's file format and its per-context backoff index.
+
+The property tests compare the model against a reference that computes
+each Katz backoff weight by scanning the whole count table in sorted key
+order, the way the model did before it indexed followers by context; the
+two must agree bit for bit, not approximately.
+"""
+
+import shutil
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hybridmt.cli import main
+from hybridmt.lattice_lm import (
+    BOS,
+    EOS,
+    OOV,
+    LatticeError,
+    TrigramModel,
+    train_trigram,
+)
+
+from conftest import FIXTURES, fixture_path
+
+
+# -- model file errors ---------------------------------------------------
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1\tfoo", "needs 3 tab-separated columns, got 2"),
+        ("3\ta\tb", "needs 5 tab-separated columns, got 3"),
+        ("#k", "needs 2 tab-separated columns, got 1"),
+        ("2\ta\tb\t4\textra", "needs 4 tab-separated columns, got 5"),
+        ("2\ta\tb\tfour", "count 'four' is not an integer"),
+        ("#k\t2.5", "count '2.5' is not an integer"),
+    ],
+)
+def test_load_bad_line_names_its_line_number(line, message):
+    text = "#k\t5\n1\ta\t3\n%s\n1\tb\t2\n" % line
+    with pytest.raises(LatticeError) as exc:
+        TrigramModel.load(text)
+    assert str(exc.value).startswith("model line 3: ")
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["", "   ", " \t ", "#vocab\t2", "#vocab", "# a comment\twith\tcolumns", "4\ta\tb\tc\td\t1", "x"],
+)
+def test_load_ignores_blank_comment_and_unknown_lines(line):
+    text = "#k\t3\n1\ta\t3\n1\tb\t2\n2\ta\tb\t2\n3\t<s>\ta\tb\t1\n"
+    plain = TrigramModel.load(text)
+    padded = TrigramModel.load(line + "\n" + text + line + "\n")
+    assert padded.dump() == plain.dump()
+    assert padded.k == 3
+
+
+def test_cli_bad_model_file_exits_1(tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, fixtures)
+    (fixtures / "lm.model").write_text("#k\t5\n1\ta\t3\n3\ta\tb\n")
+    code = main(
+        ["--config", str(fixtures / "gloss.cfg"), "translate", "--input", fixture_path("batch50.txt")]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: model line 3: ")
+
+
+# -- reference backoff by whole-table scan ---------------------------------
+
+def _scan_prob_bigram(model, w, v):
+    v, w = model._map(v), model._map(w)
+    ctx = model.bigram_ctx.get(v, 0)
+    if ctx == 0:
+        return model.prob_unigram(w)
+    c = model.bigrams.get((v, w), 0)
+    if c > 0:
+        return model.adjusted_count(2, c) / ctx
+    seen_mass = sum(
+        model.adjusted_count(2, c2) / ctx
+        for (u2, _w2), c2 in sorted(model.bigrams.items())
+        if u2 == v
+    )
+    seen_lower = sum(
+        model.prob_unigram(w2) for (u2, w2) in sorted(model.bigrams) if u2 == v
+    )
+    alpha = max(1.0 - seen_mass, 1e-12) / max(1.0 - seen_lower, 1e-12)
+    return alpha * model.prob_unigram(w)
+
+
+def _scan_prob(model, w, history):
+    u, v = model._map(history[0]), model._map(history[1])
+    w = model._map(w)
+    ctx = model.trigram_ctx.get((u, v), 0)
+    if ctx == 0:
+        return _scan_prob_bigram(model, w, v)
+    c = model.trigrams.get((u, v, w), 0)
+    if c > 0:
+        return model.adjusted_count(3, c) / ctx
+    followers = [
+        (w3, c3)
+        for (u3, v3, w3), c3 in sorted(model.trigrams.items())
+        if (u3, v3) == (u, v)
+    ]
+    seen_mass = sum(model.adjusted_count(3, c3) / ctx for _w3, c3 in followers)
+    seen_lower = sum(_scan_prob_bigram(model, w3, v) for w3, _c3 in followers)
+    alpha = max(1.0 - seen_mass, 1e-12) / max(1.0 - seen_lower, 1e-12)
+    return alpha * _scan_prob_bigram(model, w, v)
+
+
+# -- strategies ------------------------------------------------------------
+
+alphabets = st.integers(4, 6).map(lambda n: "abcdef"[:n])
+
+
+@st.composite
+def count_tables(draw):
+    """Independent random unigram/bigram/trigram tables: no consistency
+    between orders is promised, so the index sees arbitrary contexts."""
+    words = list(draw(alphabets))
+    context = st.sampled_from(words + [BOS])
+    event = st.sampled_from(words + [EOS])
+    counts = st.integers(1, 6)
+    uni = draw(st.dictionaries(st.sampled_from(words + [BOS, EOS]), counts, max_size=8))
+    bi = draw(st.dictionaries(st.tuples(context, event), counts, max_size=20))
+    tri = draw(st.dictionaries(st.tuples(context, context, event), counts, max_size=40))
+    return TrigramModel(uni, bi, tri, k=draw(st.integers(1, 5)))
+
+
+@st.composite
+def trained_models(draw):
+    """Models counted from a random corpus, so every order agrees."""
+    words = draw(alphabets)
+    sentence = st.lists(st.sampled_from(words), min_size=1, max_size=6)
+    corpus = draw(st.lists(sentence, min_size=1, max_size=12))
+    return train_trigram(corpus, k=draw(st.integers(1, 5)))
+
+
+def _symbols(model):
+    return sorted(model.vocabulary) + [BOS, EOS, OOV, "zzz-unseen"]
+
+
+def _histories(model, draw):
+    symbol = st.sampled_from(_symbols(model))
+    return [(BOS, BOS)] + draw(st.lists(st.tuples(symbol, symbol), min_size=1, max_size=10))
+
+
+def _discounts_are_proper(model):
+    """Good-Turing never raises a count (r* <= r), so no context's seen
+    mass exceeds one and Katz backoff can normalize."""
+    return all(
+        model.adjusted_count(order, r) <= r
+        for order in (1, 2, 3)
+        for r in range(1, model.k)
+    )
+
+
+# -- properties ------------------------------------------------------------
+
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+@PROPERTY
+@given(st.one_of(count_tables(), trained_models()), st.data())
+def test_indexed_backoff_equals_whole_table_scan(model, data):
+    for hist in _histories(model, data.draw):
+        for w in _symbols(model):
+            assert model.prob(w, hist) == _scan_prob(model, w, hist)
+            assert model.prob_bigram(w, hist[1]) == _scan_prob_bigram(model, w, hist[1])
+
+
+@PROPERTY
+@given(trained_models(), st.data())
+def test_trained_model_normalizes(model, data):
+    assume(_discounts_are_proper(model))
+    events = sorted(model.vocabulary) + [OOV]
+    for hist in _histories(model, data.draw):
+        total = sum(model.prob(w, hist) for w in events)
+        assert abs(total - 1.0) <= 1e-9, hist
+        bigram_total = sum(model.prob_bigram(w, hist[1]) for w in events)
+        assert abs(bigram_total - 1.0) <= 1e-9, hist
+
+
+@PROPERTY
+@given(st.one_of(count_tables(), trained_models()), st.data())
+def test_dump_load_roundtrip(model, data):
+    back = TrigramModel.load(model.dump())
+    assert back.k == model.k
+    assert back.unigrams == model.unigrams
+    assert back.bigrams == model.bigrams
+    assert back.trigrams == model.trigrams
+    for hist in _histories(model, data.draw):
+        for w in _symbols(model):
+            assert back.prob(w, hist) == model.prob(w, hist)

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from hybridmt import lattice_lm, posteditor
+from hybridmt import lattice_lm, posteditor, realizer, semantics
 from hybridmt.cli import main
 from hybridmt.pipeline import (
     Pipeline,
@@ -219,6 +219,26 @@ def test_cli_realize_uses_irregular_forms(tmp_path, capsys):
     out = _cli_output(capsys, "interlingua.cfg", "realize", inp)
     labels = [line.split()[3] for line in out.splitlines() if line.startswith("E ")]
     assert "ate" in labels and "eated" not in labels
+
+
+def test_cli_realize_reports_each_failing_graph(tmp_path, capsys, interlingua_pipeline):
+    analyzed = _cli_output(capsys, "interlingua.cfg", "analyze", fixture_path("batch50.txt"))
+    graphs = [line.split("\t")[1] for line in analyzed.splitlines()]
+    spl = tmp_path / "graphs.spl"
+    spl.write_text("".join(g + "\n" for g in graphs))
+    realized = _cli_output(capsys, "interlingua.cfg", "realize", spl)
+    blocks = re.split(r"^# (\(.*)\n", realized, flags=re.M)[1:]
+    assert blocks[0::2] == graphs
+    failures = 0
+    for graph, body in zip(blocks[0::2], blocks[1::2]):
+        try:
+            lattice = interlingua_pipeline.realize(semantics.parse_spl(graph))
+        except realizer.RealizeError as err:
+            assert body == "# error: %s\n" % err
+            failures += 1
+            continue
+        assert body == lattice_lm.dump_lattice(lattice)
+    assert 0 < failures < len(graphs)
 
 
 def test_cli_gloss_stages_chain_into_translate(tmp_path, capsys, gloss_pipeline):
