@@ -139,9 +139,9 @@ def _marker_label(raw):
 class PatternSet:
     """Ordered patterns plus category alias definitions."""
 
-    def __init__(self, patterns=(), aliases=None):
-        self.patterns = list(patterns)
-        self.aliases = dict(aliases or {})
+    def __init__(self):
+        self.patterns = []
+        self.aliases = {}
 
     def expand(self, name):
         """Alias closure: all tags/pattern names a given element accepts."""
@@ -193,7 +193,7 @@ def load_patterns(text, filename="<string>"):
 # Resegmentation
 # ---------------------------------------------------------------------
 
-def resegment(tokens, compounds=None, gazetteer=None, number_tag="NUMBER"):
+def resegment(tokens, compounds=None, gazetteer=None):
     """Merge digit runs, dictionary compounds and gazetteer names.
 
     Maximal adjacent digit runs become one number token; then the
@@ -212,7 +212,7 @@ def resegment(tokens, compounds=None, gazetteer=None, number_tag="NUMBER"):
             j = i
             while j < len(tokens) and not tokens[j].marker and tokens[j].surface.isdigit():
                 j += 1
-            merged.append(Token("".join(tok.surface for tok in tokens[i:j]), number_tag))
+            merged.append(Token("".join(tok.surface for tok in tokens[i:j]), "NUMBER"))
             i = j
         else:
             merged.append(t)
@@ -252,7 +252,7 @@ def resegment(tokens, compounds=None, gazetteer=None, number_tag="NUMBER"):
 # Matching
 # ---------------------------------------------------------------------
 
-def _token_matches(pset, token, element, spans, index):
+def _token_matches(pset, token, element):
     if token.marker:
         return False
     return token.tag in pset.expand(element)
@@ -311,7 +311,7 @@ def match_pattern(pattern, tokens, start, pset=None, spans=None):
             ends = []
             cur = pos
             while True:
-                if cur < len(tokens) and _token_matches(pset, tokens[cur], base, spans, cur):
+                if cur < len(tokens) and _token_matches(pset, tokens[cur], base):
                     cur += 1
                     ends.append(cur)
                     continue
@@ -329,7 +329,7 @@ def match_pattern(pattern, tokens, start, pset=None, spans=None):
         else:
             for end in span_ends:
                 walk(end, elem_index + 1, anchor_start, anchor_end)
-            if pos < len(tokens) and _token_matches(pset, tokens[pos], base, spans, pos):
+            if pos < len(tokens) and _token_matches(pset, tokens[pos], base):
                 walk(pos + 1, elem_index + 1, anchor_start, anchor_end)
 
     walk(start, 0, None, None)

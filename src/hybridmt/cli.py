@@ -92,18 +92,26 @@ def _format_candidates(candidates):
 
 
 def _cmd_analyze(pipe, args):
-    ranked = []
+    blocks = []
     for line in _lines(_read_input(args)):
-        ranked.extend(pipe.rank(pipe.analyze(pipe.parse(pipe.chunk(line)))))
-    return _format_candidates(ranked)
+        ranked = pipe.rank(pipe.analyze(pipe.parse(pipe.chunk(line))))
+        blocks.append("# %s\n%s" % (line, _format_candidates(ranked)))
+    return "".join(blocks)
 
 
 def _cmd_rank(pipe, args):
-    candidates = [
-        semantics.SemCandidate(semantics.parse_spl(line))
-        for line in _lines(_read_input(args))
-    ]
-    return _format_candidates(pipe.rank(candidates))
+    """Each ``#`` line is echoed and starts a new candidate set; a
+    candidate line is an SPL graph, optionally after ``score TAB``."""
+    out, candidates = [], []
+    for line in _lines(_read_input(args)):
+        if line.startswith("#"):
+            out.append(_format_candidates(pipe.rank(candidates)) + line + "\n")
+            candidates = []
+        else:
+            graph = semantics.parse_spl(line.split("\t")[-1])
+            candidates.append(semantics.SemCandidate(graph))
+    out.append(_format_candidates(pipe.rank(candidates)))
+    return "".join(out)
 
 
 def _cmd_realize(pipe, args):

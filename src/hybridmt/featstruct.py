@@ -19,7 +19,7 @@ alternative solutions and checking ``*XOR*`` blocks, existence tests and
 
 import re
 
-from .sexpr import QuotedString, SexprError, parse_one
+from .sexpr import QuotedString, SexprError, dump, parse_one
 
 __all__ = [
     "FeatStruct",
@@ -171,14 +171,6 @@ _EMPTY = FeatStruct()
 # Canonical serialization
 # ---------------------------------------------------------------------
 
-def _atom_text(a):
-    if isinstance(a, QuotedString):
-        return '"%s"' % str(a).replace("\\", "\\\\").replace('"', '\\"')
-    if a == "" or any(c.isspace() or c in '()"|;' for c in a):
-        return "|%s|" % a
-    return a
-
-
 def _sorted_atoms(atoms):
     return sorted(atoms, key=lambda a: (isinstance(a, QuotedString), str(a)))
 
@@ -208,19 +200,19 @@ def canonical(fs):
             prefix = "#%d=" % tags[id(node)]
         if node.allowed is not None:
             if len(node.allowed) == 1:
-                body = _atom_text(next(iter(node.allowed)))
+                body = dump(next(iter(node.allowed)))
             else:
                 body = "(*OR* %s)" % " ".join(
-                    _atom_text(a) for a in _sorted_atoms(node.allowed)
+                    dump(a) for a in _sorted_atoms(node.allowed)
                 )
         elif node.features:
             parts = []
             for feat in sorted(node.features):
-                parts.append("(%s %s)" % (_atom_text(feat), emit(node.features[feat])))
+                parts.append("(%s %s)" % (dump(feat), emit(node.features[feat])))
             body = "(%s)" % " ".join(parts)
         elif node.forbidden:
             body = "(*NOT* %s)" % " ".join(
-                _atom_text(a) for a in _sorted_atoms(node.forbidden)
+                dump(a) for a in _sorted_atoms(node.forbidden)
             )
         else:
             body = "()"
@@ -305,9 +297,9 @@ def parse_featstruct(text):
 class _MNode:
     __slots__ = ("forward", "feats", "allowed", "forbidden")
 
-    def __init__(self, feats=None, allowed=None, forbidden=frozenset()):
+    def __init__(self, allowed=None, forbidden=frozenset()):
         self.forward = None
-        self.feats = feats if feats is not None else {}
+        self.feats = {}
         self.allowed = allowed
         self.forbidden = forbidden
 

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 FRAGMENT_SEPARATOR = "##"
+ALTERNATIVE_CAP = 64  # gloss alternatives kept per constituent
 SUPPORTED_FLAGS = frozenset(["past", "passive", "negative", "progressive"])
 _OP_RE = re.compile(r"^op([0-9]+)$")
 _ALT_RE = re.compile(r"^alt([0-9]+)$")
@@ -59,13 +60,15 @@ def load_irregulars(path):
     """TSV rows ``base TAB past TAB participle TAB 3sg``."""
     table = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
             cols = line.split("\t")
             if len(cols) != 4:
-                raise GlossError("irregular verb row needs 4 columns: %r" % line)
+                raise GlossError(
+                    "%s:%d: irregular verb row needs 4 columns: %r" % (path, lineno, line)
+                )
             table[cols[0]] = (cols[1], cols[2], cols[3])
     return table
 
@@ -237,8 +240,7 @@ def _merge_alternatives(structures):
     return FeatStruct.complex(feats)
 
 
-def gloss_forest(forest, rb, verbal_categories=frozenset(),
-                 solution_cap=64, alt_cap=64, category_order=()):
+def gloss_forest(forest, rb, verbal_categories=frozenset(), solution_cap=64, category_order=()):
     """Gloss the forest's fragment cover into one gloss structure.
 
     Fragments concatenate left to right with the ``##`` separator.
@@ -258,7 +260,7 @@ def gloss_forest(forest, rb, verbal_categories=frozenset(),
         forest,
         lambda const: [gloss_leaf(const.token, rb, verbal_categories)],
         gloss_sets,
-        alt_cap,
+        ALTERNATIVE_CAP,
         solution_cap,
     )
     pieces = []
@@ -295,17 +297,12 @@ def _tmp_flags(node):
     return flags
 
 
-def flatten_gloss(gloss, irregulars=None, warn=None):
+def flatten_gloss(gloss, irregulars=None):
     """Expand a gloss structure into a word lattice."""
-
-    def leaf_lattice(node):
-        alts = sorted(str(a) for a in node.allowed)
-        lats = [wl.from_phrase(a) for a in alts]
-        return wl.alternate_all(lats)
 
     def build(node, tmp):
         if node.is_atomic:
-            return leaf_lattice(node)
+            return wl.from_groups([[str(a) for a in node.allowed]])
         if node.is_empty:
             return wl.WordLattice(2, [(0, 1, wl.EPS)])
         feats = node.features
@@ -314,12 +311,7 @@ def flatten_gloss(gloss, irregulars=None, warn=None):
                 (str(a) for a in feats["base"].allowed),
                 _tmp_flags(node) | tmp,
             )
-            groups = realize_verbgroup(spec, irregulars, warn)
-            lats = [
-                wl.alternate_all([wl.from_phrase(w) for w in sorted(set(g))])
-                for g in groups
-            ]
-            return wl.concat_all(lats)
+            return wl.from_groups(realize_verbgroup(spec, irregulars))
         ops = sorted(
             ((int(m.group(1)), f) for f in feats if (m := _OP_RE.match(f))),
         )

@@ -18,6 +18,7 @@ __all__ = [
     "LatticeError",
     "from_word",
     "from_phrase",
+    "from_groups",
     "concat",
     "alternate",
     "all_paths",
@@ -133,6 +134,14 @@ def from_phrase(phrase):
         return WordLattice(2, [(0, 1, EPS)])
     edges = [(i, i + 1, w) for i, w in enumerate(words)]
     return WordLattice(len(words) + 1, edges)
+
+
+def from_groups(groups):
+    """Concatenation, in order, of one alternation per group over the
+    group's distinct phrases in sorted order."""
+    return concat_all(
+        [alternate_all([from_phrase(p) for p in sorted(set(g))]) for g in groups]
+    )
 
 
 def _shift(edges, offset):
@@ -289,12 +298,12 @@ class TrigramModel:
     context's followers built with the model.
     """
 
-    def __init__(self, unigrams, bigrams, trigrams, k=5, warnings=None):
+    def __init__(self, unigrams, bigrams, trigrams, k=5):
         self.unigrams = Counter(unigrams)
         self.bigrams = Counter(bigrams)
         self.trigrams = Counter(trigrams)
         self.k = k
-        self.warnings = list(warnings or [])
+        self.warnings = []
         self._build()
 
     def _build(self):

@@ -106,7 +106,7 @@ def _crosses(start, end, rstart, rend):
     return overlap and not contains and not contained
 
 
-def lexical_entries(token, rb, unknown_category=UNKNOWN_CATEGORY):
+def lexical_entries(token, rb):
     """Category/feature alternatives for one token.
 
     Lexicon entries matching the token's POS tag win; with no lexicon
@@ -120,18 +120,11 @@ def lexical_entries(token, rb, unknown_category=UNKNOWN_CATEGORY):
             entries = tagged
     if entries:
         return [(e.pos, e.features) for e in entries]
-    category = token.tag if token.tag else unknown_category
+    category = token.tag if token.tag else UNKNOWN_CATEGORY
     return [(category, FeatStruct.empty())]
 
 
-def parse(
-    tokens,
-    rb,
-    root_categories=("S",),
-    edge_cap=DEFAULT_EDGE_CAP,
-    solution_cap=64,
-    unknown_category=UNKNOWN_CATEGORY,
-):
+def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP, solution_cap=64):
     """Parse a chunked token sequence into a packed forest."""
     if not tokens:
         raise ParseError("empty input")
@@ -183,23 +176,15 @@ def parse(
                 out.append((c,) + rest)
         return out
 
-    def apply_rule(rule, children):
-        nonlocal_edges_ok = edges[0] < edge_cap
-        if not nonlocal_edges_ok:
+    def apply_rule(rule, child_structures):
+        if edges[0] >= edge_cap:
             forest.truncated = True
             return []
         edges[0] += 1
-        bindings = {"X0": FeatStruct.empty()}
-        for i, child in enumerate(children, 1):
-            bindings["X%d" % i] = child.fs
-        produced = []
-        for eqset in rule.syntax_sets:
-            for sol in apply_equations(bindings, eqset.equations, solution_cap):
-                produced.append(sol["X0"])
-        return produced
+        return _solve_rule(rule.syntax_sets, child_structures, solution_cap)
 
     for token_pos, token in enumerate(words):
-        for category, fs in lexical_entries(token, rb, unknown_category):
+        for category, fs in lexical_entries(token, rb):
             install(category, token_pos, token_pos + 1, fs, lexical=True, token=token)
 
     for length in range(1, n + 1):
@@ -211,9 +196,11 @@ def parse(
                     if len(rhs) < 2:
                         continue
                     for children in child_sequences(list(rhs), start, end):
+                        child_ids = tuple(c.id for c in children)
+                        child_structures = [c.fs for c in children]
                         for rule in rules:
-                            derivation = (rule.key, tuple(c.id for c in children))
-                            for fs in apply_rule(rule, children):
+                            derivation = (rule.key, child_ids)
+                            for fs in apply_rule(rule, child_structures):
                                 install(rule.key.lhs, start, end, fs, derivation)
         # unary closure over this span length
         agenda = [c for c in forest if c.end - c.start == length]
@@ -224,7 +211,7 @@ def parse(
                     continue
                 for rule in rules:
                     derivation = (rule.key, (child.id,))
-                    for fs in apply_rule(rule, (child,)):
+                    for fs in apply_rule(rule, (child.fs,)):
                         fresh = install(rule.key.lhs, child.start, child.end, fs, derivation)
                         if fresh is not None:
                             agenda.append(fresh)
@@ -300,6 +287,19 @@ def count_trees(forest, cid):
     return count(cid)
 
 
+def _solve_rule(equation_sets, child_structures, solution_cap):
+    """X0 of every solution of every equation set, in order, with
+    X1..Xn bound to ``child_structures``."""
+    bindings = {"X0": FeatStruct.empty()}
+    for i, fs in enumerate(child_structures, 1):
+        bindings["X%d" % i] = fs
+    produced = []
+    for eqset in equation_sets:
+        for sol in apply_equations(bindings, eqset.equations, solution_cap):
+            produced.append(sol["X0"])
+    return produced
+
+
 def compose(forest, leaf, equation_sets, cap, solution_cap):
     """Bottom-up feature-structure composition over the packed forest.
 
@@ -331,16 +331,11 @@ def compose(forest, leaf, equation_sets, cap, solution_cap):
             for options in child_options:
                 combos = [c + (o,) for c in combos for o in options][:cap]
             for combo in combos:
-                bindings = {"X0": FeatStruct.empty()}
-                for pos, child_fs in enumerate(combo, 1):
-                    bindings["X%d" % pos] = child_fs
-                for eqset in sets:
-                    for sol in apply_equations(bindings, eqset.equations, solution_cap):
-                        fs = sol["X0"]
-                        key = canonical(fs)
-                        if key not in seen:
-                            seen.add(key)
-                            results.append(fs)
+                for fs in _solve_rule(sets, combo, solution_cap):
+                    key = canonical(fs)
+                    if key not in seen:
+                        seen.add(key)
+                        results.append(fs)
             if len(results) >= cap:
                 break
         memo[cid] = results[:cap]

@@ -46,7 +46,6 @@ _DEFAULTS = {
     "candidate_cap": 256,
     "gt_cutoff": 5,
     "fallback": True,
-    "infer_before_rank": True,
 }
 
 _FILE_KEYS = (
@@ -71,15 +70,13 @@ _FILE_KEYS = (
 )
 
 _INT_KEYS = ("solution_cap", "edge_cap", "candidate_cap", "gt_cutoff")
-_BOOL_KEYS = ("fallback", "infer_before_rank")
+_BOOL_KEYS = ("fallback",)
 
 
 class PipelineConfig:
-    def __init__(self, values=None, base_dir="."):
+    def __init__(self, base_dir="."):
         self.values = dict(_DEFAULTS)
         self.base_dir = base_dir
-        for key, value in (values or {}).items():
-            self.set(key, value)
 
     def set(self, key, value):
         if key in _INT_KEYS:
@@ -293,7 +290,7 @@ class Pipeline:
             self.repairs = posteditor.load_repairs(cfg.path_of("repairs"))
         self.exceptions = frozenset()
         if cfg.path_of("exceptions"):
-            self.exceptions = frozenset(posteditor.load_exceptions(cfg.path_of("exceptions")))
+            self.exceptions = frozenset(posteditor.load_word_list(cfg.path_of("exceptions")))
         self.gen_lexicon = {}
         if cfg.path_of("gen_lexicon"):
             self.gen_lexicon = realizer.load_gen_lexicon(cfg.path_of("gen_lexicon"))
@@ -302,8 +299,7 @@ class Pipeline:
             self.irregulars = glosser.load_irregulars(cfg.path_of("irregulars"))
         self.nouns = set()
         if cfg.path_of("nouns"):
-            with open(cfg.path_of("nouns"), encoding="utf-8") as fh:
-                self.nouns = {w.strip().lower() for w in fh if w.strip()}
+            self.nouns = posteditor.load_word_list(cfg.path_of("nouns"))
         self.countability = {
             e.lemma: e.countable
             for e in self.gen_lexicon.values()
@@ -337,7 +333,7 @@ class Pipeline:
         return glosser.flatten_gloss(gfs, self.irregulars)
 
     def analyze(self, forest):
-        """Root meaning candidates, inferred when ``infer_before_rank``."""
+        """Root meaning candidates, after inference."""
         analyses = semantics.analyze(
             forest,
             self.rb,
@@ -345,9 +341,8 @@ class Pipeline:
             solution_cap=self.cfg.get("solution_cap"),
         )
         candidates = semantics.root_candidates(forest, analyses)
-        if self.cfg.get("infer_before_rank"):
-            for c in candidates:
-                c.graph = semantics.infer(c.graph)
+        for c in candidates:
+            c.graph = semantics.infer(c.graph)
         return candidates
 
     def rank(self, candidates):
@@ -408,9 +403,8 @@ class Pipeline:
         kept = self.rank(candidates)
         trace.stage("rank", "ranker-pruner", len(candidates), len(kept))
         best = kept[0]
-        graph = best.graph if self.cfg.get("infer_before_rank") else semantics.infer(best.graph)
         trace.notes["best_score"] = "%.6g" % best.score
-        lattice = self.realize(graph)
+        lattice = self.realize(best.graph)
         n_paths = _path_count(lattice)
         trace.stage("realize", "transformer", 1, n_paths)
         return self._finish(lattice, n_paths, trace)

@@ -27,7 +27,7 @@ __all__ = [
     "apply_repairs",
     "load_repairs",
     "parse_repairs",
-    "load_exceptions",
+    "load_word_list",
     "choose_allomorph",
     "dump_tree",
     "parse_tree",
@@ -325,8 +325,8 @@ def insert_articles(text, tree, nouns, exceptions=frozenset(), countability=None
     return "\n".join(out_lines) + ("\n" if text.endswith("\n") else "")
 
 
-def load_exceptions(path):
-    """One exception word per line."""
+def load_word_list(path):
+    """One lowercased word per line; blank and ``#`` lines are skipped."""
     out = set()
     with open(path, encoding="utf-8") as fh:
         for line in fh:

@@ -5,7 +5,7 @@ subject noun phrase, verb, object noun phrase, then the remaining roles
 as prepositional phrases in declaration order.  Unspecified
 definiteness defaults to the article "the" and unspecified tense to the
 present.  Where the generation lexicon does not record a preferred
-preposition for a relation, the lattice branches over a configurable
+preposition for a relation, the lattice branches over a fixed
 alternative set and the language model downstream picks the winner.
 Reentrant fillers are realized once; later mentions are skipped.
 """
@@ -98,7 +98,7 @@ def _verb_groups(node, entry, irregulars=None):
     return [[third_singular_form(entry.lemma, irregulars)]]
 
 
-def realize(g, lex, prep_alternatives=DEFAULT_PREPOSITIONS, irregulars=None):
+def realize(g, lex, irregulars=None):
     """Linearize a meaning graph into a word lattice.
 
     Raises RealizeError listing every concept missing from the
@@ -114,7 +114,7 @@ def realize(g, lex, prep_alternatives=DEFAULT_PREPOSITIONS, irregulars=None):
 
     def pp_groups(head_entry, role, child):
         prep = head_entry.preps.get(role)
-        groups.append([prep] if prep else list(prep_alternatives))
+        groups.append([prep] if prep else list(DEFAULT_PREPOSITIONS))
         np_groups(child)
 
     def np_groups(node):
@@ -179,8 +179,4 @@ def realize(g, lex, prep_alternatives=DEFAULT_PREPOSITIONS, irregulars=None):
 
     groups.append(["."])
     groups[0] = sorted({alt[:1].upper() + alt[1:] for alt in groups[0]})
-    lattices = [
-        wl.alternate_all([wl.from_phrase(alt) for alt in sorted(set(group))])
-        for group in groups
-    ]
-    return wl.concat_all(lattices)
+    return wl.from_groups(groups)

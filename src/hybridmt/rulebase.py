@@ -17,7 +17,7 @@ Lexicons are flat tab-separated files:
 import os
 
 from . import sexpr
-from .featstruct import parse_equations, parse_featstruct_expr, FeatStruct
+from .featstruct import equation_variables, parse_equations, parse_featstruct_expr, FeatStruct
 
 __all__ = [
     "RuleKey",
@@ -91,11 +91,10 @@ class SynchronizedRule:
 
 
 class LexiconEntry:
-    def __init__(self, surface, pos, features=None, senses=(), translations=()):
+    def __init__(self, surface, pos, features=None, translations=()):
         self.surface = surface
         self.pos = pos
         self.features = features if features is not None else FeatStruct.empty()
-        self.senses = list(senses)
         self.translations = list(translations)
 
     def __repr__(self):
@@ -132,23 +131,6 @@ class RuleBase:
                 label = {1: "unary", 2: "binary", 3: "n-ary"}[arity]
                 counts[label] = counts.get(label, 0) + 1
         return counts
-
-
-def _max_variable(exprs):
-    top = 0
-
-    def visit(e):
-        nonlocal top
-        if isinstance(e, str):
-            if not isinstance(e, sexpr.QuotedString) and e.startswith("X") and e[1:].isdigit():
-                top = max(top, int(e[1:]))
-        else:
-            for sub in e:
-                visit(sub)
-
-    for e in exprs:
-        visit(e)
-    return top
 
 
 def parse_rule_file(text, kind, rb=None, filename="<string>"):
@@ -292,7 +274,7 @@ def validate_rulebase(rb, mode):
             lines.append("missing %s rule for backbone %r" % (wanted, key))
         for kind in ("syntax", "semantics", "gloss"):
             for eqset in rule.sets(kind):
-                top = _max_variable(eqset.exprs)
+                top = max((int(v[1:]) for v in equation_variables(eqset.equations)), default=0)
                 if top > key.arity:
                     lines.append(
                         "%s rule %r references X%d beyond arity %d"

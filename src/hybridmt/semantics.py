@@ -310,22 +310,22 @@ def _leaf_candidates(const, rb):
 
 
 def analyze(forest, rb, cap=256, solution_cap=64):
-    """Candidate meanings for every constituent, bottom-up.
+    """Candidate meanings of the forest's constituents, bottom-up.
 
-    Returns a dict mapping constituent id to a list of feature
-    structures (the rule variable X0 of each solution).  A leaf with no
-    semantic lexicon entry gets an empty list, and emptiness propagates
-    upward through derivations that need it.
+    Returns a memoised function mapping a constituent id to a list of
+    feature structures (the rule variable X0 of each solution); it
+    analyzes only that constituent and what lies below it.  A leaf with
+    no semantic lexicon entry gets an empty list, and emptiness
+    propagates upward through derivations that need it.
     """
 
     def semantic_sets(rule_key):
         rule = rb.rules.get(rule_key)
         return rule.semantic_sets if rule is not None else ()
 
-    compute = compose(
+    return compose(
         forest, lambda const: _leaf_candidates(const, rb), semantic_sets, cap, solution_cap
     )
-    return {cid: compute(cid) for cid in forest.constituents}
 
 
 def graph_from_featstruct(sem):
@@ -369,11 +369,12 @@ def graph_from_featstruct(sem):
 
 def root_candidates(forest, analyses):
     """Meaning graphs for the forest roots (or the fragment cover's
-    first constituent when no full parse exists)."""
+    first constituent when no full parse exists); ``analyses`` is the
+    function ``analyze`` returns."""
     cids = forest.roots or fragment_cover(forest)[:1]
     out = []
     for cid in cids:
-        for fs in analyses.get(cid, []):
+        for fs in analyses(cid):
             sem = fs.features.get("sem")
             if sem is None or not sem.is_complex:
                 continue

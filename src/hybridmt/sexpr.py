@@ -25,10 +25,12 @@ class QuotedString(str):
 
 
 _DELIMS = set('()"|;')
+# bare parentheses are structure; these equal no atom, not even |(|
+OPEN, CLOSE = object(), object()
 
 
 def tokenize(text):
-    """Yield (token, line, col) triples. Parens are single-char tokens."""
+    """Yield (token, line, col) triples; bare parens yield OPEN/CLOSE."""
     line, col = 1, 0
     i, n = 0, len(text)
     while i < n:
@@ -48,7 +50,7 @@ def tokenize(text):
             continue
         start_line, start_col = line, col
         if ch in "()":
-            yield ch, start_line, start_col
+            yield (OPEN if ch == "(" else CLOSE), start_line, start_col
             i += 1
             col += 1
         elif ch == '"':
@@ -84,9 +86,9 @@ def parse_all(text):
     """Parse every top-level expression in ``text`` into nested lists."""
     stack = [[]]
     for tok, line, _col in tokenize(text):
-        if tok == "(" and not isinstance(tok, QuotedString):
+        if tok is OPEN:
             stack.append([])
-        elif tok == ")" and not isinstance(tok, QuotedString):
+        elif tok is CLOSE:
             if len(stack) == 1:
                 raise SexprError("unbalanced ')' at line %d" % line)
             done = stack.pop()

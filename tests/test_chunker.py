@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridmt.chunker import (
     PatternError,
@@ -131,6 +133,15 @@ def test_named_span_reusable_as_single_element():
     assert match_pattern(pset.patterns[0], tokens, 0, pset) is None
 
 
+def test_quantified_element_runs_over_named_spans():
+    # NP+ takes the NP span over tokens 0-1, then the NP-tagged token 2
+    pset = load_patterns("(TOP (NP+ HA))")
+    tokens = parse_token_line("kaisha/N neko/N inu/NP wa/HA")
+    got = match_pattern(pset.patterns[0], tokens, 0, pset, {0: [(2, "NP")]})
+    assert got == (4, None, None)
+    assert match_pattern(pset.patterns[0], tokens, 0, pset) is None
+
+
 def test_chunk_passthrough_without_match():
     pset = load_patterns(TOPIC)
     line = "tabetai/V ima/ADV"
@@ -139,24 +150,49 @@ def test_chunk_passthrough_without_match():
 
 # -- regex equivalence oracle -----------------------------------------
 
-def _regex_match_end(tags, start):
-    # oracle for pattern (A+ B): longest A-run followed by one B
-    text = "".join(tags[start:])
-    m = re.match(r"(A+)B", text)
-    return start + m.end() if m else None
+# one character per token: tags A, B and COMMA, and marker tokens
+_CODES = {"A": "a", "B": "b", "COMMA": "c", "MARKER": "m"}
+# ANY1+ matches markers too; ~ runs to the next comma or the end
+_ELEMENT_REGEX = {
+    "A": "a", "B": "b", "A+": "a+", "B+": "b+", "ANY1+": ".+", "<": "", ">": "", "~": "[^c]*",
+}
 
 
-def test_pattern_matches_regex_oracle():
-    pset = load_patterns("(P (A+ B))")
-    pat = pset.patterns[0]
-    rng = random.Random(7)
-    for _ in range(300):
-        tags = [rng.choice("AB") for _ in range(rng.randint(0, 8))]
-        tokens = [Token("w%d" % i, t) for i, t in enumerate(tags)]
-        for start in range(len(tags) + 1):
-            got = match_pattern(pat, tokens, start, pset)
-            want = _regex_match_end(tags, start)
-            assert (got[0] if got else None) == want, (tags, start)
+@st.composite
+def _pattern_elements(draw):
+    body = draw(st.lists(st.sampled_from(["A", "B", "A+", "B+", "ANY1+"]), max_size=4))
+    if draw(st.booleans()):
+        left = draw(st.integers(0, len(body)))
+        right = draw(st.integers(left, len(body)))
+        body = body[:left] + ["<"] + body[left:right] + [">"] + body[right:]
+    if draw(st.booleans()):
+        body.append("~")
+    return body
+
+
+def _token(kind, i):
+    if kind == "BEGIN":
+        return Token.begin("X")
+    if kind == "END":
+        return Token.end("X")
+    return Token("w%d" % i, kind)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    _pattern_elements(),
+    st.lists(st.sampled_from(["A", "B", "COMMA", "BEGIN", "END"]), max_size=8),
+)
+def test_pattern_matches_regex_oracle(elements, kinds):
+    pset = load_patterns("(P (%s))" % " ".join(elements))
+    tokens = [_token(kind, i) for i, kind in enumerate(kinds)]
+    codes = "".join(_CODES[t.tag] for t in tokens)
+    regex = re.compile("".join(_ELEMENT_REGEX[e] for e in elements))
+    for start in range(len(tokens) + 1):
+        got = match_pattern(pset.patterns[0], tokens, start, pset)
+        ends = [e for e in range(start, len(tokens) + 1) if regex.fullmatch(codes, start, e)]
+        # anchors depend on search order, so compare match ends only
+        assert (got[0] if got else None) == max(ends, default=None), (elements, kinds, start)
 
 
 def test_marker_balance_property():

@@ -56,6 +56,13 @@ def test_irregular_morphology(irregulars):
     assert past_form("walk", irregulars) == "walked"
 
 
+def test_load_irregulars_bad_row_names_file_and_line(tmp_path):
+    path = tmp_path / "irregulars.tsv"
+    path.write_text("# base past participle 3sg\neat\tate\teaten\teats\ngo\twent\n")
+    with pytest.raises(GlossError, match=r"irregulars\.tsv:3: irregular verb row"):
+        load_irregulars(str(path))
+
+
 def test_realize_analyze_roundtrip_all_flag_combos(irregulars):
     flags_all = sorted(glosser.SUPPORTED_FLAGS)
     for r in range(len(flags_all) + 1):

@@ -46,7 +46,7 @@ def test_config_type_validation():
         cfg.set("solution_cap", "many")
     with pytest.raises(ResourceError):
         cfg.set("fallback", "maybe")
-    for key in ("no_such_key", "top_n", "seed"):
+    for key in ("no_such_key", "top_n", "seed", "infer_before_rank"):
         with pytest.raises(ResourceError):
             cfg.set(key, "1")
 
@@ -61,6 +61,13 @@ def test_load_config_relative_paths():
     cfg = load_config(fixture_path("gloss.cfg"))
     assert cfg.path_of("grammar") == os.path.join(FIXTURES, "grammar.rules")
     assert os.path.exists(cfg.path_of("lm_model"))
+
+
+def test_nouns_file_skips_comment_lines(tmp_path):
+    (tmp_path / "nouns.txt").write_text("# one noun per line\nCat\n\ndog\n")
+    cfg = PipelineConfig(base_dir=str(tmp_path))
+    cfg.set("nouns", "nouns.txt")
+    assert Pipeline(cfg).nouns == {"cat", "dog"}
 
 
 def test_load_config_rejects_bad_lines(tmp_path):
@@ -223,7 +230,7 @@ def test_cli_realize_uses_irregular_forms(tmp_path, capsys):
 
 def test_cli_realize_reports_each_failing_graph(tmp_path, capsys, interlingua_pipeline):
     analyzed = _cli_output(capsys, "interlingua.cfg", "analyze", fixture_path("batch50.txt"))
-    graphs = [line.split("\t")[1] for line in analyzed.splitlines()]
+    graphs = [line.split("\t")[1] for line in analyzed.splitlines() if not line.startswith("#")]
     spl = tmp_path / "graphs.spl"
     spl.write_text("".join(g + "\n" for g in graphs))
     realized = _cli_output(capsys, "interlingua.cfg", "realize", spl)
@@ -261,8 +268,31 @@ def test_cli_rank_reproduces_analyze(tmp_path, capsys):
     analyzed = _cli_output(capsys, "interlingua.cfg", "analyze", fixture_path("batch50.txt"))
     assert analyzed
     spl = tmp_path / "candidates.spl"
-    spl.write_text("".join(line.split("\t")[1] + "\n" for line in analyzed.splitlines()))
+    spl.write_text(analyzed)
     assert _cli_output(capsys, "interlingua.cfg", "rank", spl) == analyzed
+
+
+def test_cli_rank_ranks_each_set_apart(tmp_path, capsys):
+    low = "(|h-1| / |have as a goal| :SENSER (|f-2| / |found, launch|))"
+    high = "(|h-1| / |have as a goal| :SENSER (|c-2| / |company/business|))"
+    other = "(|i-1| / |ingest| :AGENT (|f-2| / |found, launch|))"
+    spl = tmp_path / "sets.spl"
+    spl.write_text("# first\n%s\n# second\n1\t%s\n0.5\t%s\n" % (low, other, high))
+    assert _cli_output(capsys, "interlingua.cfg", "rank", spl) == (
+        "# first\n1e-06\t%s\n# second\n1\t%s\n1e-06\t%s\n" % (low, high, other)
+    )
+
+
+@pytest.mark.parametrize("name", ["gloss", "interlingua"])
+def test_cli_translate_matches_golden_files(tmp_path, capsys, name):
+    trace = tmp_path / "trace.tsv"
+    code, out, err = _run(capsys, [
+        "--config", fixture_path(name + ".cfg"), "translate",
+        "--input", fixture_path("batch50.txt"), "--trace", str(trace),
+    ])
+    assert code == 0, err
+    assert out == _read("batch50.%s.out" % name)
+    assert trace.read_text(encoding="utf-8") == _read("batch50.%s.trace.tsv" % name)
 
 
 def test_cli_train_lm_reproduces_model(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hybridmt.posteditor import (
     dump_tree,
     extract_instances,
     insert_articles,
-    load_exceptions,
+    load_word_list,
     load_repairs,
     parse_repairs,
     parse_tree,
@@ -155,7 +155,7 @@ def test_choose_allomorph_exceptions_invert():
 
 
 def test_exceptions_fixture_loaded():
-    exceptions = load_exceptions(fixture_path("exceptions.txt"))
+    exceptions = load_word_list(fixture_path("exceptions.txt"))
     assert "hour" in exceptions and "university" in exceptions
 
 
