@@ -641,13 +641,13 @@ def _check_constraint(state, eq):
     if not _node_has_value(lhs):
         return False
     # simulate the unification on a throwaway copy; pass iff it succeeds
-    # without adding structure to the left-hand side
+    # without adding structure to the left-hand side (a cyclic one fails)
     memo = {}
     root_dup = _copy(state.root, memo)
     lhs_dup = memo[id(lhs)]
-    before = canonical(_freeze(lhs_dup))
     dup_state = _State(root_dup, [])
     try:
+        before = canonical(_freeze(lhs_dup))
         _munify(lhs_dup, _rhs_node(dup_state, eq.rhs))
         after = canonical(_freeze(_deref(lhs_dup)))
     except _Fail:

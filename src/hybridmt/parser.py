@@ -63,16 +63,23 @@ class ParseForest:
         self.truncated = False
         self._by_start = {}  # (start, category) -> [Constituent]
         self._at_start = {}  # start -> [Constituent]
+        self._by_span = {}  # (start, end, category) -> [Constituent]
 
     def add(self, const):
         self.constituents[const.id] = const
         self._by_start.setdefault((const.start, const.category), []).append(const)
         self._at_start.setdefault(const.start, []).append(const)
+        self._by_span.setdefault((const.start, const.end, const.category), []).append(const)
 
     def at(self, start, category=None):
         if category is None:
             return self._at_start.get(start, [])
         return self._by_start.get((start, category), [])
+
+    def spanning(self, start, end, category):
+        """Constituents of ``category`` over exactly [start, end), in
+        insertion order."""
+        return self._by_span.get((start, end, category), [])
 
     def __getitem__(self, cid):
         return self.constituents[cid]
@@ -135,6 +142,9 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP, solutio
     regions = barrier_regions(tokens)
     forest = ParseForest(n, words)
     rules_by_rhs = rb.rules_by_rhs()
+    longer_rules = [(rhs, rules) for rhs, rules in rules_by_rhs.items() if len(rhs) >= 2]
+    unary_rules = {rhs[0]: rules for rhs, rules in rules_by_rhs.items() if len(rhs) == 1}
+    by_length = [[] for _ in range(n + 1)]
     next_id = [0]
     edges = [0]
 
@@ -146,12 +156,11 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP, solutio
 
     def install(category, start, end, fs, derivation=None, lexical=False, token=None):
         """Pack or add; returns the constituent if it is new, else None."""
-        if blocked(category, start, end):
+        if regions and blocked(category, start, end):
             return None
-        for existing in forest.at(start, category):
-            if existing.end != end:
-                continue
-            if subsumes(existing.fs, fs) and subsumes(fs, existing.fs):
+        for existing in forest.spanning(start, end, category):
+            # subsumption is reflexive, so one shared structure packs at once
+            if existing.fs is fs or (subsumes(existing.fs, fs) and subsumes(fs, existing.fs)):
                 if derivation is not None and derivation not in existing.derivations:
                     existing.derivations.append(derivation)
                 return None
@@ -160,17 +169,16 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP, solutio
         if derivation is not None:
             const.derivations.append(derivation)
         forest.add(const)
+        by_length[end - start].append(const)
         return const
 
     def child_sequences(rhs, start, end):
         """All ways to cover [start, end) with adjacent rhs constituents."""
-        if not rhs:
-            return [()] if start == end else []
+        if len(rhs) == 1:
+            return [(c,) for c in forest.spanning(start, end, rhs[0])]
         out = []
         for c in forest.at(start, rhs[0]):
-            if c.end > end:
-                continue
-            if len(rhs) == 1 and c.end != end:
+            if c.end >= end:
                 continue
             for rest in child_sequences(rhs[1:], c.end, end):
                 out.append((c,) + rest)
@@ -192,10 +200,8 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP, solutio
         if length >= 2:
             for start in range(0, n - length + 1):
                 end = start + length
-                for rhs, rules in rules_by_rhs.items():
-                    if len(rhs) < 2:
-                        continue
-                    for children in child_sequences(list(rhs), start, end):
+                for rhs, rules in longer_rules:
+                    for children in child_sequences(rhs, start, end):
                         child_ids = tuple(c.id for c in children)
                         child_structures = [c.fs for c in children]
                         for rule in rules:
@@ -203,18 +209,15 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP, solutio
                             for fs in apply_rule(rule, child_structures):
                                 install(rule.key.lhs, start, end, fs, derivation)
         # unary closure over this span length
-        agenda = [c for c in forest if c.end - c.start == length]
+        agenda = list(by_length[length])
         while agenda:
             child = agenda.pop()
-            for rhs, rules in rules_by_rhs.items():
-                if len(rhs) != 1 or rhs[0] != child.category:
-                    continue
-                for rule in rules:
-                    derivation = (rule.key, (child.id,))
-                    for fs in apply_rule(rule, (child.fs,)):
-                        fresh = install(rule.key.lhs, child.start, child.end, fs, derivation)
-                        if fresh is not None:
-                            agenda.append(fresh)
+            for rule in unary_rules.get(child.category, ()):
+                derivation = (rule.key, (child.id,))
+                for fs in apply_rule(rule, (child.fs,)):
+                    fresh = install(rule.key.lhs, child.start, child.end, fs, derivation)
+                    if fresh is not None:
+                        agenda.append(fresh)
         if forest.truncated:
             break
 
@@ -290,11 +293,17 @@ def count_trees(forest, cid):
 def _solve_rule(equation_sets, child_structures, solution_cap):
     """X0 of every solution of every equation set, in order, with
     X1..Xn bound to ``child_structures``."""
-    bindings = {"X0": FeatStruct.empty()}
-    for i, fs in enumerate(child_structures, 1):
-        bindings["X%d" % i] = fs
+    bindings = None
     produced = []
     for eqset in equation_sets:
+        if not eqset.equations:
+            # nothing to solve: the one solution leaves X0 empty
+            produced.append(FeatStruct.empty())
+            continue
+        if bindings is None:
+            bindings = {"X0": FeatStruct.empty()}
+            for i, fs in enumerate(child_structures, 1):
+                bindings["X%d" % i] = fs
         for sol in apply_equations(bindings, eqset.equations, solution_cap):
             produced.append(sol["X0"])
     return produced

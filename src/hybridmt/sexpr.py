@@ -13,6 +13,8 @@ subclass so downstream code can tell target-language text apart from
 grammar symbols.  Lines may carry ``;`` comments.
 """
 
+import re
+
 
 class SexprError(ValueError):
     """Malformed parenthesized input; carries a position message."""
@@ -25,6 +27,8 @@ class QuotedString(str):
 
 
 _DELIMS = set('()"|;')
+# an atom holding whitespace or a delimiter prints pipe-quoted
+_PIPED_CHAR = re.compile(r"[\s%s]" % re.escape("".join(sorted(_DELIMS))))
 # bare parentheses are structure; these equal no atom, not even |(|
 OPEN, CLOSE = object(), object()
 
@@ -108,9 +112,7 @@ def parse_one(text):
 
 
 def _needs_pipes(atom):
-    if atom == "":
-        return True
-    return any(c.isspace() or c in _DELIMS for c in atom)
+    return atom == "" or _PIPED_CHAR.search(atom) is not None
 
 
 def dump(expr):

@@ -445,3 +445,11 @@ def test_constraint_runs_after_structure_building():
     # but if the slot is never filled, the deferred check fails
     eqs2 = eqs_from("((X1 has it) =c X0) ((X0) = ok)")
     assert apply_equations({"X0": EMPTY, "X1": EMPTY}, eqs2) == []
+
+
+def test_constraint_on_cyclic_structure_fails_the_solution():
+    # (X0) = (X0 a) makes X0 contain itself; the =c check must drop the
+    # solution, as freezing it would, not raise an internal error
+    eqs = eqs_from("((X0) = (X0 a)) ((X0) =c v1)")
+    assert apply_equations({"X0": EMPTY, "X1": FeatStruct.atom("v1")}, eqs) == []
+    assert apply_equations({"X0": EMPTY}, eqs_from("((X0) = (X0 a))")) == []

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridmt import parser
 from hybridmt.chunker import Token, parse_token_line
@@ -15,7 +17,15 @@ from hybridmt.parser import (
     lexical_entries,
     parse,
 )
-from hybridmt.rulebase import parse_rule_file
+from hybridmt.featstruct import (
+    FeatStruct,
+    apply_equations,
+    canonical,
+    parse_equations,
+    subsumes,
+)
+from hybridmt.rulebase import EquationSet, parse_rule_file
+from hybridmt.sexpr import parse_all
 
 TOY = parse_rule_file(
     """
@@ -31,8 +41,10 @@ TOY_RULES = {
 }
 
 
-def _oracle_counts(tags):
-    """Exhaustive CFG derivation counting over TOY_RULES."""
+def _oracle_counts(tags, rules=TOY_RULES, barrier=None):
+    """Exhaustive CFG derivation counting over ``rules`` (LHS -> RHS
+    tuples of any length).  ``barrier`` is an optional (category, lo, hi)
+    region that no constituent of that category may strictly cross."""
     n = len(tags)
     memo = {}
 
@@ -40,18 +52,25 @@ def _oracle_counts(tags):
         key = (cat, i, j)
         if key in memo:
             return memo[key]
-        memo[key] = 0  # cycle guard; toy grammar has no unary cycles
+        memo[key] = 0  # cycle guard; the grammars have no unary cycles
         total = 0
+        if barrier is not None and cat == barrier[0]:
+            lo, hi = barrier[1:]
+            overlap = i < hi and lo < j
+            if overlap and not (i <= lo and hi <= j) and not (lo <= i and j <= hi):
+                return 0
         if j == i + 1 and tags[i] == cat:
             total += 1
-        for rhs in TOY_RULES.get(cat, ()):
-            if len(rhs) == 1:
-                total += count(rhs[0], i, j)
-            else:
-                for k in range(i + 1, j):
-                    total += count(rhs[0], i, k) * count(rhs[1], k, j)
+        for rhs in rules.get(cat, ()):
+            total += cover(rhs, i, j)
         memo[key] = total
         return total
+
+    def cover(rhs, i, j):
+        """Ways to cover [i, j) with the categories of rhs in order."""
+        if len(rhs) == 1:
+            return count(rhs[0], i, j)
+        return sum(count(rhs[0], i, k) * cover(rhs[1:], k, j) for k in range(i + 1, j))
 
     return count("S", 0, n)
 
@@ -84,6 +103,23 @@ def test_packing_shares_spans():
     (root,) = forest.roots
     assert count_trees(forest, root) == 4862  # Catalan(9)
     assert len(forest.constituents) < 200
+
+
+def test_equal_structures_from_two_derivations_pack():
+    # each solution is a new object, so only mutual subsumption packs
+    # the two S constituents over 0..3
+    grammar = parse_rule_file(
+        """
+((S -> A A) ((X0 f) = v1))
+((S -> S A) ((X0 f) = v1))
+((S -> A S) ((X0 f) = v1))
+""",
+        "syntax",
+    )
+    forest = parse(_tokens("AAA"), grammar)
+    (root,) = forest.roots
+    assert len(forest[root].derivations) == 2
+    assert count_trees(forest, root) == 2
 
 
 def test_barrier_blocks_crossing_constituents():
@@ -174,3 +210,152 @@ def test_dump_forest_lists_every_constituent():
     root_line = lines[forest.roots[0]]
     assert root_line.startswith("%d\tS\t0\t2\t" % root.id)
     assert "(S -> S S)" in root_line
+
+
+# ---------------------------------------------------------------------
+# Equation-free rules skip the solver; packing looks up spans
+# ---------------------------------------------------------------------
+
+FS_FEATS = ("a", "b", "c")
+FS_ATOMS = ("v1", "v2", "v3")
+
+
+@st.composite
+def _feat_structs(draw):
+    """Acyclic structures with atoms, *OR* and *NOT* leaves, empty nodes,
+    and features that reuse an earlier finished node (a #n= tag)."""
+    finished = []
+
+    def node(depth):
+        kinds = ["atom", "or", "not", "empty", "reuse"]
+        if depth < 3:
+            kinds += ["complex", "complex"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "reuse" and finished:
+            return draw(st.sampled_from(finished))
+        if kind == "atom":
+            fs = FeatStruct.atom(draw(st.sampled_from(FS_ATOMS)))
+        elif kind == "or":
+            fs = FeatStruct.disjunction(draw(st.sets(st.sampled_from(FS_ATOMS), min_size=2)))
+        elif kind == "not":
+            fs = FeatStruct.negation(draw(st.sets(st.sampled_from(FS_ATOMS), min_size=1)))
+        elif kind == "complex":
+            feats = draw(st.lists(st.sampled_from(FS_FEATS), min_size=1, max_size=3, unique=True))
+            fs = FeatStruct.complex({f: node(depth + 1) for f in feats})
+        else:
+            fs = FeatStruct()
+        finished.append(fs)
+        return fs
+
+    return node(0)
+
+
+def _path(var, feats):
+    return "(%s)" % " ".join([var] + list(feats))
+
+
+@st.composite
+def _equation_sets(draw, arity):
+    """Equation sets over X0..X<arity>, empty and non-empty ones mixed."""
+    variables = ["X%d" % i for i in range(arity + 1)]
+    feats = st.lists(st.sampled_from(FS_FEATS), max_size=2)
+    paths = st.builds(_path, st.sampled_from(variables), feats)
+    # left-hand sides favour X0, so that more solutions build an X0
+    targets = st.builds(_path, st.sampled_from(["X0"] * arity + variables[1:]), feats)
+    values = st.one_of(
+        paths,
+        st.sampled_from(FS_ATOMS),
+        st.sampled_from(["(*OR* v1 v2)", "(*NOT* v1)", "(*NOT* v2 v3)"]),
+    )
+    equation = st.tuples(targets, st.sampled_from(["=", "=", "=c"]), values).map(
+        lambda parts: "(%s %s %s)" % parts
+    )
+    texts = draw(
+        st.lists(
+            st.one_of(st.just([]), st.lists(equation, min_size=1, max_size=4)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    sets = []
+    for eqs in texts:
+        exprs = parse_all(" ".join(eqs))
+        sets.append(EquationSet(parse_equations(exprs), exprs))
+    return sets
+
+
+def _children_and_sets(arity):
+    return st.tuples(
+        st.lists(_feat_structs(), min_size=arity, max_size=arity), _equation_sets(arity)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(_children_and_sets))
+def test_solve_rule_matches_apply_equations_per_set(case):
+    children, sets = case
+    bindings = {"X0": FeatStruct.empty()}
+    bindings.update(("X%d" % i, fs) for i, fs in enumerate(children, 1))
+    want = [
+        canonical(sol["X0"])
+        for eqset in sets
+        for sol in apply_equations(bindings, eqset.equations, 64)
+    ]
+    got = [canonical(fs) for fs in parser._solve_rule(sets, children, 64)]
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_feat_structs())
+def test_subsumes_is_reflexive(fs):
+    # packing relies on it: a constituent whose structure is the very
+    # object already installed over its span packs without a check
+    assert subsumes(fs, fs)
+
+
+CFG_CATEGORIES = ("S", "T", "A", "B")
+
+
+@st.composite
+def _equation_free_grammars(draw):
+    """Unary, binary and ternary rules over CFG_CATEGORIES as (lhs, rhs)
+    pairs.  A unary rule X -> Y exists only where X comes before Y in a
+    drawn order, so there is no unary cycle."""
+    order = draw(st.permutations(CFG_CATEGORIES))
+    unary = [(x, (y,)) for i, x in enumerate(order) for y in order[i + 1 :]]
+    category = st.sampled_from(CFG_CATEGORIES)
+    # left-hand sides lean to S and T, so that more tag strings parse
+    lhs = st.sampled_from(("S", "S", "T") + CFG_CATEGORIES)
+    binary = st.tuples(lhs, st.tuples(category, category))
+    ternary = st.tuples(lhs, st.tuples(category, category, category))
+    rules = set(draw(st.lists(st.sampled_from(unary), max_size=4)))
+    rules |= set(draw(st.lists(binary, max_size=8)))
+    rules |= set(draw(st.lists(ternary, max_size=3)))
+    return sorted(rules)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _equation_free_grammars(),
+    st.lists(st.sampled_from(CFG_CATEGORIES), min_size=1, max_size=7),
+    st.data(),
+)
+def test_equation_free_tree_counts_match_oracle(rules, tags, data):
+    grammar = parse_rule_file(
+        " ".join("((%s -> %s))" % (lhs, " ".join(rhs)) for lhs, rhs in rules), "syntax"
+    )
+    tokens = _tokens(tags)
+    barrier = None
+    if data.draw(st.booleans(), label="barrier"):
+        lo = data.draw(st.integers(0, len(tags) - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, len(tags)), label="hi")
+        category = data.draw(st.sampled_from(CFG_CATEGORIES), label="category")
+        tokens.insert(hi, Token.end(category))
+        tokens.insert(lo, Token.begin(category))
+        barrier = (category, lo, hi)
+    by_lhs = {}
+    for lhs, rhs in rules:
+        by_lhs.setdefault(lhs, []).append(rhs)
+    forest = parse(tokens, grammar)
+    got = sum(count_trees(forest, r) for r in forest.roots)
+    assert got == _oracle_counts(tags, by_lhs, barrier)

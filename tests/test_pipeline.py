@@ -295,6 +295,17 @@ def test_cli_translate_matches_golden_files(tmp_path, capsys, name):
     assert trace.read_text(encoding="utf-8") == _read("batch50.%s.trace.tsv" % name)
 
 
+@pytest.mark.parametrize("name", ["gloss", "interlingua"])
+def test_cli_parse_matches_golden_forest(capsys, name):
+    # both configs load the same grammar, so they share one golden file
+    code, out, err = _run(capsys, [
+        "--config", fixture_path(name + ".cfg"), "parse",
+        "--input", fixture_path("batch50.txt"),
+    ])
+    assert code == 0, err
+    assert out == _read("batch50.parse.out")
+
+
 def test_cli_train_lm_reproduces_model(tmp_path, capsys):
     code, out, _err = _run(
         capsys, ["--config", fixture_path("gloss.cfg"), "train-lm"]
