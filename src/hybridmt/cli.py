@@ -23,6 +23,7 @@ def _build_argparser():
         "analyze",
         "rank",
         "realize",
+        "decode",
         "extract",
         "postedit",
         "translate",
@@ -35,7 +36,22 @@ def _build_argparser():
         cmd.add_argument("--output", help="output file (default: stdout)")
         if name == "translate":
             cmd.add_argument("--trace", help="write a per-stage trace TSV here")
+        if name == "decode":
+            cmd.add_argument(
+                "--n", type=_positive_int,
+                help="print each block's header and its N best paths with scores",
+            )
     return top
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
 
 
 def _read_input(args):
@@ -126,6 +142,52 @@ def _cmd_realize(pipe, args):
     return "".join(blocks)
 
 
+_ERROR_PREFIX = "# error: "
+
+
+def _lattice_blocks(text):
+    """(header, body lines) per block of ``gloss`` or ``realize``
+    output; a ``#`` line that is not an error line starts a block."""
+    blocks = []
+    for line in _lines(text):
+        if line.startswith("#") and not line.startswith(_ERROR_PREFIX):
+            blocks.append((line, []))
+        elif blocks:
+            blocks[-1][1].append(line)
+        else:
+            blocks.append((None, [line]))
+    return blocks
+
+
+def _cmd_decode(pipe, args):
+    """Best path per lattice block, or with ``--n`` the header and the
+    n best ``score TAB words`` lines; a block that ``realize`` marked as
+    an error, or that does not decode, gives an error line."""
+    if pipe.lm is None:
+        raise ResourceError("decoding requires a trained language model (lm_model)")
+    out = []
+    for header, body in _lattice_blocks(_read_input(args)):
+        if args.n is not None and header is not None:
+            out.append(header)
+        errors = [line for line in body if line.startswith(_ERROR_PREFIX)]
+        if errors:
+            out.append(errors[0])
+            continue
+        try:
+            lattice = lattice_lm.parse_lattice("\n".join(body))
+            if args.n is None:
+                words, _score = lattice_lm.best_path(lattice, pipe.lm)
+                out.append(" ".join(words))
+            else:
+                ranked = lattice_lm.top_n(lattice, pipe.lm, args.n)
+                out.extend("%.6f\t%s" % (score, " ".join(words)) for words, score in ranked)
+                if not ranked:
+                    out.append(_ERROR_PREFIX + "lattice has no complete path")
+        except lattice_lm.LatticeError as err:
+            out.append(_ERROR_PREFIX + str(err))
+    return "\n".join(out) + ("\n" if out else "")
+
+
 def _cmd_extract(pipe, args):
     instances = posteditor.extract_instances(
         _lines(_read_input(args)), pipe.nouns, pipe.countability
@@ -176,6 +238,7 @@ _COMMANDS = {
     "analyze": _cmd_analyze,
     "rank": _cmd_rank,
     "realize": _cmd_realize,
+    "decode": _cmd_decode,
     "extract": _cmd_extract,
     "postedit": _cmd_postedit,
     "translate": _cmd_translate,

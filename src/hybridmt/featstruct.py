@@ -245,7 +245,9 @@ def parse_featstruct_expr(expr, tags=None):
                     raise SexprError("undefined reentrancy tag #%s#" % m.group(1))
         return FeatStruct.atom(expr)
     if not expr:
-        return _EMPTY
+        # a fresh node per ``()``: a shared one would make every empty
+        # value in the structure one reentrant node
+        return FeatStruct()
     head = expr[0]
     if _is_op(head, "*OR*"):
         atoms = expr[1:]

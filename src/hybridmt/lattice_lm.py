@@ -254,15 +254,24 @@ def parse_lattice(text):
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "N" and len(parts) == 2:
-            node_count = int(parts[1])
-        elif parts[0] == "E" and len(parts) == 4:
-            label = EPS if parts[3] == "<eps>" else parts[3]
-            edges.append((int(parts[1]), int(parts[2]), label))
-        else:
-            raise LatticeError("line %d: bad lattice line %r" % (lineno, line))
+        try:
+            if parts[0] == "N" and len(parts) == 2:
+                node_count = int(parts[1])
+                continue
+            if parts[0] == "E" and len(parts) == 4:
+                label = EPS if parts[3] == "<eps>" else parts[3]
+                edges.append((int(parts[1]), int(parts[2]), label))
+                continue
+        except ValueError:
+            pass
+        raise LatticeError("line %d: bad lattice line %r" % (lineno, line))
     if node_count is None:
         raise LatticeError("missing N header")
+    if node_count < 1:
+        raise LatticeError("lattice needs at least one node")
+    for src, dst, _label in edges:
+        if not (0 <= src < node_count and 0 <= dst < node_count):
+            raise LatticeError("edge endpoint out of range")
     return WordLattice(node_count, edges)
 
 
@@ -394,7 +403,16 @@ class TrigramModel:
         return w if w in self.unigrams or w in (EOS, OOV) else OOV
 
     def prob_bigram(self, w, v):
-        v, w = self._map(v), self._map(w)
+        return self._bigram(self._map(w), self._map(v))
+
+    def prob(self, w, history):
+        """P(w | u, v): strictly positive for any query."""
+        u, v = history
+        return self._trigram(self._map(w), self._map(u), self._map(v))
+
+    # the cores take symbols that ``_map`` has already mapped
+
+    def _bigram(self, w, v):
         ctx = self.bigram_ctx.get(v, 0)
         if ctx == 0:
             return self.prob_unigram(w)
@@ -413,13 +431,10 @@ class TrigramModel:
             self._alpha_bi[v] = alpha
         return alpha * self.prob_unigram(w)
 
-    def prob(self, w, history):
-        """P(w | u, v): strictly positive for any query."""
-        u, v = history
-        u, v, w = self._map(u), self._map(v), self._map(w)
+    def _trigram(self, w, u, v):
         ctx = self.trigram_ctx.get((u, v), 0)
         if ctx == 0:
-            return self.prob_bigram(w, v)
+            return self._bigram(w, v)
         c = self.trigrams.get((u, v, w), 0)
         if c > 0:
             return self.adjusted_count(3, c) / ctx
@@ -429,10 +444,12 @@ class TrigramModel:
             seen_mass = sum(
                 self.adjusted_count(3, self.trigrams[key]) / ctx for key in followers
             )
-            seen_lower = sum(self.prob_bigram(key[2], v) for key in followers)
+            # a count table need not list a trigram's event as a unigram,
+            # so the event is mapped like a queried word
+            seen_lower = sum(self._bigram(self._map(key[2]), v) for key in followers)
             alpha = max(1.0 - seen_mass, 1e-12) / max(1.0 - seen_lower, 1e-12)
             self._alpha_tri[(u, v)] = alpha
-        return alpha * self.prob_bigram(w, v)
+        return alpha * self._bigram(w, v)
 
     # -- persistence -----------------------------------------------------
 
@@ -527,28 +544,64 @@ def score_sequence(model, words):
 # Extraction
 # ---------------------------------------------------------------------
 
+def _words(entry):
+    """The word sequence an entry ends, read back along its chain."""
+    words = []
+    while entry[2] is not None:
+        words.append(entry[1])
+        entry = entry[2]
+    words.reverse()
+    return tuple(words)
+
+
+def _push(entries, n, entry):
+    """Insert into a best-first list of at most n entries, ordered by
+    score descending, then words ascending.  Equal word sequences have
+    equal scores, so the tie check is also the duplicate check."""
+    score = entry[0]
+    for i, other in enumerate(entries):
+        if score > other[0]:
+            break
+        if score == other[0]:
+            mine, theirs = _words(entry), _words(other)
+            if mine == theirs:
+                return
+            if mine < theirs:
+                break
+    else:
+        if len(entries) < n:
+            entries.append(entry)
+        return
+    entries.insert(i, entry)
+    del entries[n:]
+
+
 def _decode(lattice, model, n):
-    """Exact n-best over (node, last-two-words) states."""
+    """Exact n-best over (node, last-two-words) states.
+
+    A state holds at most n entries (score, word, previous entry), best
+    first, so extending one costs the same at any sentence length; word
+    sequences are rebuilt from the chains only at the sink and where
+    two scores tie.  Scores add up left to right from 0.0, as in
+    ``score_sequence``, and each distinct (h1, h2, symbol) query calls
+    ``model.prob`` once per decode.
+    """
     words_only, empty_ok = eliminate_epsilon(lattice)
     order = topological_order(words_only)
     if order is None:
         raise LatticeError("cannot decode a cyclic lattice")
     out = words_only.out_edges()
-    # state table: node -> {(h1, h2): [(score, seq)] top-n}
-    states = {lattice.source: {(BOS, BOS): [(0.0, ())]}}
+    memo = {}
 
-    def push(bucket, hist, score, seq):
-        cands = bucket.setdefault(hist, [])
-        for i, (s, q) in enumerate(cands):
-            if q == seq:
-                if score > s:
-                    cands[i] = (score, seq)
-                break
-        else:
-            cands.append((score, seq))
-        cands.sort(key=lambda item: (-item[0], item[1]))
-        del cands[n:]
+    def logp(word, h1, h2, symbol):
+        key = (h1, h2, symbol)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = math.log(model.prob(word, (h1, h2)))
+        return value
 
+    # node -> {(h1, h2): entries}
+    states = {lattice.source: {(BOS, BOS): [(0.0, None, None)]}}
     for node in order:
         here = states.get(node)
         if not here:
@@ -556,19 +609,19 @@ def _decode(lattice, model, n):
         for dst, word in out[node]:
             bucket = states.setdefault(dst, {})
             symbol = model._map(word)
-            for (h1, h2), cands in here.items():
-                logp = math.log(model.prob(word, (h1, h2)))
-                for score, seq in cands:
-                    push(bucket, (h2, symbol), score + logp, seq + (word,))
+            for (h1, h2), entries in here.items():
+                lp = logp(word, h1, h2, symbol)
+                target = bucket.setdefault((h2, symbol), [])
+                for entry in entries:
+                    _push(target, n, (entry[0] + lp, word, entry))
 
     finals = []
-    sink_states = states.get(lattice.sink, {})
-    for (h1, h2), cands in sink_states.items():
-        logp = math.log(model.prob(EOS, (h1, h2)))
-        for score, seq in cands:
-            finals.append((score + logp, seq))
+    for (h1, h2), entries in states.get(lattice.sink, {}).items():
+        lp = logp(EOS, h1, h2, EOS)
+        for entry in entries:
+            finals.append((entry[0] + lp, _words(entry)))
     if empty_ok:
-        finals.append((math.log(model.prob(EOS, (BOS, BOS))), ()))
+        finals.append((logp(EOS, BOS, BOS, EOS), ()))
     finals.sort(key=lambda item: (-item[0], item[1]))
     results, seen = [], set()
     for score, seq in finals:

@@ -139,6 +139,16 @@ def test_unify_preserves_reentrancy():
     assert out.get(("subj",)) is out.get(("obj",))
 
 
+def test_empty_values_are_not_shared():
+    # each () is its own node: unifying one must leave the other empty
+    fs = parse_featstruct("((f ()) (g ()))")
+    assert canonical(fs) == "((f ()) (g ()))"
+    out = unify(fs, parse_featstruct("((f v1))"))
+    assert out.get(("f",)).atom_value == "v1"
+    assert out.get(("g",)) == EMPTY
+    assert canonical(out) == "((f v1) (g ()))"
+
+
 def test_unify_does_not_mutate_inputs():
     a = parse_featstruct("((x ((y q))))")
     b = parse_featstruct("((x ((z r))) (w s))")

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridmt.lattice_lm import (
     BOS,
@@ -244,3 +247,109 @@ def test_top_n_validates_n():
     model = train_trigram(["a"])
     with pytest.raises(ValueError):
         top_n(from_word("a"), model, 0)
+
+
+# -- n-best properties on random lattices ---------------------------------
+
+def _reference_decode(lattice, model, n):
+    """The decoder before back-pointer states: every candidate carries
+    its whole word tuple, and a push re-sorts its bucket."""
+    words_only, empty_ok = eliminate_epsilon(lattice)
+    order = topological_order(words_only)
+    if order is None:
+        raise LatticeError("cannot decode a cyclic lattice")
+    out = words_only.out_edges()
+    states = {lattice.source: {(BOS, BOS): [(0.0, ())]}}
+
+    def push(bucket, hist, score, seq):
+        cands = bucket.setdefault(hist, [])
+        for i, (s, q) in enumerate(cands):
+            if q == seq:
+                if score > s:
+                    cands[i] = (score, seq)
+                break
+        else:
+            cands.append((score, seq))
+        cands.sort(key=lambda item: (-item[0], item[1]))
+        del cands[n:]
+
+    for node in order:
+        here = states.get(node)
+        if not here:
+            continue
+        for dst, word in out[node]:
+            bucket = states.setdefault(dst, {})
+            symbol = model._map(word)
+            for (h1, h2), cands in here.items():
+                logp = math.log(model.prob(word, (h1, h2)))
+                for score, seq in cands:
+                    push(bucket, (h2, symbol), score + logp, seq + (word,))
+
+    finals = []
+    sink_states = states.get(lattice.sink, {})
+    for (h1, h2), cands in sink_states.items():
+        logp = math.log(model.prob(EOS, (h1, h2)))
+        for score, seq in cands:
+            finals.append((score + logp, seq))
+    if empty_ok:
+        finals.append((math.log(model.prob(EOS, (BOS, BOS))), ()))
+    finals.sort(key=lambda item: (-item[0], item[1]))
+    results, seen = [], set()
+    for score, seq in finals:
+        if seq in seen:
+            continue
+        seen.add(seq)
+        results.append((list(seq), score))
+        if len(results) >= n:
+            break
+    return results
+
+
+SEEN_WORDS = ["a", "b", "c", "d"]
+# "x" and "y" are never trained, so both score as <unk> and tie
+LABELS = SEEN_WORDS + ["x", "y", EPS]
+
+
+@st.composite
+def small_models(draw):
+    sentence = st.lists(st.sampled_from(SEEN_WORDS), min_size=1, max_size=5)
+    corpus = draw(st.lists(sentence, min_size=1, max_size=10))
+    return train_trigram(corpus, k=draw(st.sampled_from([1, 3, 5])))
+
+
+@st.composite
+def small_lattices(draw):
+    """2-8 nodes; every node has an edge to a later one, so each node
+    reaches the sink, plus extra edges and parallel duplicates."""
+    nodes = draw(st.integers(2, 8))
+    label = st.sampled_from(LABELS)
+    edges = [
+        (i, draw(st.integers(i + 1, nodes - 1)), draw(label)) for i in range(nodes - 1)
+    ]
+    for _ in range(draw(st.integers(0, 8))):
+        src = draw(st.integers(0, nodes - 2))
+        edges.append((src, draw(st.integers(src + 1, nodes - 1)), draw(label)))
+    for _ in range(draw(st.integers(0, 3))):
+        edges.append(draw(st.sampled_from(edges)))
+    return WordLattice(nodes, draw(st.permutations(edges)))
+
+
+NBEST = settings(max_examples=300, deadline=None)
+
+
+@NBEST
+@given(small_lattices(), small_models(), st.integers(1, 5))
+def test_top_n_equals_reference_decoder(lattice, model, n):
+    assert top_n(lattice, model, n) == _reference_decode(lattice, model, n)
+
+
+@NBEST
+@given(small_lattices(), small_models(), st.integers(1, 5))
+def test_top_n_equals_ranked_enumeration(lattice, model, n):
+    paths, truncated = all_paths(lattice)
+    assert not truncated
+    ranked = sorted(((score_sequence(model, p), p) for p in paths), key=lambda item: (-item[0], item[1]))
+    got = top_n(lattice, model, n)
+    assert got == [(list(p), score) for score, p in ranked[:n]]
+    for words, score in got:
+        assert score == score_sequence(model, words)

@@ -264,6 +264,88 @@ def test_cli_gloss_stages_chain_into_translate(tmp_path, capsys, gloss_pipeline)
     assert postedited.splitlines() == translated.splitlines()
 
 
+def test_cli_gloss_decode_postedit_equals_translate(tmp_path, capsys):
+    batch = fixture_path("batch50.txt")
+    glossed = tmp_path / "glossed.txt"
+    glossed.write_text(_cli_output(capsys, "gloss.cfg", "gloss", batch))
+    decoded = tmp_path / "decoded.txt"
+    decoded.write_text(_cli_output(capsys, "gloss.cfg", "decode", glossed))
+    postedited = _cli_output(capsys, "gloss.cfg", "postedit", decoded)
+    translated = _cli_output(capsys, "gloss.cfg", "translate", batch)
+    assert postedited.splitlines() == translated.splitlines()
+
+
+def test_cli_decode_marks_exactly_the_unrealizable_graphs(tmp_path, capsys, interlingua_pipeline):
+    analyzed = _cli_output(capsys, "interlingua.cfg", "analyze", fixture_path("batch50.txt"))
+    graphs = [line.split("\t")[1] for line in analyzed.splitlines() if not line.startswith("#")]
+    spl = tmp_path / "graphs.spl"
+    spl.write_text("".join(g + "\n" for g in graphs))
+    realized = tmp_path / "realized.txt"
+    realized.write_text(_cli_output(capsys, "interlingua.cfg", "realize", spl))
+    decoded = _cli_output(capsys, "interlingua.cfg", "decode", realized).splitlines()
+    assert len(decoded) == len(graphs)
+    failures = 0
+    for graph, line in zip(graphs, decoded):
+        try:
+            lattice = interlingua_pipeline.realize(semantics.parse_spl(graph))
+        except realizer.RealizeError as err:
+            assert line == "# error: %s" % err
+            failures += 1
+            continue
+        words, _score = lattice_lm.best_path(lattice, interlingua_pipeline.lm)
+        assert line == " ".join(words)
+    assert 0 < failures < len(graphs)
+
+
+def test_cli_decode_n_lists_top_n(tmp_path, capsys, gloss_pipeline):
+    glossed = _cli_output(capsys, "gloss.cfg", "gloss", fixture_path("batch50.txt"))
+    inp = tmp_path / "glossed.txt"
+    inp.write_text(glossed)
+    code, out, err = _run(
+        capsys, ["--config", fixture_path("gloss.cfg"), "decode", "--n", "3", "--input", str(inp)]
+    )
+    assert code == 0, err
+    headers = re.findall(r"^# .*$", glossed, flags=re.M)
+    bodies = re.split(r"^# .*\n", glossed, flags=re.M)[1:]
+    want = []
+    for header, body in zip(headers, bodies):
+        want.append(header)
+        for words, score in lattice_lm.top_n(lattice_lm.parse_lattice(body), gloss_pipeline.lm, 3):
+            want.append("%.6f\t%s" % (score, " ".join(words)))
+    assert out.splitlines() == want
+    assert any(len(lattice_lm.top_n(lattice_lm.parse_lattice(b), gloss_pipeline.lm, 3)) > 1 for b in bodies)
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "three"])
+def test_cli_decode_rejects_bad_n(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", fixture_path("gloss.cfg"), "decode", "--n", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --n" in err and "Traceback" not in err
+
+
+def test_cli_decode_reports_bad_blocks_and_goes_on(tmp_path, capsys):
+    blocks = [
+        ("# cycle", "N 3\nE 0 1 a\nE 1 0 b\nE 1 2 c\n", "cannot decode a cyclic lattice"),
+        ("# out of range", "N 2\nE 0 5 x\n", "edge endpoint out of range"),
+        ("# bad count", "N two\n", "line 1: bad lattice line 'N two'"),
+        ("# dead end", "N 4\nE 0 1 a\nE 2 3 b\n", "lattice has no complete path"),
+        ("# rejected", "# error: no lexical entry\n", "no lexical entry"),
+    ]
+    inp = tmp_path / "blocks.txt"
+    inp.write_text("".join("%s\n%s" % (h, b) for h, b, _m in blocks) + "# good\nN 2\nE 0 1 hello\n")
+    errors = ["# error: " + m for _h, _b, m in blocks]
+    assert _cli_output(capsys, "gloss.cfg", "decode", inp).splitlines() == errors + ["hello"]
+    code, out, err = _run(
+        capsys, ["--config", fixture_path("gloss.cfg"), "decode", "--n", "2", "--input", str(inp)]
+    )
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0:-2:2] == [h for h, _b, _m in blocks] and lines[1:-2:2] == errors
+    assert lines[-2] == "# good" and lines[-1].endswith("\thello")
+
+
 def test_cli_rank_reproduces_analyze(tmp_path, capsys):
     analyzed = _cli_output(capsys, "interlingua.cfg", "analyze", fixture_path("batch50.txt"))
     assert analyzed
