@@ -41,7 +41,8 @@ __all__ = [
 ]
 
 _VAR_RE = re.compile(r"^X[0-9]+$")
-_TAG_DEF_RE = re.compile(r"^#([0-9]+)=$")
+# canonical writes a tagged bare atom as one token, ``#1=v1``
+_TAG_DEF_RE = re.compile(r"^#([0-9]+)=(.*)$")
 _TAG_REF_RE = re.compile(r"^#([0-9]+)#$")
 
 
@@ -107,6 +108,10 @@ class FeatStruct:
 
     @staticmethod
     def complex(features):
+        # the shared empty node would make every empty value of the
+        # structure one reentrant node; each gets its own
+        if any(v is _EMPTY for v in features.values()):
+            features = {f: FeatStruct() if v is _EMPTY else v for f, v in features.items()}
         return FeatStruct(features=features)
 
     # -- predicates and access ----------------------------------------
@@ -269,13 +274,11 @@ def parse_featstruct_expr(expr, tags=None):
             raise SexprError("feature name must be an atom: %r" % (feat,))
         rest = pair[1:]
         tagname = None
-        if (
-            isinstance(rest[0], str)
-            and not isinstance(rest[0], QuotedString)
-            and _TAG_DEF_RE.match(rest[0])
-        ):
-            tagname = _TAG_DEF_RE.match(rest[0]).group(1)
-            rest = rest[1:]
+        if isinstance(rest[0], str) and not isinstance(rest[0], QuotedString):
+            m = _TAG_DEF_RE.match(rest[0])
+            if m:
+                tagname = m.group(1)
+                rest = ([m.group(2)] if m.group(2) else []) + rest[1:]
         if len(rest) != 1:
             raise SexprError("feature %s has %d values" % (feat, len(rest)))
         if feat in features:
@@ -732,6 +735,8 @@ def apply_equations(bindings, eqs, solution_cap=64):
         states = _apply_seq([_State(root, [])], eqs, solution_cap)
     except _XorFail:
         return []
+    # one state has nothing to be a duplicate of, so skip its canonical key
+    dedup = len(states) > 1
     solutions, seen = [], set()
     for st in states:
         if not _deferred_pass(st):
@@ -740,10 +745,11 @@ def apply_equations(bindings, eqs, solution_cap=64):
             frozen = _freeze(st.root)
         except _Fail:
             continue
-        key = canonical(frozen)
-        if key in seen:
-            continue
-        seen.add(key)
+        if dedup:
+            key = canonical(frozen)
+            if key in seen:
+                continue
+            seen.add(key)
         solutions.append({var: frozen.features.get(var, _EMPTY) for var in bindings})
     return solutions
 

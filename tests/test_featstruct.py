@@ -149,6 +149,23 @@ def test_empty_values_are_not_shared():
     assert canonical(out) == "((f v1) (g ()))"
 
 
+def test_canonical_text_of_a_shared_atom_parses_back():
+    fs = parse_featstruct("((a #1= v1) (b #1#))")
+    assert canonical(fs) == "((a #1=v1) (b #1#))"
+    again = parse_featstruct(canonical(fs))
+    assert canonical(again) == canonical(fs)
+    assert again.get(("a",)) is again.get(("b",))
+
+
+def test_complex_gives_each_empty_value_its_own_node():
+    # FeatStruct.empty() is one shared node; complex must not alias it
+    fs = FeatStruct.complex({"f": FeatStruct.empty(), "g": FeatStruct.empty()})
+    assert canonical(fs) == "((f ()) (g ()))"
+    out = unify(fs, parse_featstruct("((f v1))"))
+    assert canonical(out) == "((f v1) (g ()))"
+    assert FeatStruct.empty() is FeatStruct.empty()
+
+
 def test_unify_does_not_mutate_inputs():
     a = parse_featstruct("((x ((y q))))")
     b = parse_featstruct("((x ((z r))) (w s))")
@@ -329,6 +346,14 @@ def test_or_block_drops_failing_groups():
     eqs = eqs_from("((X0 v) = p) (*OR* (((X0 v) = p)) (((X0 v) = q)))")
     sols = apply_equations({"X0": EMPTY}, eqs)
     assert len(sols) == 1
+
+
+def test_or_groups_differing_only_in_x1_keep_both_solutions():
+    # X0 is the same in both solutions; the dedup key is the whole root
+    eqs = eqs_from("((X0 v) = p) (*OR* (((X1 w) = a)) (((X1 w) = b)))")
+    sols = apply_equations({"X0": EMPTY, "X1": EMPTY}, eqs)
+    assert [canonical(s["X1"]) for s in sols] == ["((w a))", "((w b))"]
+    assert [canonical(s["X0"]) for s in sols] == ["((v p))", "((v p))"]
 
 
 def test_solutions_deduplicated_and_capped():

@@ -22,6 +22,7 @@ from hybridmt.featstruct import (
     apply_equations,
     canonical,
     parse_equations,
+    parse_featstruct,
     subsumes,
 )
 from hybridmt.rulebase import EquationSet, parse_rule_file
@@ -296,13 +297,21 @@ def test_solve_rule_matches_apply_equations_per_set(case):
     children, sets = case
     bindings = {"X0": FeatStruct.empty()}
     bindings.update(("X%d" % i, fs) for i, fs in enumerate(children, 1))
-    want = [
-        canonical(sol["X0"])
-        for eqset in sets
-        for sol in apply_equations(bindings, eqset.equations, 64)
-    ]
-    got = [canonical(fs) for fs in parser._solve_rule(sets, children, 64)]
-    assert got == want
+
+    def want(cap):
+        return [
+            canonical(sol["X0"])
+            for eqset in sets
+            for sol in apply_equations(bindings, eqset.equations, cap)
+        ]
+
+    # a second call, with equal but distinct children, and a call with
+    # cap 1 must each give what a cold apply_equations gives, so nothing
+    # an earlier call left behind can leak into a later one
+    copies = [parse_featstruct(canonical(fs)) for fs in children]
+    for structures, cap in ((children, 64), (copies, 64), (children, 1)):
+        got = [canonical(fs) for fs in parser._solve_rule(sets, structures, cap)]
+        assert got == want(cap)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,9 +1,11 @@
 import os
+import random
 import re
 
 import pytest
 
-from hybridmt import lattice_lm, posteditor, realizer, semantics
+from hybridmt import glosser, lattice_lm, posteditor, realizer, semantics
+from hybridmt.featstruct import canonical
 from hybridmt.cli import main
 from hybridmt.pipeline import (
     Pipeline,
@@ -375,6 +377,38 @@ def test_cli_translate_matches_golden_files(tmp_path, capsys, name):
     assert code == 0, err
     assert out == _read("batch50.%s.out" % name)
     assert trace.read_text(encoding="utf-8") == _read("batch50.%s.trace.tsv" % name)
+
+
+@pytest.mark.parametrize("name", ["gloss", "interlingua"])
+def test_translation_does_not_depend_on_earlier_lines(name):
+    # one Pipeline serves every line, so a line's output must not depend
+    # on which lines came before it
+    golden = dict(
+        zip(_read("batch50.txt").splitlines(), _read("batch50.%s.out" % name).splitlines())
+    )
+    lines = list(golden) * 2
+    random.Random(8).shuffle(lines)
+    pipe = Pipeline(load_config(fixture_path(name + ".cfg")))
+    for line in lines:
+        trace = pipe.translate_line(line)
+        assert (trace.output, trace.error) == (golden[line], None), line
+
+
+def test_repeated_fragment_glosses_without_reentrancy():
+    line = "john/N wa/HA ima/ADV tabetai/V john/N wa/HA ima/ADV tabetai/V"
+
+    def gloss_text(pipe):
+        forest = pipe.parse(pipe.chunk(line))
+        return canonical(glosser.gloss_forest(forest, pipe.rb, pipe.cfg.verbal_categories))
+
+    warm = Pipeline(load_config(fixture_path("gloss.cfg")))
+    gloss_text(warm)
+    got = gloss_text(warm)
+    # both fragments solve alike; a rulebase that has glossed the line
+    # before must still give each fragment its own structure
+    assert got == gloss_text(Pipeline(load_config(fixture_path("gloss.cfg"))))
+    assert "#1=" not in got
+    assert got.count('(op1 "John")') == 2
 
 
 @pytest.mark.parametrize("name", ["gloss", "interlingua"])
