@@ -16,21 +16,7 @@ def _build_argparser():
     top = argparse.ArgumentParser(prog="hybridmt", description=__doc__)
     top.add_argument("--config", help="key = value configuration file")
     sub = top.add_subparsers(dest="command", required=True)
-    for name in (
-        "chunk",
-        "parse",
-        "gloss",
-        "analyze",
-        "rank",
-        "realize",
-        "decode",
-        "extract",
-        "postedit",
-        "translate",
-        "train-lm",
-        "train-postedit",
-        "report",
-    ):
+    for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--input", help="input file (default: stdin)")
         cmd.add_argument("--output", help="output file (default: stdout)")
@@ -256,10 +242,8 @@ def main(argv=None):
         pipe = None if args.command in _NO_PIPELINE else _pipeline(args)
         text = _COMMANDS[args.command](pipe, args)
         _write_output(args, text)
-    except (ResourceError, OSError) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except (ValueError, OSError) as err:
+        # ResourceError is a ValueError
         print("error: %s" % err, file=sys.stderr)
         return 1
     return 0

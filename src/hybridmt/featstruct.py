@@ -40,6 +40,8 @@ __all__ = [
     "evaluate_test",
 ]
 
+SOLUTION_CAP = 64  # solutions kept per equation list, *OR* expansion included
+
 _VAR_RE = re.compile(r"^X[0-9]+$")
 # canonical writes a tagged bare atom as one token, ``#1=v1``
 _TAG_DEF_RE = re.compile(r"^#([0-9]+)=(.*)$")
@@ -715,7 +717,7 @@ def _deferred_pass(state):
     return True
 
 
-def apply_equations(bindings, eqs, solution_cap=64):
+def apply_equations(bindings, eqs, solution_cap=SOLUTION_CAP):
     """Solve an equation list against variable bindings.
 
     Returns a list of solutions, each a dict mapping every variable to

@@ -240,7 +240,7 @@ def _merge_alternatives(structures):
     return FeatStruct.complex(feats)
 
 
-def gloss_forest(forest, rb, verbal_categories=frozenset(), solution_cap=64, category_order=()):
+def gloss_forest(forest, rb, verbal_categories=frozenset(), category_order=()):
     """Gloss the forest's fragment cover into one gloss structure.
 
     Fragments concatenate left to right with the ``##`` separator.
@@ -261,7 +261,6 @@ def gloss_forest(forest, rb, verbal_categories=frozenset(), solution_cap=64, cat
         lambda const: [gloss_leaf(const.token, rb, verbal_categories)],
         gloss_sets,
         ALTERNATIVE_CAP,
-        solution_cap,
     )
     pieces = []
     for cid in fragment_cover(forest, category_order):

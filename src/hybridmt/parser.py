@@ -12,7 +12,7 @@ forest; the glosser and the semantic analyzer both use it.
 """
 
 from . import sexpr
-from .featstruct import FeatStruct, apply_equations, canonical, subsumes
+from .featstruct import SOLUTION_CAP, FeatStruct, apply_equations, canonical, subsumes
 
 __all__ = [
     "Constituent",
@@ -131,7 +131,7 @@ def lexical_entries(token, rb):
     return [(category, FeatStruct.empty())]
 
 
-def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP, solution_cap=64):
+def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
     """Parse a chunked token sequence into a packed forest."""
     if not tokens:
         raise ParseError("empty input")
@@ -189,7 +189,7 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP, solutio
             forest.truncated = True
             return []
         edges[0] += 1
-        return _solve_rule(rule.syntax_sets, child_structures, solution_cap)
+        return _solve_rule(rule.syntax_sets, child_structures)
 
     for token_pos, token in enumerate(words):
         for category, fs in lexical_entries(token, rb):
@@ -290,7 +290,7 @@ def count_trees(forest, cid):
     return count(cid)
 
 
-def _solve_rule(equation_sets, child_structures, solution_cap):
+def _solve_rule(equation_sets, child_structures, solution_cap=SOLUTION_CAP):
     """X0 of every solution of every equation set, in order, with
     X1..Xn bound to ``child_structures``."""
     bindings = None
@@ -309,7 +309,7 @@ def _solve_rule(equation_sets, child_structures, solution_cap):
     return produced
 
 
-def compose(forest, leaf, equation_sets, cap, solution_cap):
+def compose(forest, leaf, equation_sets, cap):
     """Bottom-up feature-structure composition over the packed forest.
 
     Returns a memoised ``compute(cid)`` giving the first ``cap`` distinct
@@ -340,7 +340,7 @@ def compose(forest, leaf, equation_sets, cap, solution_cap):
             for options in child_options:
                 combos = [c + (o,) for c in combos for o in options][:cap]
             for combo in combos:
-                for fs in _solve_rule(sets, combo, solution_cap):
+                for fs in _solve_rule(sets, combo):
                     key = canonical(fs)
                     if key not in seen:
                         seen.add(key)

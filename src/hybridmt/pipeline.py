@@ -41,10 +41,6 @@ _DEFAULTS = {
     "root_categories": "S",
     "category_order": "",
     "verbal_categories": "V",
-    "solution_cap": 64,
-    "edge_cap": parser.DEFAULT_EDGE_CAP,
-    "candidate_cap": 256,
-    "gt_cutoff": 5,
     "fallback": True,
 }
 
@@ -69,7 +65,6 @@ _FILE_KEYS = (
     "article_corpus",
 )
 
-_INT_KEYS = ("solution_cap", "edge_cap", "candidate_cap", "gt_cutoff")
 _BOOL_KEYS = ("fallback",)
 
 
@@ -79,9 +74,7 @@ class PipelineConfig:
         self.base_dir = base_dir
 
     def set(self, key, value):
-        if key in _INT_KEYS:
-            self.values[key] = int(value)
-        elif key in _BOOL_KEYS:
+        if key in _BOOL_KEYS:
             if str(value).lower() not in _BOOL:
                 raise ResourceError("config key %s must be on or off" % key)
             self.values[key] = _BOOL[str(value).lower()]
@@ -90,6 +83,8 @@ class PipelineConfig:
             if not os.path.exists(path):
                 raise ResourceError("config key %s: missing file %s" % (key, path))
             self.values[key] = path
+        elif key == "path" and value not in ("gloss", "interlingua"):
+            raise ResourceError("config key path must be gloss or interlingua, got %r" % value)
         elif key in _DEFAULTS:
             self.values[key] = value
         else:
@@ -271,40 +266,31 @@ class Pipeline:
             sem_lexicon_file=cfg.path_of("sem_lexicon"),
             compound_file=cfg.path_of("compounds"),
         )
-        self.patterns = chunker.PatternSet()
-        if cfg.path_of("patterns"):
-            self.patterns = chunker.load_patterns(
-                _read(cfg.path_of("patterns")), cfg.path_of("patterns")
-            )
-        self.taxonomy = None
-        if cfg.path_of("taxonomy"):
-            self.taxonomy = semantics.Taxonomy.load(cfg.path_of("taxonomy"))
-        self.lm = None
-        if cfg.path_of("lm_model"):
-            self.lm = lattice_lm.TrigramModel.load(_read(cfg.path_of("lm_model")))
-        self.tree = None
-        if cfg.path_of("tree"):
-            self.tree = posteditor.parse_tree(_read(cfg.path_of("tree")))
-        self.repairs = []
-        if cfg.path_of("repairs"):
-            self.repairs = posteditor.load_repairs(cfg.path_of("repairs"))
-        self.exceptions = frozenset()
-        if cfg.path_of("exceptions"):
-            self.exceptions = frozenset(posteditor.load_word_list(cfg.path_of("exceptions")))
-        self.gen_lexicon = {}
-        if cfg.path_of("gen_lexicon"):
-            self.gen_lexicon = realizer.load_gen_lexicon(cfg.path_of("gen_lexicon"))
-        self.irregulars = {}
-        if cfg.path_of("irregulars"):
-            self.irregulars = glosser.load_irregulars(cfg.path_of("irregulars"))
-        self.nouns = set()
-        if cfg.path_of("nouns"):
-            self.nouns = posteditor.load_word_list(cfg.path_of("nouns"))
+        self.patterns = self._load(
+            "patterns", lambda path: chunker.load_patterns(_read(path), path), chunker.PatternSet()
+        )
+        self.taxonomy = self._load("taxonomy", semantics.Taxonomy.load, None)
+        self.lm = self._load(
+            "lm_model", lambda path: lattice_lm.TrigramModel.load(_read(path)), None
+        )
+        self.tree = self._load("tree", lambda path: posteditor.parse_tree(_read(path)), None)
+        self.repairs = self._load("repairs", posteditor.load_repairs, [])
+        self.exceptions = self._load(
+            "exceptions", lambda path: frozenset(posteditor.load_word_list(path)), frozenset()
+        )
+        self.gen_lexicon = self._load("gen_lexicon", realizer.load_gen_lexicon, {})
+        self.irregulars = self._load("irregulars", glosser.load_irregulars, {})
+        self.nouns = self._load("nouns", posteditor.load_word_list, set())
         self.countability = {
             e.lemma: e.countable
             for e in self.gen_lexicon.values()
             if e.category == "noun"
         }
+
+    def _load(self, key, loader, default):
+        """``loader(path)`` for a configured resource, else ``default``."""
+        path = self.cfg.path_of(key)
+        return loader(path) if path else default
 
     # -- stages ------------------------------------------------------------
 
@@ -314,39 +300,27 @@ class Pipeline:
         return chunker.chunk(tokens, self.patterns)
 
     def parse(self, tokens):
-        return parser.parse(
-            tokens,
-            self.rb,
-            root_categories=self.cfg.root_categories,
-            edge_cap=self.cfg.get("edge_cap"),
-            solution_cap=self.cfg.get("solution_cap"),
-        )
+        return parser.parse(tokens, self.rb, root_categories=self.cfg.root_categories)
 
     def gloss(self, forest):
         gfs = glosser.gloss_forest(
             forest,
             self.rb,
             verbal_categories=self.cfg.verbal_categories,
-            solution_cap=self.cfg.get("solution_cap"),
             category_order=self.cfg.category_order,
         )
         return glosser.flatten_gloss(gfs, self.irregulars)
 
     def analyze(self, forest):
         """Root meaning candidates, after inference."""
-        analyses = semantics.analyze(
-            forest,
-            self.rb,
-            cap=self.cfg.get("candidate_cap"),
-            solution_cap=self.cfg.get("solution_cap"),
-        )
+        analyses = semantics.analyze(forest, self.rb)
         candidates = semantics.root_candidates(forest, analyses)
         for c in candidates:
             c.graph = semantics.infer(c.graph)
         return candidates
 
     def rank(self, candidates):
-        """Score by coherence; best first, at most ``candidate_cap``."""
+        """Score by coherence; best first, at most ``CANDIDATE_CAP``."""
         if self.taxonomy is None:
             raise ResourceError("ranking requires a taxonomy")
         for c in candidates:
@@ -354,7 +328,7 @@ class Pipeline:
                 semantics.to_assertions(c.graph), self.taxonomy
             )
         ranked = semantics.rank_candidates(candidates)
-        return ranked[: self.cfg.get("candidate_cap")]
+        return ranked[: semantics.CANDIDATE_CAP]
 
     def realize(self, graph):
         return realizer.realize(graph, self.gen_lexicon, irregulars=self.irregulars)
@@ -446,8 +420,7 @@ class Pipeline:
         if path is None:
             raise ResourceError("train-lm requires the lm_corpus resource")
         sentences = [l for l in _read(path).splitlines() if l.strip()]
-        model = lattice_lm.train_trigram(sentences, k=self.cfg.get("gt_cutoff"))
-        return model
+        return lattice_lm.train_trigram(sentences)
 
     def train_postedit(self):
         path = self.cfg.path_of("article_corpus")

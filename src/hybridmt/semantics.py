@@ -51,6 +51,7 @@ UNKNOWN_RELATION_SCORE = 0.5
 DEFAULT_PENALTIES = {1: 0.1, 2: 0.3}
 TOPIC_PRIORITY = ("agent", "theme", "senser")
 WRAPPER_CONCEPT = "rc-modified-object"
+CANDIDATE_CAP = 256  # meanings kept per constituent, and ranked per sentence
 
 
 class TaxonomyError(ValueError):
@@ -309,23 +310,21 @@ def _leaf_candidates(const, rb):
     return out
 
 
-def analyze(forest, rb, cap=256, solution_cap=64):
+def analyze(forest, rb):
     """Candidate meanings of the forest's constituents, bottom-up.
 
     Returns a memoised function mapping a constituent id to a list of
-    feature structures (the rule variable X0 of each solution); it
-    analyzes only that constituent and what lies below it.  A leaf with
-    no semantic lexicon entry gets an empty list, and emptiness
-    propagates upward through derivations that need it.
+    at most ``CANDIDATE_CAP`` feature structures (the rule variable X0
+    of each solution); it analyzes only that constituent and what lies
+    below it.  A leaf with no semantic lexicon entry gets an empty list,
+    and emptiness propagates upward through derivations that need it.
     """
 
     def semantic_sets(rule_key):
         rule = rb.rules.get(rule_key)
         return rule.semantic_sets if rule is not None else ()
 
-    return compose(
-        forest, lambda const: _leaf_candidates(const, rb), semantic_sets, cap, solution_cap
-    )
+    return compose(forest, lambda const: _leaf_candidates(const, rb), semantic_sets, CANDIDATE_CAP)
 
 
 def graph_from_featstruct(sem):

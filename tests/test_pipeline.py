@@ -34,7 +34,6 @@ def _read(name):
 def test_config_defaults():
     cfg = PipelineConfig()
     assert cfg.get("path") == "gloss"
-    assert cfg.get("solution_cap") == 64
     assert cfg.get("fallback") is True
     assert cfg.root_categories == ("S",)
     assert cfg.verbal_categories == frozenset(["V"])
@@ -42,15 +41,36 @@ def test_config_defaults():
 
 def test_config_type_validation():
     cfg = PipelineConfig()
-    cfg.set("solution_cap", "32")
-    assert cfg.get("solution_cap") == 32
-    with pytest.raises(ValueError):
-        cfg.set("solution_cap", "many")
     with pytest.raises(ResourceError):
         cfg.set("fallback", "maybe")
-    for key in ("no_such_key", "top_n", "seed", "infer_before_rank"):
+    for key in (
+        "no_such_key", "top_n", "seed", "infer_before_rank",
+        "solution_cap", "edge_cap", "candidate_cap", "gt_cutoff",
+    ):
         with pytest.raises(ResourceError):
             cfg.set(key, "1")
+
+
+def test_config_path_must_name_a_path(tmp_path):
+    cfg = PipelineConfig()
+    cfg.set("path", "interlingua")
+    assert cfg.get("path") == "interlingua"
+    with pytest.raises(ResourceError):
+        cfg.set("path", "interlingual")
+    assert cfg.get("path") == "interlingua"
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("# a misspelt path\npath = interlingual\n")
+    with pytest.raises(ResourceError, match=re.escape("%s:2: config key path" % typo)):
+        load_config(str(typo))
+
+
+def test_load_config_rejects_search_bounds(tmp_path):
+    # the search bounds are constants of the modules that enforce them
+    bounded = tmp_path / "bounded.cfg"
+    bounded.write_text("solution_cap = 64\n")
+    with pytest.raises(ResourceError) as err:
+        load_config(str(bounded))
+    assert str(err.value) == "%s:1: unknown config key 'solution_cap'" % bounded
 
 
 def test_config_missing_file_rejected_at_load():
@@ -79,6 +99,17 @@ def test_load_config_rejects_bad_lines(tmp_path):
         load_config(str(bad))
     with pytest.raises(ResourceError):
         load_config(str(tmp_path / "missing.cfg"))
+
+
+def test_pipeline_without_resources_reports_a_missing_model():
+    pipe = Pipeline(PipelineConfig())
+    assert (pipe.patterns.patterns, pipe.patterns.aliases) == ([], {})
+    assert (pipe.taxonomy, pipe.lm, pipe.tree) == (None, None, None)
+    assert pipe.repairs == [] and pipe.exceptions == frozenset()
+    assert pipe.gen_lexicon == {} and pipe.irregulars == {} and pipe.nouns == set()
+    trace = pipe.translate_line(GLOSS_DEMO)
+    assert trace.error.startswith("ResourceError: ") and "lm_model" in trace.error
+    assert [s.name for s in trace.stages] == ["chunk", "parse", "gloss"]
 
 
 # -- end-to-end translation ----------------------------------------------
