@@ -72,20 +72,22 @@ def _cmd_chunk(pipe, args):
     return "\n".join(out) + "\n"
 
 
+_ERROR_PREFIX = "# error: "
+
+
+def _blocks(args, body):
+    """``# <input line>`` then ``body(line)`` for each input line."""
+    return "".join("# %s\n%s" % (line, body(line)) for line in _lines(_read_input(args)))
+
+
 def _cmd_parse(pipe, args):
-    blocks = []
-    for line in _lines(_read_input(args)):
-        forest = pipe.parse(pipe.chunk(line))
-        blocks.append("# %s\n%s" % (line, parser.dump_forest(forest)))
-    return "".join(blocks)
+    return _blocks(args, lambda line: parser.dump_forest(pipe.parse(pipe.chunk(line))))
 
 
 def _cmd_gloss(pipe, args):
-    blocks = []
-    for line in _lines(_read_input(args)):
-        lattice = pipe.gloss(pipe.parse(pipe.chunk(line)))
-        blocks.append("# %s\n%s" % (line, lattice_lm.dump_lattice(lattice)))
-    return "".join(blocks)
+    return _blocks(
+        args, lambda line: lattice_lm.dump_lattice(pipe.gloss(pipe.parse(pipe.chunk(line))))
+    )
 
 
 def _format_candidates(candidates):
@@ -94,11 +96,9 @@ def _format_candidates(candidates):
 
 
 def _cmd_analyze(pipe, args):
-    blocks = []
-    for line in _lines(_read_input(args)):
-        ranked = pipe.rank(pipe.analyze(pipe.parse(pipe.chunk(line))))
-        blocks.append("# %s\n%s" % (line, _format_candidates(ranked)))
-    return "".join(blocks)
+    return _blocks(
+        args, lambda line: _format_candidates(pipe.rank(pipe.analyze(pipe.parse(pipe.chunk(line)))))
+    )
 
 
 def _cmd_rank(pipe, args):
@@ -117,18 +117,13 @@ def _cmd_rank(pipe, args):
 
 
 def _cmd_realize(pipe, args):
-    blocks = []
-    for line in _lines(_read_input(args)):
+    def body(line):
         try:
-            lattice = pipe.realize(semantics.parse_spl(line))
+            return lattice_lm.dump_lattice(pipe.realize(semantics.parse_spl(line)))
         except realizer.RealizeError as err:
-            blocks.append("# %s\n# error: %s\n" % (line, err))
-            continue
-        blocks.append("# %s\n%s" % (line, lattice_lm.dump_lattice(lattice)))
-    return "".join(blocks)
+            return "%s%s\n" % (_ERROR_PREFIX, err)
 
-
-_ERROR_PREFIX = "# error: "
+    return _blocks(args, body)
 
 
 def _lattice_blocks(text):

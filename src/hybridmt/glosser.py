@@ -18,6 +18,7 @@ import re
 # apply_equations is unused here but kept: the benchmark tracer wraps it by this name
 from .featstruct import FeatStruct, apply_equations, canonical  # noqa: F401
 from .parser import compose, fragment_cover
+from . import sexpr
 from .sexpr import QuotedString
 from . import lattice_lm as wl
 
@@ -59,17 +60,11 @@ class VerbGroupSpec:
 def load_irregulars(path):
     """TSV rows ``base TAB past TAB participle TAB 3sg``."""
     table = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise GlossError(
-                    "%s:%d: irregular verb row needs 4 columns: %r" % (path, lineno, line)
-                )
-            table[cols[0]] = (cols[1], cols[2], cols[3])
+    for where, line in sexpr.records(sexpr.read_text(path), path):
+        cols = line.split("\t")
+        if len(cols) != 4:
+            raise GlossError("%s: irregular verb row needs 4 columns: %r" % (where, line))
+        table[cols[0]] = (cols[1], cols[2], cols[3])
     return table
 
 

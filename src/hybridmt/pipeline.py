@@ -15,7 +15,7 @@ Per-sentence failures become error records, never process termination.
 
 import os
 
-from . import chunker, glosser, lattice_lm, parser, posteditor, realizer, rulebase, semantics
+from . import chunker, glosser, lattice_lm, parser, posteditor, realizer, rulebase, semantics, sexpr
 
 __all__ = [
     "PipelineConfig",
@@ -116,18 +116,14 @@ def load_config(path):
     if not os.path.exists(path):
         raise ResourceError("missing config file: %s" % path)
     cfg = PipelineConfig(base_dir=os.path.dirname(os.path.abspath(path)))
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ResourceError("%s:%d: expected key = value" % (path, lineno))
-            key, _, value = line.partition("=")
-            try:
-                cfg.set(key.strip(), value.strip())
-            except ResourceError as err:
-                raise ResourceError("%s:%d: %s" % (path, lineno, err))
+    for where, line in sexpr.records(sexpr.read_text(path), path):
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ResourceError("%s: expected key = value" % where)
+        try:
+            cfg.set(key.strip(), value.strip())
+        except ResourceError as err:
+            raise ResourceError("%s: %s" % (where, err))
     return cfg
 
 
@@ -266,14 +262,20 @@ class Pipeline:
             sem_lexicon_file=cfg.path_of("sem_lexicon"),
             compound_file=cfg.path_of("compounds"),
         )
+        if cfg.path_of("grammar"):
+            self._check_categories()
         self.patterns = self._load(
-            "patterns", lambda path: chunker.load_patterns(_read(path), path), chunker.PatternSet()
+            "patterns",
+            lambda path: chunker.load_patterns(sexpr.read_text(path), path),
+            chunker.PatternSet(),
         )
         self.taxonomy = self._load("taxonomy", semantics.Taxonomy.load, None)
         self.lm = self._load(
-            "lm_model", lambda path: lattice_lm.TrigramModel.load(_read(path)), None
+            "lm_model", lambda path: lattice_lm.TrigramModel.load(sexpr.read_text(path)), None
         )
-        self.tree = self._load("tree", lambda path: posteditor.parse_tree(_read(path)), None)
+        self.tree = self._load(
+            "tree", lambda path: posteditor.parse_tree(sexpr.read_text(path)), None
+        )
         self.repairs = self._load("repairs", posteditor.load_repairs, [])
         self.exceptions = self._load(
             "exceptions", lambda path: frozenset(posteditor.load_word_list(path)), frozenset()
@@ -286,6 +288,19 @@ class Pipeline:
             for e in self.gen_lexicon.values()
             if e.category == "noun"
         }
+
+    def _check_categories(self):
+        """A root or ordering category must occur in a syntax rule or as
+        a syntactic lexicon POS, so a typo is an error, not a silent loss
+        of every full parse."""
+        known = {e.pos for entries in self.rb.syn_lexicon.values() for e in entries}
+        for backbone, rule in self.rb.rules.items():
+            if rule.syntax_sets:
+                known.update((backbone.lhs, *backbone.rhs))
+        for key in ("root_categories", "category_order"):
+            for cat in getattr(self.cfg, key):
+                if cat not in known:
+                    raise ResourceError("config key %s: unknown category %r" % (key, cat))
 
     def _load(self, key, loader, default):
         """``loader(path)`` for a configured resource, else ``default``."""
@@ -419,7 +434,7 @@ class Pipeline:
         path = self.cfg.path_of("lm_corpus")
         if path is None:
             raise ResourceError("train-lm requires the lm_corpus resource")
-        sentences = [l for l in _read(path).splitlines() if l.strip()]
+        sentences = [l for l in sexpr.read_text(path).splitlines() if l.strip()]
         return lattice_lm.train_trigram(sentences)
 
     def train_postedit(self):
@@ -428,13 +443,8 @@ class Pipeline:
             raise ResourceError("train-postedit requires the article_corpus resource")
         if not self.nouns:
             raise ResourceError("train-postedit requires the nouns resource")
-        sentences = [l for l in _read(path).splitlines() if l.strip()]
+        sentences = [l for l in sexpr.read_text(path).splitlines() if l.strip()]
         instances = posteditor.extract_instances(sentences, self.nouns, self.countability)
         if not instances:
             raise ResourceError("article corpus yielded no training instances")
         return posteditor.train_tree(instances)
-
-
-def _read(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()

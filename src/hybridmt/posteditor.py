@@ -327,13 +327,7 @@ def insert_articles(text, tree, nouns, exceptions=frozenset(), countability=None
 
 def load_word_list(path):
     """One lowercased word per line; blank and ``#`` lines are skipped."""
-    out = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip().lower()
-            if word and not word.startswith("#"):
-                out.add(word)
-    return out
+    return {line.strip().lower() for _where, line in sexpr.records(sexpr.read_text(path), path)}
 
 
 # ---------------------------------------------------------------------
@@ -341,10 +335,12 @@ def load_word_list(path):
 # ---------------------------------------------------------------------
 
 def parse_repairs(text, filename="<string>"):
-    """``pattern TAB replacement`` lines; empty replacement deletes."""
+    """``pattern TAB replacement`` lines; empty replacement deletes.
+    Only blank lines are skipped: every other line is a rule, so a
+    pattern may start with ``#``."""
     rules = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
+        if not line.strip():
             continue
         if "\t" not in line:
             raise PosteditError("%s:%d: need pattern TAB replacement" % (filename, lineno))
@@ -356,8 +352,7 @@ def parse_repairs(text, filename="<string>"):
 
 
 def load_repairs(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_repairs(fh.read(), filename=path)
+    return parse_repairs(sexpr.read_text(path), filename=path)
 
 
 def apply_repairs(text, rules):

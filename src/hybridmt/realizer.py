@@ -10,7 +10,7 @@ alternative set and the language model downstream picks the winner.
 Reentrant fillers are realized once; later mentions are skipped.
 """
 
-from . import lattice_lm as wl
+from . import lattice_lm as wl, sexpr
 from .glosser import past_form, third_singular_form
 
 __all__ = [
@@ -56,15 +56,10 @@ def parse_gen_lexicon(text, filename="<string>"):
     """TSV rows ``concept TAB lemma TAB category [TAB countable?
     [TAB relation=prep;...]]``."""
     table = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for where, line in sexpr.records(text, filename):
         cols = line.split("\t")
         if len(cols) < 3:
-            raise RealizeError(
-                "%s:%d: need concept TAB lemma TAB category" % (filename, lineno)
-            )
+            raise RealizeError("%s: need concept TAB lemma TAB category" % where)
         countable = True
         if len(cols) > 3 and cols[3].strip():
             countable = cols[3].strip() != "-"
@@ -74,9 +69,7 @@ def parse_gen_lexicon(text, filename="<string>"):
                 if not item.strip():
                     continue
                 if "=" not in item:
-                    raise RealizeError(
-                        "%s:%d: preposition entry must be relation=prep" % (filename, lineno)
-                    )
+                    raise RealizeError("%s: preposition entry must be relation=prep" % where)
                 relation, prep = item.split("=", 1)
                 preps[relation.strip().lower()] = prep.strip()
         concept = cols[0].strip()
@@ -87,8 +80,7 @@ def parse_gen_lexicon(text, filename="<string>"):
 
 
 def load_gen_lexicon(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_gen_lexicon(fh.read(), filename=path)
+    return parse_gen_lexicon(sexpr.read_text(path), filename=path)
 
 
 def _verb_groups(node, entry, irregulars=None):

@@ -159,41 +159,31 @@ def parse_rule_file(text, kind, rb=None, filename="<string>"):
     return rb
 
 
-def _read(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _tsv_lines(path):
-    for lineno, line in enumerate(_read(path).splitlines(), 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        yield lineno, line.split("\t")
+def _tsv_rows(path):
+    for where, line in sexpr.records(sexpr.read_text(path), path):
+        yield where, line.split("\t")
 
 
 def load_syn_lexicon(path, rb):
-    for lineno, cols in _tsv_lines(path):
+    for where, cols in _tsv_rows(path):
         if len(cols) < 2:
-            raise RuleBaseError("%s:%d: need surface TAB pos" % (path, lineno))
+            raise RuleBaseError("%s: need surface TAB pos" % where)
         surface, pos = cols[0], cols[1]
         features = FeatStruct.empty()
         if len(cols) > 2 and cols[2].strip():
             try:
                 features = parse_featstruct_expr(sexpr.parse_one(cols[2]))
             except sexpr.SexprError as err:
-                raise RuleBaseError("%s:%d: %s" % (path, lineno, err))
+                raise RuleBaseError("%s: %s" % (where, err))
         rb.syn_lexicon.setdefault(surface, []).append(
             LexiconEntry(surface, pos, features)
         )
 
 
 def load_bilingual(path, rb):
-    for lineno, cols in _tsv_lines(path):
+    for where, cols in _tsv_rows(path):
         if len(cols) < 3 or not cols[2].strip():
-            raise RuleBaseError(
-                "%s:%d: need surface TAB pos TAB alt1|alt2|..." % (path, lineno)
-            )
+            raise RuleBaseError("%s: need surface TAB pos TAB alt1|alt2|..." % where)
         alts = [a for a in cols[2].split("|") if a]
         rb.bilingual.setdefault(cols[0], []).append(
             LexiconEntry(cols[0], cols[1], translations=alts)
@@ -201,20 +191,18 @@ def load_bilingual(path, rb):
 
 
 def load_sem_lexicon(path, rb):
-    for lineno, cols in _tsv_lines(path):
+    for where, cols in _tsv_rows(path):
         if len(cols) < 2 or not cols[1].strip():
-            raise RuleBaseError(
-                "%s:%d: need surface TAB concept1|concept2" % (path, lineno)
-            )
+            raise RuleBaseError("%s: need surface TAB concept1|concept2" % where)
         rb.sem_lexicon.setdefault(cols[0], []).extend(
             c for c in cols[1].split("|") if c
         )
 
 
 def load_compounds(path, rb):
-    for lineno, cols in _tsv_lines(path):
+    for where, cols in _tsv_rows(path):
         if len(cols) < 2:
-            raise RuleBaseError("%s:%d: need compound TAB pos" % (path, lineno))
+            raise RuleBaseError("%s: need compound TAB pos" % where)
         rb.compounds[cols[0]] = cols[1]
 
 
@@ -237,7 +225,7 @@ def load_rulebase(
         if path:
             if not os.path.exists(path):
                 raise RuleBaseError("missing rule file: %s" % path)
-            parse_rule_file(_read(path), kind, rb, filename=path)
+            parse_rule_file(sexpr.read_text(path), kind, rb, filename=path)
     for path, loader in (
         (syn_lexicon_file, load_syn_lexicon),
         (bilingual_file, load_bilingual),

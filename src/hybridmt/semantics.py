@@ -128,12 +128,13 @@ class Taxonomy:
     @staticmethod
     def parse(text, filename="<string>"):
         tax = Taxonomy()
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = _split_taxonomy_line(line)
-            where = "%s:%d" % (filename, lineno)
+        for where, line in sexpr.records(text, filename):
+            try:
+                fields = sexpr.parse_all(line)
+            except sexpr.SexprError as err:
+                raise TaxonomyError("%s: %s" % (where, err))
+            if not fields or not all(isinstance(f, str) for f in fields):
+                raise TaxonomyError("%s: expected words and |multi word| names" % where)
             if fields[0] == "concept":
                 if len(fields) not in (2, 4) or (len(fields) == 4 and fields[2] != "isa"):
                     raise TaxonomyError("%s: expected 'concept C [isa P1,P2]'" % where)
@@ -172,8 +173,7 @@ class Taxonomy:
 
     @staticmethod
     def load(path):
-        with open(path, encoding="utf-8") as fh:
-            return Taxonomy.parse(fh.read(), filename=path)
+        return Taxonomy.parse(sexpr.read_text(path), filename=path)
 
     def validate(self):
         for name, rel in self.relations.items():
@@ -197,25 +197,6 @@ class Taxonomy:
 
         for c in list(self.parents):
             visit(c)
-
-
-def _split_taxonomy_line(line):
-    """Whitespace split, but |...| protects multiword concept names."""
-    fields, buf, piped = [], [], False
-    for ch in line:
-        if ch == "|":
-            piped = not piped
-        elif ch.isspace() and not piped:
-            if buf:
-                fields.append("".join(buf))
-                buf = []
-        else:
-            buf.append(ch)
-    if piped:
-        raise TaxonomyError("unbalanced | in %r" % line)
-    if buf:
-        fields.append("".join(buf))
-    return fields
 
 
 # ---------------------------------------------------------------------

@@ -11,6 +11,11 @@ of atoms.  Atoms come in three spellings:
 Quoted strings are kept distinct from symbols via the ``QuotedString``
 subclass so downstream code can tell target-language text apart from
 grammar symbols.  Lines may carry ``;`` comments.
+
+The line-oriented knowledge files (lexicons, taxonomy, generation
+lexicon, irregular verbs, word lists, config) are read here too:
+``read_text`` opens one and ``records`` yields its record lines, each
+with the ``file:line`` that prefixes that row's errors.
 """
 
 import re
@@ -109,6 +114,22 @@ def parse_one(text):
     if len(exprs) != 1:
         raise SexprError("expected exactly one expression, got %d" % len(exprs))
     return exprs[0]
+
+
+def read_text(path):
+    """The whole text of a UTF-8 knowledge file."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def records(text, filename="<string>"):
+    """Yield ``(where, line)`` per record line, ``where`` being
+    ``"filename:lineno"``; blank lines and lines whose first non-blank
+    character is ``#`` are skipped."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        head = line.lstrip()
+        if head and head[0] != "#":
+            yield "%s:%d" % (filename, lineno), line
 
 
 def _needs_pipes(atom):

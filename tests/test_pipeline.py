@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from hybridmt import glosser, lattice_lm, posteditor, realizer, semantics
+from hybridmt import glosser, lattice_lm, posteditor, realizer, rulebase, semantics
 from hybridmt.featstruct import canonical
 from hybridmt.cli import main
 from hybridmt.pipeline import (
@@ -92,6 +92,93 @@ def test_nouns_file_skips_comment_lines(tmp_path):
     assert Pipeline(cfg).nouns == {"cat", "dog"}
 
 
+def _rulebase_table(load, table):
+    def run(path):
+        rb = rulebase.RuleBase()
+        load(path, rb)
+        return {k: [(e.pos, e.translations) for e in v] for k, v in getattr(rb, table).items()}
+
+    return run
+
+
+def _rulebase_dict(load, table):
+    def run(path):
+        rb = rulebase.RuleBase()
+        load(path, rb)
+        return getattr(rb, table)
+
+    return run
+
+
+def _gen_lexicon(path):
+    return {
+        k: (e.lemma, e.category, e.countable, e.preps)
+        for k, e in realizer.load_gen_lexicon(path).items()
+    }
+
+
+def _taxonomy(path):
+    tax = semantics.Taxonomy.load(path)
+    return tax.parents, tax.disjoint_pairs
+
+
+# loader, two good rows, a bad row (None: every line is a good row), its error type
+_LINE_LOADERS = {
+    "syn_lexicon": (
+        _rulebase_table(rulebase.load_syn_lexicon, "syn_lexicon"),
+        ["kaisha\tN", "wa\tHA"], "kaisha", rulebase.RuleBaseError,
+    ),
+    "bilingual": (
+        _rulebase_table(rulebase.load_bilingual, "bilingual"),
+        ["kaisha\tN\tcompany|firm", "keikaku\tV\tplan"], "kaisha\tN", rulebase.RuleBaseError,
+    ),
+    "sem_lexicon": (
+        _rulebase_dict(rulebase.load_sem_lexicon, "sem_lexicon"),
+        ["kaisha\t|company/business|", "keikaku\tplan|scheme"], "kaisha", rulebase.RuleBaseError,
+    ),
+    "compounds": (
+        _rulebase_dict(rulebase.load_compounds, "compounds"),
+        ["nigatsu\tDATE", "hossoku\tVN"], "nigatsu", rulebase.RuleBaseError,
+    ),
+    "irregulars": (
+        glosser.load_irregulars,
+        ["eat\tate\teaten\teats", "go\twent\tgone\tgoes"], "be\twas", glosser.GlossError,
+    ),
+    "gen_lexicon": (
+        _gen_lexicon,
+        ["plan\tplan\tverb", "|calendar month|\tmonth\tnoun\t+\tin=in"], "plan\tplan",
+        realizer.RealizeError,
+    ),
+    "taxonomy": (
+        _taxonomy,
+        ["concept thing", "concept |named person| isa thing"], "concept",
+        semantics.TaxonomyError,
+    ),
+    "config": (
+        lambda path: load_config(path).values,
+        ["path = interlingua", "root_categories = S,NP"], "path interlingua", ResourceError,
+    ),
+    "word_list": (posteditor.load_word_list, ["cat", "Dog"], None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LINE_LOADERS))
+def test_line_loaders_skip_comments_and_locate_bad_rows(tmp_path, name):
+    load, good, bad, error = _LINE_LOADERS[name]
+    clean = tmp_path / "clean"
+    clean.write_text("\n".join(good) + "\n", encoding="utf-8")
+    noisy = tmp_path / "noisy"
+    noisy.write_text(
+        "# header\n%s\n\n  # note\n%s\n\n" % tuple(good), encoding="utf-8"
+    )
+    assert load(str(noisy)) == load(str(clean))
+    if bad is not None:
+        broken = tmp_path / "broken"
+        broken.write_text("%s\n  # note\n%s\n" % (good[0], bad), encoding="utf-8")
+        with pytest.raises(error, match=re.escape("%s:3:" % broken)):
+            load(str(broken))
+
+
 def test_load_config_rejects_bad_lines(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("just a line without equals\n")
@@ -99,6 +186,20 @@ def test_load_config_rejects_bad_lines(tmp_path):
         load_config(str(bad))
     with pytest.raises(ResourceError):
         load_config(str(tmp_path / "missing.cfg"))
+
+
+@pytest.mark.parametrize("key", ["root_categories", "category_order"])
+def test_pipeline_rejects_a_category_no_rule_has(key):
+    cfg = load_config(fixture_path("gloss.cfg"))
+    cfg.set(key, "S,Sentence")
+    with pytest.raises(ResourceError, match="config key %s: unknown category 'Sentence'" % key):
+        Pipeline(cfg)
+
+
+def test_categories_are_checked_only_against_a_configured_grammar():
+    cfg = PipelineConfig()
+    cfg.set("root_categories", "Sentence")
+    assert Pipeline(cfg).rb.rules == {}
 
 
 def test_pipeline_without_resources_reports_a_missing_model():

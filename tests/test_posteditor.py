@@ -208,3 +208,11 @@ def test_apply_repairs_single_pass_per_rule():
 def test_repairs_fixture_strips_fragment_separator():
     rules = load_repairs(fixture_path("repairs.tsv"))
     assert apply_repairs("John ## eats", rules) == "John eats"
+
+
+def test_repairs_pattern_may_start_with_hash():
+    # a repairs file skips blank lines only: "## " is a rule, not a comment
+    rules = load_repairs(fixture_path("repairs.tsv"))
+    assert rules == [("## ", ""), (" ##", "")]
+    assert apply_repairs("## X", rules) == "X"
+    assert parse_repairs("# a\tb\n\n") == [("# a", "b")]

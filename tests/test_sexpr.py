@@ -47,3 +47,11 @@ def _needs_pipes_by_character(atom):
 )
 def test_needs_pipes_matches_character_loop(atom):
     assert sexpr._needs_pipes(atom) == _needs_pipes_by_character(atom)
+
+
+def test_records_skip_blank_and_comment_lines_and_locate_the_rest():
+    text = "a\tb\n\n   \n# note\n  # indented note\n\tc # not a comment\n"
+    assert list(sexpr.records(text, "f.tsv")) == [
+        ("f.tsv:1", "a\tb"),
+        ("f.tsv:6", "\tc # not a comment"),
+    ]
