@@ -186,48 +186,46 @@ def canonical(fs):
     """Deterministic text form; equal strings iff isomorphic graphs."""
     if fs._canon is not None:
         return fs._canon
-
     refcount = {}
-
-    def count(node):
-        refcount[id(node)] = refcount.get(id(node), 0) + 1
-        if refcount[id(node)] == 1:
-            for feat in node.features:
-                count(node.features[feat])
-
-    count(fs)
-    tags = {}
-
-    def emit(node):
-        if id(node) in tags:
-            return "#%d#" % tags[id(node)]
-        prefix = ""
-        if refcount[id(node)] > 1:
-            tags[id(node)] = len(tags) + 1
-            prefix = "#%d=" % tags[id(node)]
-        if node.allowed is not None:
-            if len(node.allowed) == 1:
-                body = dump(next(iter(node.allowed)))
-            else:
-                body = "(*OR* %s)" % " ".join(
-                    dump(a) for a in _sorted_atoms(node.allowed)
-                )
-        elif node.features:
-            parts = []
-            for feat in sorted(node.features):
-                parts.append("(%s %s)" % (dump(feat), emit(node.features[feat])))
-            body = "(%s)" % " ".join(parts)
-        elif node.forbidden:
-            body = "(*NOT* %s)" % " ".join(
-                dump(a) for a in _sorted_atoms(node.forbidden)
-            )
-        else:
-            body = "()"
-        return prefix + body
-
-    text = emit(fs)
+    _count_refs(fs, refcount)
+    text = _emit(fs, refcount, {})
     fs._canon = text
     return text
+
+
+def _count_refs(node, refcount):
+    refcount[id(node)] = refcount.get(id(node), 0) + 1
+    if refcount[id(node)] == 1:
+        for feat in node.features:
+            _count_refs(node.features[feat], refcount)
+
+
+def _emit(node, refcount, tags):
+    if id(node) in tags:
+        return "#%d#" % tags[id(node)]
+    prefix = ""
+    if refcount[id(node)] > 1:
+        tags[id(node)] = len(tags) + 1
+        prefix = "#%d=" % tags[id(node)]
+    if node.allowed is not None:
+        if len(node.allowed) == 1:
+            body = dump(next(iter(node.allowed)))
+        else:
+            body = "(*OR* %s)" % " ".join(
+                dump(a) for a in _sorted_atoms(node.allowed)
+            )
+    elif node.features:
+        parts = []
+        for feat in sorted(node.features):
+            parts.append("(%s %s)" % (dump(feat), _emit(node.features[feat], refcount, tags)))
+        body = "(%s)" % " ".join(parts)
+    elif node.forbidden:
+        body = "(*NOT* %s)" % " ".join(
+            dump(a) for a in _sorted_atoms(node.forbidden)
+        )
+    else:
+        body = "()"
+    return prefix + body
 
 
 # ---------------------------------------------------------------------
@@ -415,32 +413,31 @@ def unify(a, b):
 
 def subsumes(a, b):
     """True iff every commitment (values and reentrancy) of a holds in b."""
-    mapping = {}
+    return _subsumes(a, b, {})
 
-    def check(na, nb):
-        seen = mapping.get(id(na))
-        if seen is not None:
-            return seen is nb  # reentrancy in a must be mirrored in b
-        mapping[id(na)] = nb
-        if na.features:
-            if not nb.features:
+
+def _subsumes(na, nb, mapping):
+    seen = mapping.get(id(na))
+    if seen is not None:
+        return seen is nb  # reentrancy in a must be mirrored in b
+    mapping[id(na)] = nb
+    if na.features:
+        if not nb.features:
+            return False
+        for feat, child in na.features.items():
+            other = nb.features.get(feat)
+            if other is None or not _subsumes(child, other, mapping):
                 return False
-            for feat, child in na.features.items():
-                other = nb.features.get(feat)
-                if other is None or not check(child, other):
-                    return False
-            return True
-        if na.allowed is not None:
-            return nb.allowed is not None and nb.allowed <= na.allowed
-        if na.forbidden:
-            if nb.allowed is not None:
-                return not (nb.allowed & na.forbidden)
-            if nb.features:
-                return False
-            return na.forbidden <= nb.forbidden
         return True
-
-    return check(a, b)
+    if na.allowed is not None:
+        return nb.allowed is not None and nb.allowed <= na.allowed
+    if na.forbidden:
+        if nb.allowed is not None:
+            return not (nb.allowed & na.forbidden)
+        if nb.features:
+            return False
+        return na.forbidden <= nb.forbidden
+    return True
 
 
 # ---------------------------------------------------------------------
@@ -572,22 +569,22 @@ def parse_equations(exprs):
 def equation_variables(eqs):
     """All rule variables referenced anywhere in an equation list."""
     out = set()
-
-    def visit(eq):
-        if isinstance(eq, (Assign, Constraint)):
-            out.add(eq.lhs.var)
-            if isinstance(eq.rhs, PathRef):
-                out.add(eq.rhs.var)
-        elif isinstance(eq, Exists):
-            out.add(eq.ref.var)
-        else:
-            for group in eq.groups:
-                for sub in group:
-                    visit(sub)
-
     for eq in eqs:
-        visit(eq)
+        _add_variables(eq, out)
     return out
+
+
+def _add_variables(eq, out):
+    if isinstance(eq, (Assign, Constraint)):
+        out.add(eq.lhs.var)
+        if isinstance(eq.rhs, PathRef):
+            out.add(eq.rhs.var)
+    elif isinstance(eq, Exists):
+        out.add(eq.ref.var)
+    else:
+        for group in eq.groups:
+            for sub in group:
+                _add_variables(sub, out)
 
 
 # ---------------------------------------------------------------------

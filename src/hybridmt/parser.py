@@ -145,50 +145,39 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
     longer_rules = [(rhs, rules) for rhs, rules in rules_by_rhs.items() if len(rhs) >= 2]
     unary_rules = {rhs[0]: rules for rhs, rules in rules_by_rhs.items() if len(rhs) == 1}
     by_length = [[] for _ in range(n + 1)]
-    next_id = [0]
-    edges = [0]
-
-    def blocked(category, start, end):
-        return any(
-            cat == category and _crosses(start, end, rs, re)
-            for cat, rs, re in regions
-        )
+    next_id = 0
+    edges = 0
 
     def install(category, start, end, fs, derivation=None, lexical=False, token=None):
         """Pack or add; returns the constituent if it is new, else None."""
-        if regions and blocked(category, start, end):
+        nonlocal next_id
+        if regions and any(
+            cat == category and _crosses(start, end, rs, re) for cat, rs, re in regions
+        ):
             return None
         for existing in forest.spanning(start, end, category):
             # subsumption is reflexive, so one shared structure packs at once
             if existing.fs is fs or (subsumes(existing.fs, fs) and subsumes(fs, existing.fs)):
-                if derivation is not None and derivation not in existing.derivations:
+                # an application happens once and installs its solutions
+                # back to back, so only the last entry can be this one
+                last = existing.derivations[-1] if existing.derivations else None
+                if derivation is not None and derivation is not last:
                     existing.derivations.append(derivation)
                 return None
-        const = Constituent(next_id[0], category, start, end, fs, lexical, token)
-        next_id[0] += 1
+        const = Constituent(next_id, category, start, end, fs, lexical, token)
+        next_id += 1
         if derivation is not None:
             const.derivations.append(derivation)
         forest.add(const)
         by_length[end - start].append(const)
         return const
 
-    def child_sequences(rhs, start, end):
-        """All ways to cover [start, end) with adjacent rhs constituents."""
-        if len(rhs) == 1:
-            return [(c,) for c in forest.spanning(start, end, rhs[0])]
-        out = []
-        for c in forest.at(start, rhs[0]):
-            if c.end >= end:
-                continue
-            for rest in child_sequences(rhs[1:], c.end, end):
-                out.append((c,) + rest)
-        return out
-
     def apply_rule(rule, child_structures):
-        if edges[0] >= edge_cap:
+        nonlocal edges
+        if edges >= edge_cap:
             forest.truncated = True
             return []
-        edges[0] += 1
+        edges += 1
         return _solve_rule(rule.syntax_sets, child_structures)
 
     for token_pos, token in enumerate(words):
@@ -201,9 +190,9 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
             for start in range(0, n - length + 1):
                 end = start + length
                 for rhs, rules in longer_rules:
-                    for children in child_sequences(rhs, start, end):
-                        child_ids = tuple(c.id for c in children)
-                        child_structures = [c.fs for c in children]
+                    if not forest.at(start, rhs[0]):
+                        continue  # the common case on real grammars; skip it cheaply
+                    for child_ids, child_structures in _child_sequences(forest, rhs, start, end):
                         for rule in rules:
                             derivation = (rule.key, child_ids)
                             for fs in apply_rule(rule, child_structures):
@@ -229,6 +218,25 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
         ),
     )
     return forest
+
+
+def _child_sequences(forest, rhs, start, end):
+    """(child ids, child structures) of every way to cover [start, end)
+    with adjacent ``rhs`` constituents, the leftmost child varying
+    slowest; the sequences grow one child at a time."""
+    partial = [((), (), start)]
+    for category in rhs[:-1]:
+        partial = [
+            (ids + (c.id,), structures + (c.fs,), c.end)
+            for ids, structures, pos in partial
+            for c in forest.at(pos, category)
+            if c.end < end
+        ]
+    return [
+        (ids + (c.id,), structures + (c.fs,))
+        for ids, structures, pos in partial
+        for c in forest.spanning(pos, end, rhs[-1])
+    ]
 
 
 def enumerate_trees(forest, cid, cap=1000):

@@ -334,6 +334,20 @@ def small_lattices(draw):
     return WordLattice(nodes, draw(st.permutations(edges)))
 
 
+@st.composite
+def direct_models(draw):
+    """Count tables given straight to ``TrigramModel``, with no ``<s>``
+    unigram, so that ``<s>`` maps to ``<unk>`` like any unseen word,
+    while the bigram and trigram tables may still key on raw ``<s>``."""
+    context = st.sampled_from(SEEN_WORDS + [BOS, OOV])
+    event = st.sampled_from(SEEN_WORDS + [EOS, OOV])
+    counts = st.integers(1, 6)
+    uni = draw(st.dictionaries(st.sampled_from(SEEN_WORDS + [EOS, OOV]), counts, max_size=6))
+    bi = draw(st.dictionaries(st.tuples(context, event), counts, max_size=20))
+    tri = draw(st.dictionaries(st.tuples(context, context, event), counts, max_size=40))
+    return TrigramModel(uni, bi, tri, k=draw(st.sampled_from([1, 3, 5])))
+
+
 NBEST = settings(max_examples=300, deadline=None)
 
 
@@ -344,7 +358,7 @@ def test_top_n_equals_reference_decoder(lattice, model, n):
 
 
 @NBEST
-@given(small_lattices(), small_models(), st.integers(1, 5))
+@given(small_lattices(), st.one_of(small_models(), direct_models()), st.integers(1, 5))
 def test_top_n_equals_ranked_enumeration(lattice, model, n):
     paths, truncated = all_paths(lattice)
     assert not truncated

@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import itertools
 import random
 
@@ -25,7 +27,7 @@ from hybridmt.featstruct import (
     parse_featstruct,
     subsumes,
 )
-from hybridmt.rulebase import EquationSet, parse_rule_file
+from hybridmt.rulebase import EquationSet, LexiconEntry, parse_rule_file
 from hybridmt.sexpr import parse_all
 
 TOY = parse_rule_file(
@@ -368,3 +370,174 @@ def test_equation_free_tree_counts_match_oracle(rules, tags, data):
     forest = parse(tokens, grammar)
     got = sum(count_trees(forest, r) for r in forest.roots)
     assert got == _oracle_counts(tags, by_lhs, barrier)
+
+
+# ---------------------------------------------------------------------
+# Forest equality on seeded random grammars
+# ---------------------------------------------------------------------
+
+FOREST_CATEGORIES = ("S", "T", "A", "B", "C")
+FOREST_LEXICAL = ("A", "B", "C")
+# equation sets a drawn rule may carry; each entry lists the highest
+# child variable it names.  The last *OR* entry gives two solutions
+# that differ only in X1, so both pack into one constituent.
+FOREST_EQUATIONS = (
+    (0, ""),
+    (1, "((X0 f) = (X1 f))"),
+    (0, "((X0 f) = v1)"),
+    (2, "((X0 f) = (X2 f)) ((X0 h) = (X1 h))"),
+    (1, "((X1 f) =c v1)"),
+    (0, "(*OR* (((X0 f) = v1)) (((X0 f) = v2)))"),
+    (1, "(*OR* (((X0 g) = v1)) (((X0 g) = v1) ((X1 h) = v2)))"),
+)
+FOREST_EDGE_CAPS = (3, 12, 40) + (parser.DEFAULT_EDGE_CAP,) * 3
+
+
+def _forest_case(seed):
+    """A seeded grammar with unary, binary, ternary and 4-ary rules (two
+    of them sharing a right-hand side), a lexicon, a token line with an
+    optional barrier, and an edge cap."""
+    rng = random.Random(seed)
+    order = list(FOREST_CATEGORIES)
+    rng.shuffle(order)
+    rules = [
+        (x, (y,))
+        for i, x in enumerate(order)
+        for y in order[i + 1 :]
+        if rng.random() < 0.3
+    ]
+    for arity, count in ((2, rng.randint(2, 7)), (3, rng.randint(0, 3)), (4, rng.randint(0, 2))):
+        for _ in range(count):
+            lhs = rng.choice(("S", "S", "S", "T") + FOREST_CATEGORIES)
+            rhs = tuple(rng.choice(("S",) + FOREST_CATEGORIES) for _ in range(arity))
+            rules.append((lhs, rhs))
+    shared = rng.choice(rules)
+    rules.append((rng.choice([c for c in ("S", "T") if c != shared[0]]), shared[1]))
+    text = []
+    for lhs, rhs in rules:
+        eqs = [e for top, e in FOREST_EQUATIONS if top <= len(rhs)]
+        text.append("((%s -> %s) %s)" % (lhs, " ".join(rhs), rng.choice(eqs)))
+    grammar = parse_rule_file(" ".join(text), "syntax")
+    for cat in FOREST_LEXICAL:
+        for suffix, features in (("1", "((f v1))"), ("2", "((f v2) (h v2))")):
+            word = cat.lower() + suffix
+            grammar.syn_lexicon[word] = [LexiconEntry(word, cat, parse_featstruct(features))]
+    n = rng.randint(1, 9)
+    tokens = []
+    for _ in range(n):
+        cat = rng.choice(FOREST_LEXICAL)
+        tokens.append(Token(cat.lower() + rng.choice("12"), cat))
+    if rng.random() < 0.4:
+        lo = rng.randrange(n)
+        hi = rng.randint(lo + 1, n)
+        category = rng.choice(FOREST_CATEGORIES)
+        tokens.insert(hi, Token.end(category))
+        tokens.insert(lo, Token.begin(category))
+    return grammar, tokens, rng.choice(FOREST_EDGE_CAPS)
+
+
+def _forest_digest(forest):
+    text = "%sroots %r truncated %r\n" % (dump_forest(forest), forest.roots, forest.truncated)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# first 16 hex digits of the sha256 of each seed's dump_forest, roots
+# and truncated flag, recorded from the parser that enumerated child
+# sequences recursively: a faster inner loop must build the same forests
+FOREST_DIGESTS = (
+    "ccdd61093e0f39af", "dd8a1ddbc00e99b8", "d8d378faf21d2992", "2b14ad593b2162f2",
+    "8e9d4dc05574f92c", "18a028867240b0da", "9028fec3452a96fa", "b29f95652ae22e06",
+    "df3f701965d047a3", "adb155a255246cea", "2078ec075c79d44f", "de0e504073391c27",
+    "69ab97829e8d62e3", "e42e8688cdf857df", "ee58a210f0838035", "c675296b36f07ef0",
+    "d57a8a7beb02405d", "0b4376b00427bb25", "311a790805ed4f5a", "d6102bdc82e481cd",
+    "d170d25ecfda467e", "e36361be1ca4c048", "affa213b964c363f", "a1695a7af9920340",
+    "2f305edeadb44b3b", "0c929fa0d4b3737f", "7f8113c2c108947e", "ea2ca030c1a36282",
+    "7f7e2bf62ed68454", "2e191608c4c07571", "376eb13f9597d119", "519b322387b05bc0",
+    "6c1ce0d7ba17003c", "9ff893066044b456", "aea7834333eb8669", "7178a46528d2aeac",
+    "41b974f5db1cb3d6", "c675296b36f07ef0", "1a1f7074a7aa635c", "d43c5ac703fe40a9",
+    "901c78923c42c123", "da26d9756a49aa8b", "81e0da84e1ae3808", "93286eba78448291",
+    "35b41ebc114f1092", "a91599b74613d2a0", "64ba65555aa69ce3", "4ed8b585d8e7d419",
+    "84ab4c1188652a0e", "0018e7dcc3c28c9d", "14a78e76a474574c", "a6fe9a074a37bffb",
+    "0884f36575155bee", "7d06c5280ef61c0d", "ca70bce524bc0ab0", "3108a339d82e3f16",
+    "320e15a92f49c945", "dbc925a060edf54e", "f6c53e81b6bb7493", "406120e94e69c354",
+    "334e73ce180dc330", "554c487a60977a4a", "39ae215d3cf158ca", "7e25482fc2cb0999",
+    "7b434ede6e2e8278", "9bdaf5986b21ccec", "0018e7dcc3c28c9d", "003a1d8b87b7405b",
+    "0986bc944fe23630", "442f906e5a15af49", "d87b483dd73cee09", "c116e17db465aa84",
+    "003a1d8b87b7405b", "f814ccd3e534c463", "22d0026984cc7a84", "7b434ede6e2e8278",
+    "42d233db09bccecf", "3be4cdf4e9528736", "0ec0cd9966c974c4", "0cc7ec3439bdd5c4",
+    "6ecdc964ba781d2e", "da53cf5a593be5de", "9972e48e4bc23865", "9d32b2fc8987c66c",
+    "a5cfb67ce31a5d42", "6c1b9e49702fb4b3", "53d4818f72a13b17", "d57a8a7beb02405d",
+    "3e344257bf6ed7e4", "866362fb3bd2e84b", "2875eb816e091960", "502b37df19932561",
+    "7d36111835b87e16", "62d3decc70c0af4c", "85bd7c293ded2f75", "67c019bf9ca75fec",
+    "21d5fce56c8994a9", "84eb2ec0466a44bb", "2845a8ba7b1e0212", "e55a672a37dd92db",
+    "e261a9cbd512ced6", "58e324feac567595", "17127240041f78ca", "bb125acd23225553",
+    "0018e7dcc3c28c9d", "cb4474a1e592b91f", "8028578ed6555e24", "7ef3c0b2cb4500d5",
+    "a7e9ab62d6319645", "04c5cee889b85ee3", "ebb3726c68935f84", "5325d8418fc22e77",
+    "1afcafd64dd9100f", "acc3c5f2f4908854", "ec92d4c631ff063f", "ac5b723fe6d6e3c9",
+    "77fc1629faa0e451", "c675296b36f07ef0", "67a4a041fbb5f933", "b0e3bfad5ddabbf3",
+    "9b55d943291755ff", "064b9e9574647a20", "102d70df3d9a8784", "2bc199397e5b4ca8",
+    "e2bf714b3e1f4fac", "edba9a9278f3f9cd", "7f84cd720d0871b2", "f943220b43c17cd0",
+    "5efc6d94c0eedcf4", "701ebd1d8318a7ad", "7cc0a83ddda385e2", "6226f323d3558e59",
+    "8de934c4f8f120fc", "bb828ce2337db0b7", "adc5ed4c2ec58dae", "e4c7b18139781447",
+    "340b7e1d33de4b58", "36b6552ff9db4536", "e3cbf9e469eaeb41", "02695ef97ef69141",
+    "debfe7143921a65f", "d57a8a7beb02405d", "62fe90fa3d6e2b7f", "54f7e5f33d4448d9",
+    "4b3ca09c9ecd4f2f", "2de41af1760c0e0c", "2e2437135beef64a", "e5c463fe2255cc73",
+    "91d00438d5e9af34", "97df8bd919ab8855",
+)
+
+
+def test_forests_of_random_grammars_equal_recorded_digests():
+    changed = []
+    for seed, want in enumerate(FOREST_DIGESTS):
+        grammar, tokens, edge_cap = _forest_case(seed)
+        forest = parse(tokens, grammar, root_categories=("S", "T"), edge_cap=edge_cap)
+        if _forest_digest(forest)[:16] != want:
+            changed.append(seed)
+    assert changed == []
+
+
+def test_packed_solutions_of_one_application_record_it_once():
+    # the two solutions differ only in X1, so both X0s reach install and
+    # the second packs into the constituent the first one made
+    grammar = parse_rule_file(
+        "((S -> A B) (*OR* (((X0 g) = v1)) (((X0 g) = v1) ((X1 h) = v2))))", "syntax"
+    )
+    (rule,) = grammar.rules.values()
+    empty = FeatStruct.empty()
+    assert len(parser._solve_rule(rule.syntax_sets, [empty, empty])) == 2
+    forest = parse(_tokens("AB"), grammar)
+    (root,) = forest.roots
+    assert forest[root].derivations == [(rule.key, (0, 1))]
+
+
+def _cyclic_garbage(run):
+    """Objects that only the cyclic collector frees after ``run()``."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_toy_parse_leaves_no_reference_cycles():
+    tokens = _tokens("ABBAB")
+    assert _cyclic_garbage(lambda: parse(tokens, TOY)) == 0
+
+
+def test_pipeline_parse_leaves_no_reference_cycles(gloss_pipeline):
+    tokens = gloss_pipeline.chunk("john/N wa/HA ima/ADV tabetai/V")
+    assert _cyclic_garbage(lambda: gloss_pipeline.parse(tokens)) == 0
+
+
+def test_parses_with_equations_leave_no_reference_cycles():
+    # packing calls subsumes and the solver's dedup calls canonical
+    for seed in range(40):
+        grammar, tokens, edge_cap = _forest_case(seed)
+        garbage = _cyclic_garbage(
+            lambda: parse(tokens, grammar, root_categories=("S", "T"), edge_cap=edge_cap)
+        )
+        assert garbage == 0, seed
