@@ -4,10 +4,14 @@ A word lattice is an acyclic word graph with a unique source (node 0)
 and sink (last node); each source-to-sink path is one candidate
 sentence.  The trigram model is trained with two start symbols and one
 end symbol per sentence, Good-Turing discounting of low counts
-(r* = (r+1) * N_{r+1} / N_r below the cutoff) and Katz-style backoff to
+(r* = (r+1) * N_{r+1} / N_r below the cutoff, applied only where it
+lowers the count) and Katz-style backoff to
 bigram, unigram and finally a small out-of-vocabulary reserve, so every
 query has strictly positive probability.  Extraction is exact dynamic
-programming over (node, last-two-words) states, not a beam.
+programming over (node, last-two-words) states, not a beam, run over
+the lattice's own edges: an epsilon edge carries a node's states on
+unchanged, so a lattice whose only cycle is made of epsilon edges is as
+undecodable as any other cyclic one.
 """
 
 import math
@@ -91,11 +95,16 @@ class WordLattice:
 
 
 def topological_order(lattice):
-    indeg = [0] * lattice.node_count
-    out = lattice.out_edges()
-    for src, dst, _ in lattice.edges:
-        indeg[dst] += 1
-    stack = sorted(n for n in range(lattice.node_count) if indeg[n] == 0)
+    return _topological_order(lattice.out_edges())
+
+
+def _topological_order(out):
+    """Node order of ``out_edges()`` lists, or None on a cycle."""
+    indeg = [0] * len(out)
+    for edges in out:
+        for dst, _label in edges:
+            indeg[dst] += 1
+    stack = [n for n in range(len(out)) if indeg[n] == 0]
     order = []
     while stack:
         node = stack.pop()
@@ -104,7 +113,7 @@ def topological_order(lattice):
             indeg[dst] -= 1
             if indeg[dst] == 0:
                 stack.append(dst)
-    return order if len(order) == lattice.node_count else None
+    return order if len(order) == len(out) else None
 
 
 def reachable_from(lattice, start):
@@ -207,34 +216,6 @@ def all_paths(lattice, cap=10_000):
     return paths, truncated
 
 
-def eliminate_epsilon(lattice):
-    """Word-labeled edges only; preserves the path multiset as word
-    sequences."""
-    out = lattice.out_edges()
-    closures = []
-    for node in range(lattice.node_count):
-        seen, todo = {node}, [node]
-        while todo:
-            cur = todo.pop()
-            for dst, label in out[cur]:
-                if label is EPS and dst not in seen:
-                    seen.add(dst)
-                    todo.append(dst)
-        closures.append(seen)
-    sink = lattice.sink
-    edges = []
-    for node in range(lattice.node_count):
-        for mid in closures[node]:
-            for dst, label in out[mid]:
-                if label is not EPS:
-                    edges.append((node, dst, label))
-                    # a path may finish through trailing epsilon edges
-                    if dst != sink and sink in closures[dst]:
-                        edges.append((node, sink, label))
-    empty_path = sink in closures[lattice.source]
-    return WordLattice(lattice.node_count, edges), empty_path
-
-
 # ---------------------------------------------------------------------
 # Lattice file format
 # ---------------------------------------------------------------------
@@ -321,9 +302,13 @@ class TrigramModel:
         self.total = sum(
             c for w, c in self.unigrams.items() if w != BOS
         )
-        self._discount = {}
-        for order, table in ((1, self.unigrams), (2, self.bigrams), (3, self.trigrams)):
-            self._discount[order] = self._gt_discounts(table, order)
+        # per order, every count its table holds -> that count's r*
+        self._adjusted = (None,) + tuple(
+            self._gt_discounts(table, order)
+            for order, table in ((1, self.unigrams), (2, self.bigrams), (3, self.trigrams))
+        )
+        # a counted word stands for itself, any other word for <unk>
+        self._symbols = {w: w for w in (*self.unigrams, EOS, OOV)}
         # context sums are the backoff denominators; the followers index
         # lets a backoff weight visit only its own context's n-grams
         self.bigram_ctx, self._bigram_followers = _index_contexts(
@@ -337,11 +322,12 @@ class TrigramModel:
         self._alpha_tri = {}
 
     def _gt_discounts(self, table, order):
-        """Map raw count r -> adjusted count r* for 1 <= r < k."""
-        if not table:
-            return {}
+        """Map each raw count r in the table to its adjusted count r*:
+        (r+1) * N_{r+1} / N_r for 1 <= r < k where that lies in (0, r),
+        else r.  A discount never raises a count, so no context's seen
+        mass exceeds one and Katz backoff can normalize (Katz 1987)."""
         n_r = Counter(table.values())
-        adjusted = {}
+        adjusted = {r: float(r) for r in n_r}
         for r in range(1, self.k):
             if n_r.get(r, 0) == 0:
                 continue
@@ -352,13 +338,19 @@ class TrigramModel:
                     % (order, r + 1, r)
                 )
                 continue
-            adjusted[r] = (r + 1) * nxt / n_r[r]
+            r_star = (r + 1) * nxt / n_r[r]
+            if not 0 < r_star < r:
+                self.warnings.append(
+                    "order %d: r* = %g is not below %d; count %d left undiscounted"
+                    % (order, r_star, r, r)
+                )
+                continue
+            adjusted[r] = r_star
         return adjusted
 
     def adjusted_count(self, order, r):
-        if 1 <= r < self.k:
-            return self._discount[order].get(r, float(r))
-        return float(r)
+        # a count no table holds has N_r = 0, so it is never discounted
+        return self._adjusted[order].get(r, float(r))
 
     def reserved_mass(self, order):
         """Count mass set aside for unseen events of one order."""
@@ -384,11 +376,12 @@ class TrigramModel:
             for w in (EOS, OOV):
                 dist[w] = 1.0 / 2
         else:
+            adjusted = self._adjusted[1]
             mass = 0.0
             for w in sorted(self.unigrams):
                 if w == BOS:
                     continue
-                p = self.adjusted_count(1, self.unigrams[w]) / self.total
+                p = adjusted[self.unigrams[w]] / self.total
                 dist[w] = p
                 mass += p
             dist[OOV] = max(1.0 - mass, 1e-12)
@@ -400,7 +393,7 @@ class TrigramModel:
         return dist.get(w, dist[OOV])
 
     def _map(self, w):
-        return w if w in self.unigrams or w in (EOS, OOV) else OOV
+        return self._symbols.get(w, OOV)
 
     def prob_bigram(self, w, v):
         return self._bigram(self._map(w), self._map(v))
@@ -408,28 +401,33 @@ class TrigramModel:
     def prob(self, w, history):
         """P(w | u, v): strictly positive for any query."""
         u, v = history
-        return self._trigram(self._map(w), self._map(u), self._map(v))
+        symbols = self._symbols
+        return self._trigram(
+            symbols.get(w, OOV), symbols.get(u, OOV), symbols.get(v, OOV)
+        )
 
-    # the cores take symbols that ``_map`` has already mapped
+    # The cores take symbols that ``_map`` has already mapped.  Their
+    # sums run in sorted key order, not fill order, so a reloaded model
+    # sums alike, and as plain loops: left to right from 0.
 
     def _bigram(self, w, v):
+        dist = self._unigram_dist or self._unigram()
         ctx = self.bigram_ctx.get(v, 0)
         if ctx == 0:
-            return self.prob_unigram(w)
+            return dist.get(w, dist[OOV])
         c = self.bigrams.get((v, w), 0)
         if c > 0:
-            return self.adjusted_count(2, c) / ctx
+            return self._adjusted[2][c] / ctx
         alpha = self._alpha_bi.get(v)
         if alpha is None:
-            # key order, not fill order, so a reloaded model sums alike
-            followers = sorted(self._bigram_followers[v])
-            seen_mass = sum(
-                self.adjusted_count(2, self.bigrams[key]) / ctx for key in followers
-            )
-            seen_lower = sum(self.prob_unigram(key[1]) for key in followers)
+            adjusted, bigrams, oov = self._adjusted[2], self.bigrams, dist[OOV]
+            seen_mass = seen_lower = 0
+            for key in sorted(self._bigram_followers[v]):
+                seen_mass += adjusted[bigrams[key]] / ctx
+                seen_lower += dist.get(key[1], oov)
             alpha = max(1.0 - seen_mass, 1e-12) / max(1.0 - seen_lower, 1e-12)
             self._alpha_bi[v] = alpha
-        return alpha * self.prob_unigram(w)
+        return alpha * dist.get(w, dist[OOV])
 
     def _trigram(self, w, u, v):
         ctx = self.trigram_ctx.get((u, v), 0)
@@ -437,16 +435,16 @@ class TrigramModel:
             return self._bigram(w, v)
         c = self.trigrams.get((u, v, w), 0)
         if c > 0:
-            return self.adjusted_count(3, c) / ctx
+            return self._adjusted[3][c] / ctx
         alpha = self._alpha_tri.get((u, v))
         if alpha is None:
-            followers = sorted(self._trigram_followers[(u, v)])
-            seen_mass = sum(
-                self.adjusted_count(3, self.trigrams[key]) / ctx for key in followers
-            )
-            # a count table need not list a trigram's event as a unigram,
-            # so the event is mapped like a queried word
-            seen_lower = sum(self._bigram(self._map(key[2]), v) for key in followers)
+            adjusted, trigrams, symbols = self._adjusted[3], self.trigrams, self._symbols
+            seen_mass = seen_lower = 0
+            for key in sorted(self._trigram_followers[(u, v)]):
+                seen_mass += adjusted[trigrams[key]] / ctx
+                # a count table need not list a trigram's event as a
+                # unigram, so the event is mapped like a queried word
+                seen_lower += self._bigram(symbols.get(key[2], OOV), v)
             alpha = max(1.0 - seen_mass, 1e-12) / max(1.0 - seen_lower, 1e-12)
             self._alpha_tri[(u, v)] = alpha
         return alpha * self._bigram(w, v)
@@ -582,46 +580,53 @@ def _decode(lattice, model, n):
     A state holds at most n entries (score, word, previous entry), best
     first, so extending one costs the same at any sentence length; word
     sequences are rebuilt from the chains only at the sink and where
-    two scores tie.  Scores add up left to right from 0.0, as in
+    two scores tie.  States move along the lattice's own edges in one
+    topological order: a word edge extends each entry and shifts the
+    history, an epsilon edge carries the entries to its target under
+    the same history, so the empty path reaches the sink as its
+    (``<s>``, ``<s>``) state.  A cycle, even one of epsilon edges only,
+    is an error.  Scores add up left to right from 0.0, as in
     ``score_sequence``, and each distinct (h1, h2, symbol) query calls
     ``model.prob`` once per decode.
     """
-    words_only, empty_ok = eliminate_epsilon(lattice)
-    order = topological_order(words_only)
+    out = lattice.out_edges()
+    order = _topological_order(out)
     if order is None:
         raise LatticeError("cannot decode a cyclic lattice")
-    out = words_only.out_edges()
     memo = {}
-
-    def logp(word, h1, h2, symbol):
-        key = (h1, h2, symbol)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = math.log(model.prob(word, (h1, h2)))
-        return value
-
     # node -> {(h1, h2): entries}
-    states = {lattice.source: {(BOS, BOS): [(0.0, None, None)]}}
+    states = [{} for _ in out]
+    states[lattice.source][(BOS, BOS)] = [(0.0, None, None)]
     for node in order:
-        here = states.get(node)
+        here = states[node]
         if not here:
             continue
         for dst, word in out[node]:
-            bucket = states.setdefault(dst, {})
+            bucket = states[dst]
+            if word is EPS:
+                for hist, entries in here.items():
+                    target = bucket.setdefault(hist, [])
+                    for entry in entries:
+                        _push(target, n, entry)
+                continue
             symbol = model._map(word)
             for (h1, h2), entries in here.items():
-                lp = logp(word, h1, h2, symbol)
+                key = (h1, h2, symbol)
+                lp = memo.get(key)
+                if lp is None:
+                    lp = memo[key] = math.log(model.prob(word, (h1, h2)))
                 target = bucket.setdefault((h2, symbol), [])
                 for entry in entries:
                     _push(target, n, (entry[0] + lp, word, entry))
 
     finals = []
-    for (h1, h2), entries in states.get(lattice.sink, {}).items():
-        lp = logp(EOS, h1, h2, EOS)
+    for (h1, h2), entries in states[lattice.sink].items():
+        key = (h1, h2, EOS)
+        lp = memo.get(key)
+        if lp is None:
+            lp = memo[key] = math.log(model.prob(EOS, (h1, h2)))
         for entry in entries:
             finals.append((entry[0] + lp, _words(entry)))
-    if empty_ok:
-        finals.append((logp(EOS, BOS, BOS, EOS), ()))
     finals.sort(key=lambda item: (-item[0], item[1]))
     results, seen = [], set()
     for score, seq in finals:

@@ -141,9 +141,7 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
     n = len(words)
     regions = barrier_regions(tokens)
     forest = ParseForest(n, words)
-    rules_by_rhs = rb.rules_by_rhs()
-    longer_rules = [(rhs, rules) for rhs, rules in rules_by_rhs.items() if len(rhs) >= 2]
-    unary_rules = {rhs[0]: rules for rhs, rules in rules_by_rhs.items() if len(rhs) == 1}
+    longer_rules, unary_rules = rb.parse_index()
     by_length = [[] for _ in range(n + 1)]
     next_id = 0
     edges = 0

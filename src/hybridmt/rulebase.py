@@ -108,11 +108,13 @@ class RuleBase:
         self.bilingual = {}  # surface -> [LexiconEntry]
         self.sem_lexicon = {}  # surface -> [concept]
         self.compounds = {}  # compound surface -> pos
+        self._parse_index = None
 
     def rule(self, key):
         entry = self.rules.get(key)
         if entry is None:
             entry = self.rules[key] = SynchronizedRule(key)
+            self._parse_index = None
         return entry
 
     def rules_by_rhs(self):
@@ -122,6 +124,18 @@ class RuleBase:
         for rules in index.values():
             rules.sort(key=lambda r: r.key.as_tuple())
         return index
+
+    def parse_index(self):
+        """The parser's view of ``rules_by_rhs``: (right-hand side, rules)
+        pairs of two or more categories, and unary rules by their one
+        category.  Built once, and again after ``rule`` adds a backbone."""
+        if self._parse_index is None:
+            index = self.rules_by_rhs()
+            self._parse_index = (
+                [(rhs, rules) for rhs, rules in index.items() if len(rhs) >= 2],
+                {rhs[0]: rules for rhs, rules in index.items() if len(rhs) == 1},
+            )
+        return self._parse_index
 
     def arity_counts(self, kind="syntax"):
         counts = {}

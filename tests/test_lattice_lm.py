@@ -20,7 +20,6 @@ from hybridmt.lattice_lm import (
     concat,
     concat_all,
     dump_lattice,
-    eliminate_epsilon,
     from_phrase,
     from_word,
     parse_lattice,
@@ -85,6 +84,36 @@ def test_algebra_path_oracle_random():
         assert _paths(lat) == want
 
 
+def eliminate_epsilon(lattice):
+    """Word-labeled edges only, plus whether the empty path is there;
+    preserves the path multiset as word sequences.  The reference
+    decoder below runs on this lattice, so that it reaches its answer
+    without ever carrying a state along an epsilon edge."""
+    out = lattice.out_edges()
+    closures = []
+    for node in range(lattice.node_count):
+        seen, todo = {node}, [node]
+        while todo:
+            cur = todo.pop()
+            for dst, label in out[cur]:
+                if label is EPS and dst not in seen:
+                    seen.add(dst)
+                    todo.append(dst)
+        closures.append(seen)
+    sink = lattice.sink
+    edges = []
+    for node in range(lattice.node_count):
+        for mid in closures[node]:
+            for dst, label in out[mid]:
+                if label is not EPS:
+                    edges.append((node, dst, label))
+                    # a path may finish through trailing epsilon edges
+                    if dst != sink and sink in closures[dst]:
+                        edges.append((node, sink, label))
+    empty_path = sink in closures[lattice.source]
+    return WordLattice(lattice.node_count, edges), empty_path
+
+
 def test_eliminate_epsilon_preserves_paths():
     rng = random.Random(5)
     for _ in range(200):
@@ -136,6 +165,13 @@ def test_gt_adjusted_counts_by_hand():
     assert any("N_4 is zero" in w for w in model.warnings)
     # counts at or above the cutoff are reliable and untouched
     assert model.adjusted_count(1, 7) == 7.0
+
+
+def test_gt_leaves_a_count_that_would_rise_undiscounted():
+    # one singleton, three doubles: r*(1) = 2 * 3 / 1 = 6 is above 1
+    model = TrigramModel({"a": 1, "b": 2, "c": 2, "d": 2}, {}, {}, k=2)
+    assert model.adjusted_count(1, 1) == 1.0
+    assert any("r* = 6 is not below 1" in w for w in model.warnings)
 
 
 def test_reserved_mass_by_hand():
@@ -318,11 +354,11 @@ def small_models(draw):
 
 
 @st.composite
-def small_lattices(draw):
+def small_lattices(draw, labels=LABELS):
     """2-8 nodes; every node has an edge to a later one, so each node
     reaches the sink, plus extra edges and parallel duplicates."""
     nodes = draw(st.integers(2, 8))
-    label = st.sampled_from(LABELS)
+    label = st.sampled_from(labels)
     edges = [
         (i, draw(st.integers(i + 1, nodes - 1)), draw(label)) for i in range(nodes - 1)
     ]
@@ -332,6 +368,23 @@ def small_lattices(draw):
     for _ in range(draw(st.integers(0, 3))):
         edges.append(draw(st.sampled_from(edges)))
     return WordLattice(nodes, draw(st.permutations(edges)))
+
+
+# half epsilon, so most paths run through chains of epsilon edges
+EPSILON_DENSE = LABELS[:-1] + [EPS] * (len(LABELS) - 1)
+
+
+@st.composite
+def epsilon_lattices(draw):
+    """``small_lattices`` with half its labels epsilon, plus an
+    all-epsilon source-to-sink path, a parallel copy of one of that
+    path's edges and one more epsilon edge into the sink."""
+    lattice = draw(small_lattices(EPSILON_DENSE))
+    sink = lattice.sink
+    hops = sorted(draw(st.sets(st.integers(0, sink)).map(lambda s: s | {0, sink})))
+    path = [(a, b, EPS) for a, b in zip(hops, hops[1:])]
+    extra = [draw(st.sampled_from(path)), (draw(st.integers(0, sink - 1)), sink, EPS)]
+    return WordLattice(lattice.node_count, draw(st.permutations(lattice.edges + path + extra)))
 
 
 @st.composite
@@ -352,13 +405,17 @@ NBEST = settings(max_examples=300, deadline=None)
 
 
 @NBEST
-@given(small_lattices(), small_models(), st.integers(1, 5))
+@given(st.one_of(small_lattices(), epsilon_lattices()), small_models(), st.integers(1, 5))
 def test_top_n_equals_reference_decoder(lattice, model, n):
     assert top_n(lattice, model, n) == _reference_decode(lattice, model, n)
 
 
 @NBEST
-@given(small_lattices(), st.one_of(small_models(), direct_models()), st.integers(1, 5))
+@given(
+    st.one_of(small_lattices(), epsilon_lattices()),
+    st.one_of(small_models(), direct_models()),
+    st.integers(1, 5),
+)
 def test_top_n_equals_ranked_enumeration(lattice, model, n):
     paths, truncated = all_paths(lattice)
     assert not truncated
@@ -367,3 +424,45 @@ def test_top_n_equals_ranked_enumeration(lattice, model, n):
     assert got == [(list(p), score) for score, p in ranked[:n]]
     for words, score in got:
         assert score == score_sequence(model, words)
+
+
+@NBEST
+@given(st.one_of(small_models(), direct_models()))
+def test_map_keeps_counted_words_and_sends_the_rest_to_unk(model):
+    # direct models may lack a <s> unigram, so <s> maps to <unk> there
+    for w in SEEN_WORDS + [BOS, EOS, OOV, "x", "zzz-unseen"]:
+        assert model._map(w) == (w if w in model.unigrams or w in (EOS, OOV) else OOV)
+
+
+class TableModel:
+    """P(w | h1, h2) from a table, 0.5 elsewhere; every word is its own
+    symbol."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def _map(self, w):
+        return w
+
+    def prob(self, w, history):
+        return self.table.get((*history, w), 0.5)
+
+
+def test_extending_a_state_breaks_new_ties_by_words():
+    # "b" starts 2 ulps ahead of "a", and adding log P(z) = log 1e-300
+    # rounds both to one score, so "a x y z" must now come before "b x
+    # y z".  "A x y z" ties with both and reaches the sink after them,
+    # through the epsilon edge: a sink state left in the old [b, a]
+    # order would keep "b" and drop "a" to make room for it.
+    pb = math.nextafter(math.nextafter(0.3, 1), 1)
+    model = TableModel(
+        {(BOS, BOS, "a"): 0.3, (BOS, BOS, "b"): pb, (BOS, BOS, "A"): 0.3, ("x", "y", "z"): 1e-300}
+    )
+    lattice = WordLattice(9, [
+        (0, 1, "A"), (1, 2, "x"), (2, 3, "y"), (3, 4, "z"), (4, 8, EPS),
+        (0, 5, "a"), (0, 5, "b"), (5, 6, "x"), (6, 7, "y"), (7, 8, "z"),
+    ])
+    assert score_sequence(model, "b x y".split()) > score_sequence(model, "a x y".split())
+    assert score_sequence(model, "b x y z".split()) == score_sequence(model, "a x y z".split())
+    got = [words for words, _score in top_n(lattice, model, 2)]
+    assert got == ["A x y z".split(), "a x y z".split()]

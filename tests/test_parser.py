@@ -193,6 +193,14 @@ def test_lexical_entries_prefer_tag_match():
     assert [c for c, _ in lexical_entries(Token("x", ""), rb)] == ["N", "V"]
 
 
+def test_parse_sees_rules_added_after_an_earlier_parse():
+    rb = parse_rule_file("((S -> A))", "syntax")
+    assert parse(_tokens("AC"), rb).roots == []
+    parse_rule_file("((S -> S C)) ((C -> D))", "syntax", rb)
+    assert len(parse(_tokens("AC"), rb).roots) == 1
+    assert len(parse(_tokens("AD"), rb).roots) == 1
+
+
 def test_edge_cap_truncates():
     forest = parse(_tokens("A" * 12), TOY, edge_cap=20)
     assert forest.truncated

@@ -462,6 +462,12 @@ def test_cli_decode_rejects_bad_n(capsys, value):
 def test_cli_decode_reports_bad_blocks_and_goes_on(tmp_path, capsys):
     blocks = [
         ("# cycle", "N 3\nE 0 1 a\nE 1 0 b\nE 1 2 c\n", "cannot decode a cyclic lattice"),
+        # epsilon edges carry states, so an epsilon-only cycle is a cycle too
+        (
+            "# epsilon cycle",
+            "N 4\nE 0 1 a\nE 1 2 <eps>\nE 2 1 <eps>\nE 2 3 b\n",
+            "cannot decode a cyclic lattice",
+        ),
         ("# out of range", "N 2\nE 0 5 x\n", "edge endpoint out of range"),
         ("# bad count", "N two\n", "line 1: bad lattice line 'N two'"),
         ("# dead end", "N 4\nE 0 1 a\nE 2 3 b\n", "lattice has no complete path"),
