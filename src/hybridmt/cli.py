@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Every subcommand reads from ``--input`` (default stdin) and writes to
-``--output`` (default stdout).  Exit codes: 0 on success, 1 on resource
-errors, 2 on bad usage.
+``--output`` (default stdout).  A stage command that fails on one input
+line prints ``# error: <message>`` in that line's place and goes on.
+Exit codes: 0 on success, 1 on resource errors, 2 on bad usage.
 """
 
 import argparse
 import sys
 
-from . import chunker, lattice_lm, parser, posteditor, realizer, semantics
+from . import chunker, lattice_lm, parser, posteditor, semantics
 from .pipeline import Pipeline, ResourceError, format_trace, load_config, parse_trace, run_trace_report
 
 
@@ -65,19 +66,32 @@ def _pipeline(args):
     return Pipeline(load_config(args.config))
 
 
-def _cmd_chunk(pipe, args):
-    out = []
-    for line in _lines(_read_input(args)):
-        out.append(chunker.render_token_line(pipe.chunk(line)))
-    return "\n".join(out) + "\n"
-
-
 _ERROR_PREFIX = "# error: "
+
+
+def _or_error(stage, arg):
+    """``stage(arg)``, or an error line in its place when the stage
+    fails on this input alone; a ResourceError stops the command."""
+    try:
+        return stage(arg)
+    except ResourceError:
+        raise
+    except ValueError as err:
+        return "%s%s\n" % (_ERROR_PREFIX, err)
+
+
+def _cmd_chunk(pipe, args):
+    def body(line):
+        return chunker.render_token_line(pipe.chunk(line)) + "\n"
+
+    return "".join(_or_error(body, line) for line in _lines(_read_input(args)))
 
 
 def _blocks(args, body):
     """``# <input line>`` then ``body(line)`` for each input line."""
-    return "".join("# %s\n%s" % (line, body(line)) for line in _lines(_read_input(args)))
+    return "".join(
+        "# %s\n%s" % (line, _or_error(body, line)) for line in _lines(_read_input(args))
+    )
 
 
 def _cmd_parse(pipe, args):
@@ -117,13 +131,9 @@ def _cmd_rank(pipe, args):
 
 
 def _cmd_realize(pipe, args):
-    def body(line):
-        try:
-            return lattice_lm.dump_lattice(pipe.realize(semantics.parse_spl(line)))
-        except realizer.RealizeError as err:
-            return "%s%s\n" % (_ERROR_PREFIX, err)
-
-    return _blocks(args, body)
+    return _blocks(
+        args, lambda line: lattice_lm.dump_lattice(pipe.realize(semantics.parse_spl(line)))
+    )
 
 
 def _lattice_blocks(text):
@@ -144,29 +154,24 @@ def _cmd_decode(pipe, args):
     """Best path per lattice block, or with ``--n`` the header and the
     n best ``score TAB words`` lines; a block that ``realize`` marked as
     an error, or that does not decode, gives an error line."""
-    if pipe.lm is None:
-        raise ResourceError("decoding requires a trained language model (lm_model)")
+
+    def body(lines):
+        lattice = lattice_lm.parse_lattice("\n".join(lines))
+        if args.n is None:
+            words, _score = pipe.decode(lattice)
+            return " ".join(words) + "\n"
+        ranked = pipe.decode(lattice, args.n)
+        if not ranked:
+            raise lattice_lm.LatticeError("lattice has no complete path")
+        return "".join("%.6f\t%s\n" % (score, " ".join(words)) for words, score in ranked)
+
     out = []
-    for header, body in _lattice_blocks(_read_input(args)):
+    for header, lines in _lattice_blocks(_read_input(args)):
         if args.n is not None and header is not None:
-            out.append(header)
-        errors = [line for line in body if line.startswith(_ERROR_PREFIX)]
-        if errors:
-            out.append(errors[0])
-            continue
-        try:
-            lattice = lattice_lm.parse_lattice("\n".join(body))
-            if args.n is None:
-                words, _score = lattice_lm.best_path(lattice, pipe.lm)
-                out.append(" ".join(words))
-            else:
-                ranked = lattice_lm.top_n(lattice, pipe.lm, args.n)
-                out.extend("%.6f\t%s" % (score, " ".join(words)) for words, score in ranked)
-                if not ranked:
-                    out.append(_ERROR_PREFIX + "lattice has no complete path")
-        except lattice_lm.LatticeError as err:
-            out.append(_ERROR_PREFIX + str(err))
-    return "\n".join(out) + ("\n" if out else "")
+            out.append(header + "\n")
+        errors = [line for line in lines if line.startswith(_ERROR_PREFIX)]
+        out.append(errors[0] + "\n" if errors else _or_error(body, lines))
+    return "".join(out)
 
 
 def _cmd_extract(pipe, args):
@@ -190,13 +195,9 @@ def _cmd_translate(pipe, args):
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(format_trace(traces))
-    out = []
-    for t in traces:
-        if t.error is not None:
-            out.append("# error: %s" % t.error)
-        else:
-            out.append(t.output)
-    return "\n".join(out) + ("\n" if out else "")
+    return "".join(
+        (t.output if t.error is None else _ERROR_PREFIX + t.error) + "\n" for t in traces
+    )
 
 
 def _cmd_train_lm(pipe, args):

@@ -754,23 +754,11 @@ def apply_equations(bindings, eqs, solution_cap=SOLUTION_CAP):
 
 
 def evaluate_test(bindings, test):
-    """Evaluate a test-only equation (``=c``, negation, existence)."""
-    root = _MNode()
-    for var, fs in bindings.items():
-        root.feats[var] = _thaw(fs, {})
-    state = _State(root, [])
-    if isinstance(test, Exists):
-        return _check_exists(state, test)
-    if isinstance(test, Constraint):
-        return _check_constraint(state, test)
-    if isinstance(test, Assign) and test.is_negation:
-        try:
-            node = _walk(root, test.lhs, create=False)
-        except _Fail:
-            return False
-        if node is None or not _node_has_value(node):
-            return True  # absent values pass a negation test
-        if node.feats:
-            return False
-        return bool(node.allowed - test.rhs.forbidden)
-    raise TypeError("not a test-only equation: %r" % (test,))
+    """Evaluate a test-only equation (``=c``, negation, existence): true
+    iff ``apply_equations`` has a solution for it alone.  A variable the
+    test names but ``bindings`` lacks raises ``UnboundVariableError``."""
+    if not isinstance(test, (Exists, Constraint)) and not (
+        isinstance(test, Assign) and test.is_negation
+    ):
+        raise TypeError("not a test-only equation: %r" % (test,))
+    return bool(apply_equations(bindings, [test]))

@@ -66,13 +66,10 @@ class WordLattice:
         return out
 
     def validate(self):
-        if self.node_count < 2:
-            raise LatticeError("lattice needs distinct source and sink")
+        _check_shape(self.node_count, self.edges)
         indeg = [0] * self.node_count
         outdeg = [0] * self.node_count
         for src, dst, _label in self.edges:
-            if not (0 <= src < self.node_count and 0 <= dst < self.node_count):
-                raise LatticeError("edge endpoint out of range")
             indeg[dst] += 1
             outdeg[src] += 1
         if indeg[self.source] or outdeg[self.sink]:
@@ -92,6 +89,15 @@ class WordLattice:
             self.node_count,
             [(dst, src, label) for src, dst, label in self.edges],
         )
+
+
+def _check_shape(node_count, edges):
+    """A distinct source and sink, and every edge between nodes."""
+    if node_count < 2:
+        raise LatticeError("lattice needs distinct source and sink")
+    for src, dst, _label in edges:
+        if not (0 <= src < node_count and 0 <= dst < node_count):
+            raise LatticeError("edge endpoint out of range")
 
 
 def topological_order(lattice):
@@ -248,11 +254,7 @@ def parse_lattice(text):
         raise LatticeError("line %d: bad lattice line %r" % (lineno, line))
     if node_count is None:
         raise LatticeError("missing N header")
-    if node_count < 1:
-        raise LatticeError("lattice needs at least one node")
-    for src, dst, _label in edges:
-        if not (0 <= src < node_count and 0 <= dst < node_count):
-            raise LatticeError("edge endpoint out of range")
+    _check_shape(node_count, edges)
     return WordLattice(node_count, edges)
 
 
@@ -465,8 +467,8 @@ class TrigramModel:
     def load(text):
         """Parse ``dump`` output in one pass.  Lines whose first column
         is not ``#k``, ``1``, ``2`` or ``3`` are ignored; such a line
-        with the wrong column count or a non-integer count raises
-        LatticeError naming its line number."""
+        with the wrong column count, a non-integer count or an n-gram
+        count below 1 raises LatticeError naming its line number."""
         k = 5
         uni, bi, tri = {}, {}, {}
         try:
@@ -476,16 +478,22 @@ class TrigramModel:
                 # unpacking a line of the wrong width raises ValueError
                 if tag == "3":
                     _tag, u, v, w, c = cols
-                    tri[(u, v, w)] = int(c)
+                    tri[(u, v, w)] = count = int(c)
                 elif tag == "2":
                     _tag, u, v, c = cols
-                    bi[(u, v)] = int(c)
+                    bi[(u, v)] = count = int(c)
                 elif tag == "1":
                     _tag, u, c = cols
-                    uni[u] = int(c)
+                    uni[u] = count = int(c)
                 elif tag == "#k":
                     _tag, c = cols
                     k = int(c)
+                    continue
+                else:
+                    continue
+                if count < 1:
+                    # it would give probabilities outside [0, 1]
+                    raise ValueError
         except ValueError:
             raise _bad_model_line(lineno, cols) from None
         return TrigramModel(uni, bi, tri, k=k)
@@ -502,9 +510,11 @@ def _bad_model_line(lineno, cols):
             "model line %d: %r needs %d tab-separated columns, got %d"
             % (lineno, cols[0], width, len(cols))
         )
-    return LatticeError(
-        "model line %d: count %r is not an integer" % (lineno, cols[-1])
-    )
+    try:
+        int(cols[-1])
+    except ValueError:
+        return LatticeError("model line %d: count %r is not an integer" % (lineno, cols[-1]))
+    return LatticeError("model line %d: count %r is below 1" % (lineno, cols[-1]))
 
 
 def train_trigram(sentences, k=5):

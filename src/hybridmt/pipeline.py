@@ -8,9 +8,10 @@ keep at most as many as they received).  Two paths share the front end:
   interlingua path:  chunk - parse - analyze - infer - rank - realize -
                      extract - postedit
 
-When interlingua analysis yields no root candidate the sentence falls
-back to the gloss path (configurable), so any input produces output.
-Per-sentence failures become error records, never process termination.
+When interlingua analysis yields no root candidate, or the best one
+cannot be realized, the sentence falls back to the gloss path, so any
+input produces output.  Per-sentence failures become error records,
+never process termination.
 """
 
 import os
@@ -34,14 +35,11 @@ class ResourceError(ValueError):
     """A configured resource file is missing or unreadable."""
 
 
-_BOOL = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
-
 _DEFAULTS = {
     "path": "gloss",
     "root_categories": "S",
     "category_order": "",
     "verbal_categories": "V",
-    "fallback": True,
 }
 
 _FILE_KEYS = (
@@ -65,8 +63,6 @@ _FILE_KEYS = (
     "article_corpus",
 )
 
-_BOOL_KEYS = ("fallback",)
-
 
 class PipelineConfig:
     def __init__(self, base_dir="."):
@@ -74,11 +70,7 @@ class PipelineConfig:
         self.base_dir = base_dir
 
     def set(self, key, value):
-        if key in _BOOL_KEYS:
-            if str(value).lower() not in _BOOL:
-                raise ResourceError("config key %s must be on or off" % key)
-            self.values[key] = _BOOL[str(value).lower()]
-        elif key in _FILE_KEYS:
+        if key in _FILE_KEYS:
             path = os.path.join(self.base_dir, value)
             if not os.path.exists(path):
                 raise ResourceError("config key %s: missing file %s" % (key, path))
@@ -329,7 +321,9 @@ class Pipeline:
     def analyze(self, forest):
         """Root meaning candidates, after inference."""
         analyses = semantics.analyze(forest, self.rb)
-        candidates = semantics.root_candidates(forest, analyses)
+        candidates = semantics.root_candidates(
+            forest, analyses, category_order=self.cfg.category_order
+        )
         for c in candidates:
             c.graph = semantics.infer(c.graph)
         return candidates
@@ -347,6 +341,15 @@ class Pipeline:
 
     def realize(self, graph):
         return realizer.realize(graph, self.gen_lexicon, irregulars=self.irregulars)
+
+    def decode(self, lattice, n=None):
+        """``best_path`` under the language model, or ``top_n`` when
+        ``n`` is given."""
+        if self.lm is None:
+            raise ResourceError("decoding requires a trained language model (lm_model)")
+        if n is None:
+            return lattice_lm.best_path(lattice, self.lm)
+        return lattice_lm.top_n(lattice, self.lm, n)
 
     def postedit(self, text):
         text = posteditor.apply_repairs(text, self.repairs)
@@ -367,10 +370,8 @@ class Pipeline:
         return forest
 
     def _finish(self, lattice, n_paths, trace):
-        if self.lm is None:
-            raise ResourceError("translation requires a trained language model (lm_model)")
         trace.notes["paths"] = n_paths
-        words, score = lattice_lm.best_path(lattice, self.lm)
+        words, score = self.decode(lattice)
         trace.stage("extract", "ranker-pruner", max(n_paths, 1), 1)
         trace.notes["lm_score"] = "%.6f" % score
         text = self.postedit(" ".join(words))
@@ -384,6 +385,8 @@ class Pipeline:
         return self._finish(lattice, n_paths, trace)
 
     def _interlingua_path(self, forest, trace):
+        """The translation, or None when no candidate survives or the
+        best one cannot be realized."""
         candidates = self.analyze(forest)
         trace.stage("analyze", "transformer", len(forest.constituents), len(candidates))
         trace.notes["candidates"] = len(candidates)
@@ -393,7 +396,11 @@ class Pipeline:
         trace.stage("rank", "ranker-pruner", len(candidates), len(kept))
         best = kept[0]
         trace.notes["best_score"] = "%.6g" % best.score
-        lattice = self.realize(best.graph)
+        try:
+            lattice = self.realize(best.graph)
+        except realizer.RealizeError:
+            trace.notes["fallback"] = "realize-error"
+            return None
         n_paths = _path_count(lattice)
         trace.stage("realize", "transformer", 1, n_paths)
         return self._finish(lattice, n_paths, trace)
@@ -404,15 +411,7 @@ class Pipeline:
             forest = self._front(line, trace)
             out = None
             if self.cfg.get("path") == "interlingua":
-                try:
-                    out = self._interlingua_path(forest, trace)
-                except realizer.RealizeError:
-                    if not self.cfg.get("fallback"):
-                        raise
-                    trace.notes["fallback"] = "realize-error"
-                    out = None
-                if out is None and not self.cfg.get("fallback"):
-                    raise ResourceError("no interlingua candidate and fallback is off")
+                out = self._interlingua_path(forest, trace)
             if out is None:
                 out = self._gloss_path(forest, trace)
             trace.output = out

@@ -347,11 +347,12 @@ def graph_from_featstruct(sem):
     return MeaningGraph(convert(sem))
 
 
-def root_candidates(forest, analyses):
+def root_candidates(forest, analyses, category_order=()):
     """Meaning graphs for the forest roots (or the fragment cover's
-    first constituent when no full parse exists); ``analyses`` is the
-    function ``analyze`` returns."""
-    cids = forest.roots or fragment_cover(forest)[:1]
+    first constituent, chosen under ``category_order`` as the glosser
+    chooses it, when no full parse exists); ``analyses`` is the function
+    ``analyze`` returns."""
+    cids = forest.roots or fragment_cover(forest, category_order)[:1]
     out = []
     for cid in cids:
         for fs in analyses(cid):

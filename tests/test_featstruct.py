@@ -431,6 +431,16 @@ def test_evaluate_negation():
     assert evaluate_test({"X2": parse_featstruct("((syn ()))")}, test)
 
 
+def test_evaluate_test_needs_every_variable_bound():
+    # a test is solved like any equation, so an unbound variable is an error
+    test = parse_equation(parse_all("((X2 syn form) = (*NOT* rentaidome))")[0])
+    with pytest.raises(UnboundVariableError):
+        evaluate_test({"X1": parse_featstruct("((syn ()))")}, test)
+    assign = parse_equation(parse_all("((X2 a) = b)")[0])
+    with pytest.raises(TypeError):
+        evaluate_test({"X2": parse_featstruct("()")}, assign)
+
+
 def test_evaluate_existence():
     test = parse_equation(parse_all("(is (X1 syn head))")[0])
     assert evaluate_test({"X1": parse_featstruct("((syn ((head noun))))")}, test)

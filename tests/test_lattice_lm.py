@@ -135,6 +135,22 @@ def test_validate_rejects_broken_lattices():
         WordLattice(3, [(0, 2, "x")]).validate()  # node 1 off-path
 
 
+@pytest.mark.parametrize(
+    "node_count, edges, message",
+    [
+        (1, [], "lattice needs distinct source and sink"),
+        (0, [], "lattice needs distinct source and sink"),
+        (2, [(0, 5, "x")], "edge endpoint out of range"),
+    ],
+)
+def test_parse_lattice_rejects_what_validate_rejects(node_count, edges, message):
+    lattice = WordLattice(node_count, edges)
+    with pytest.raises(LatticeError, match=message):
+        lattice.validate()
+    with pytest.raises(LatticeError, match=message):
+        parse_lattice(dump_lattice(lattice))
+
+
 def test_topological_order_none_on_cycle():
     assert topological_order(WordLattice(3, [(0, 1, "x"), (1, 0, EPS), (1, 2, "y")])) is None
 

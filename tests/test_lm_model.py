@@ -36,6 +36,10 @@ from conftest import FIXTURES, fixture_path
         ("2\ta\tb\t4\textra", "needs 4 tab-separated columns, got 5"),
         ("2\ta\tb\tfour", "count 'four' is not an integer"),
         ("#k\t2.5", "count '2.5' is not an integer"),
+        # a count below 1 gives probabilities outside [0, 1]
+        ("1\tc\t-3", "count '-3' is below 1"),
+        ("2\ta\tb\t0", "count '0' is below 1"),
+        ("3\t<s>\t<s>\ta\t-3", "count '-3' is below 1"),
     ],
 )
 def test_load_bad_line_names_its_line_number(line, message):

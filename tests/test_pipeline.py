@@ -34,17 +34,14 @@ def _read(name):
 def test_config_defaults():
     cfg = PipelineConfig()
     assert cfg.get("path") == "gloss"
-    assert cfg.get("fallback") is True
     assert cfg.root_categories == ("S",)
     assert cfg.verbal_categories == frozenset(["V"])
 
 
 def test_config_type_validation():
     cfg = PipelineConfig()
-    with pytest.raises(ResourceError):
-        cfg.set("fallback", "maybe")
     for key in (
-        "no_such_key", "top_n", "seed", "infer_before_rank",
+        "no_such_key", "top_n", "seed", "infer_before_rank", "fallback",
         "solution_cap", "edge_cap", "candidate_cap", "gt_cutoff",
     ):
         with pytest.raises(ResourceError):
@@ -71,6 +68,15 @@ def test_load_config_rejects_search_bounds(tmp_path):
     with pytest.raises(ResourceError) as err:
         load_config(str(bounded))
     assert str(err.value) == "%s:1: unknown config key 'solution_cap'" % bounded
+
+
+def test_load_config_rejects_fallback(tmp_path):
+    # an interlingua sentence always falls back to the gloss path
+    old = tmp_path / "old.cfg"
+    old.write_text("path = interlingua\nfallback = off\n")
+    with pytest.raises(ResourceError) as err:
+        load_config(str(old))
+    assert str(err.value) == "%s:2: unknown config key 'fallback'" % old
 
 
 def test_config_missing_file_rejected_at_load():
@@ -234,14 +240,6 @@ def test_interlingua_falls_back_to_gloss(interlingua_pipeline):
     trace = interlingua_pipeline.translate_line("tsuki/N")
     assert trace.error is None
     assert trace.output == "the moon"
-
-
-def test_fallback_off_reports_error():
-    cfg = load_config(fixture_path("interlingua.cfg"))
-    cfg.set("fallback", "off")
-    pipe = Pipeline(cfg)
-    trace = pipe.translate_line("tsuki/N")
-    assert trace.error is not None and "fallback" in trace.error
 
 
 def test_batch_skips_blank_lines(gloss_pipeline):
@@ -471,6 +469,7 @@ def test_cli_decode_reports_bad_blocks_and_goes_on(tmp_path, capsys):
         ("# out of range", "N 2\nE 0 5 x\n", "edge endpoint out of range"),
         ("# bad count", "N two\n", "line 1: bad lattice line 'N two'"),
         ("# dead end", "N 4\nE 0 1 a\nE 2 3 b\n", "lattice has no complete path"),
+        ("# one node", "N 1\n", "lattice needs distinct source and sink"),
         ("# rejected", "# error: no lexical entry\n", "no lexical entry"),
     ]
     inp = tmp_path / "blocks.txt"
@@ -484,6 +483,56 @@ def test_cli_decode_reports_bad_blocks_and_goes_on(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0:-2:2] == [h for h, _b, _m in blocks] and lines[1:-2:2] == errors
     assert lines[-2] == "# good" and lines[-1].endswith("\thello")
+
+
+def test_cli_decode_without_a_model_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "no-model.cfg"
+    cfg.write_text("path = gloss\n")
+    inp = tmp_path / "blocks.txt"
+    inp.write_text("# good\nN 2\nE 0 1 hello\n")
+    code, out, err = _run(capsys, ["--config", str(cfg), "decode", "--input", str(inp)])
+    assert code == 1 and out == ""
+    assert "lm_model" in err and "Traceback" not in err
+
+
+BAD_TOKENS = ["neko/N", "BEGIN-NP END-NP", "/", "tsuki/N"]
+BAD_GRAPHS = [
+    "(|i-1| / |ingest| :TENSE past :AGENT (|n-2| / |named person|))",
+    "(|i-1| / |ingest|",
+    "(|x-1| / |nosuch|)",
+    "(|m-1| / |calendar month| :MONTH-INDEX 2)",
+]
+MARKERS_ONLY = "input contains only markers"
+EMPTY_SURFACE = "token surface must be non-empty"
+
+
+@pytest.mark.parametrize(
+    "command, lines, errors",
+    [
+        ("chunk", BAD_TOKENS, [EMPTY_SURFACE]),
+        ("parse", BAD_TOKENS, [MARKERS_ONLY, EMPTY_SURFACE]),
+        ("gloss", BAD_TOKENS, [MARKERS_ONLY, EMPTY_SURFACE]),
+        ("analyze", BAD_TOKENS, [MARKERS_ONLY, EMPTY_SURFACE]),
+        (
+            "realize",
+            BAD_GRAPHS,
+            ["unbalanced '(': 1 open at end of input", "no generation entry for: nosuch"],
+        ),
+    ],
+    ids=["chunk", "parse", "gloss", "analyze", "realize"],
+)
+def test_cli_stage_commands_report_bad_lines_and_go_on(tmp_path, capsys, command, lines, errors):
+    # the batch prints what each line prints alone
+    alone = []
+    for i, line in enumerate(lines):
+        one = tmp_path / ("line%d.txt" % i)
+        one.write_text(line + "\n")
+        alone.append(_cli_output(capsys, "interlingua.cfg", command, one))
+    inp = tmp_path / "batch.txt"
+    inp.write_text("".join(line + "\n" for line in lines))
+    out = _cli_output(capsys, "interlingua.cfg", command, inp)
+    assert out == "".join(alone)
+    assert re.findall(r"^# error: (.*)$", out, flags=re.M) == errors
 
 
 def test_cli_rank_reproduces_analyze(tmp_path, capsys):
@@ -547,6 +596,34 @@ def test_repeated_fragment_glosses_without_reentrancy():
     assert got == gloss_text(Pipeline(load_config(fixture_path("gloss.cfg"))))
     assert "#1=" not in got
     assert got.count('(op1 "John")') == 2
+
+
+def test_analyze_starts_from_the_fragment_category_order_puts_first(tmp_path):
+    # with no full parse, "neko" is covered by a bare N and by an NP,
+    # and only the NP's meaning is marked definite
+    files = {
+        "grammar.rules": "((S -> NP V) ((X0 syn) = (X1 syn)))\n((NP -> N) ((X0 syn) = (X1 syn)))\n",
+        "sem.rules": "((NP -> N) ((X0 sem) = (X1 sem)) ((X0 sem definite) = yes))\n",
+        "syn_lexicon.tsv": "neko\tN\n",
+        "sem_lexicon.tsv": "neko\tcat\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    cfg = tmp_path / "order.cfg"
+
+    def meanings(order):
+        cfg.write_text(
+            "grammar = grammar.rules\nsem_rules = sem.rules\n"
+            "syn_lexicon = syn_lexicon.tsv\nsem_lexicon = sem_lexicon.tsv\n"
+            "category_order = %s\n" % order
+        )
+        pipe = Pipeline(load_config(str(cfg)))
+        forest = pipe.parse(pipe.chunk("neko/N"))
+        assert not forest.roots
+        return [semantics.serialize_spl(c.graph) for c in pipe.analyze(forest)]
+
+    assert meanings("") == ["(|c-1| / |cat|)"]
+    assert meanings("NP") == ["(|c-1| / |cat| :DEFINITE yes)"]
 
 
 @pytest.mark.parametrize("name", ["gloss", "interlingua"])
