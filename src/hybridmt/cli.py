@@ -117,17 +117,24 @@ def _cmd_analyze(pipe, args):
 
 def _cmd_rank(pipe, args):
     """Each ``#`` line is echoed and starts a new candidate set; a
-    candidate line is an SPL graph, optionally after ``score TAB``."""
-    out, candidates = [], []
+    candidate line is an SPL graph, optionally after ``score TAB``.  A
+    set prints an error line per candidate line that does not parse,
+    then its other candidates ranked."""
+    sets = [("", [], [])]  # (header, error lines, candidates)
+
+    def read(line):
+        sets[-1][2].append(semantics.SemCandidate(semantics.parse_spl(line.split("\t")[-1])))
+        return ""
+
     for line in _lines(_read_input(args)):
         if line.startswith("#"):
-            out.append(_format_candidates(pipe.rank(candidates)) + line + "\n")
-            candidates = []
+            sets.append((line + "\n", [], []))
         else:
-            graph = semantics.parse_spl(line.split("\t")[-1])
-            candidates.append(semantics.SemCandidate(graph))
-    out.append(_format_candidates(pipe.rank(candidates)))
-    return "".join(out)
+            sets[-1][1].append(_or_error(read, line))
+    return "".join(
+        header + "".join(errors) + _format_candidates(pipe.rank(candidates))
+        for header, errors, candidates in sets
+    )
 
 
 def _cmd_realize(pipe, args):

@@ -147,7 +147,8 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
     edges = 0
 
     def install(category, start, end, fs, derivation=None, lexical=False, token=None):
-        """Pack or add; returns the constituent if it is new, else None."""
+        """Pack or add; returns the constituent that holds the
+        derivation, or None when a barrier forbids the constituent."""
         nonlocal next_id
         if regions and any(
             cat == category and _crosses(start, end, rs, re) for cat, rs, re in regions
@@ -161,7 +162,7 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
                 last = existing.derivations[-1] if existing.derivations else None
                 if derivation is not None and derivation is not last:
                     existing.derivations.append(derivation)
-                return None
+                return existing
         const = Constituent(next_id, category, start, end, fs, lexical, token)
         next_id += 1
         if derivation is not None:
@@ -187,14 +188,30 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
         if length >= 2:
             for start in range(0, n - length + 1):
                 end = start + length
+                # equation-free rule -> the constituent its first derivation
+                # over [start, end) went to, or None if a barrier forbade it
+                held = {}
                 for rhs, rules in longer_rules:
-                    if not forest.at(start, rhs[0]):
+                    if (start, rhs[0]) not in forest._by_start:
                         continue  # the common case on real grammars; skip it cheaply
                     for child_ids, child_structures in _child_sequences(forest, rhs, start, end):
-                        for rule in rules:
+                        for rule, free in rules:
                             derivation = (rule.key, child_ids)
-                            for fs in apply_rule(rule, child_structures):
-                                install(rule.key.lhs, start, end, fs, derivation)
+                            if free and rule in held:
+                                # its X0 is the shared empty structure again,
+                                # which packs where the first one went
+                                if edges >= edge_cap:
+                                    forest.truncated = True
+                                else:
+                                    edges += 1
+                                    if held[rule] is not None:
+                                        held[rule].derivations.append(derivation)
+                                continue
+                            solutions = apply_rule(rule, child_structures)
+                            for fs in solutions:
+                                const = install(rule.key.lhs, start, end, fs, derivation)
+                            if free and solutions:
+                                held[rule] = const
         # unary closure over this span length
         agenda = list(by_length[length])
         while agenda:
@@ -202,9 +219,10 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
             for rule in unary_rules.get(child.category, ()):
                 derivation = (rule.key, (child.id,))
                 for fs in apply_rule(rule, (child.fs,)):
-                    fresh = install(rule.key.lhs, child.start, child.end, fs, derivation)
-                    if fresh is not None:
-                        agenda.append(fresh)
+                    made = next_id
+                    const = install(rule.key.lhs, child.start, child.end, fs, derivation)
+                    if next_id > made:  # new, not packed
+                        agenda.append(const)
         if forest.truncated:
             break
 
@@ -222,18 +240,19 @@ def _child_sequences(forest, rhs, start, end):
     """(child ids, child structures) of every way to cover [start, end)
     with adjacent ``rhs`` constituents, the leftmost child varying
     slowest; the sequences grow one child at a time."""
+    by_start, by_span = forest._by_start, forest._by_span
     partial = [((), (), start)]
     for category in rhs[:-1]:
         partial = [
             (ids + (c.id,), structures + (c.fs,), c.end)
             for ids, structures, pos in partial
-            for c in forest.at(pos, category)
+            for c in by_start.get((pos, category), ())
             if c.end < end
         ]
     return [
         (ids + (c.id,), structures + (c.fs,))
         for ids, structures, pos in partial
-        for c in forest.spanning(pos, end, rhs[-1])
+        for c in by_span.get((pos, end, rhs[-1]), ())
     ]
 
 

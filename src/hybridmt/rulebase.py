@@ -27,6 +27,7 @@ __all__ = [
     "RuleBaseError",
     "load_rulebase",
     "parse_rule_file",
+    "arity_errors",
     "validate_rulebase",
 ]
 
@@ -111,10 +112,12 @@ class RuleBase:
         self._parse_index = None
 
     def rule(self, key):
+        """The rule of one backbone, made if new; the caller may add
+        equation sets to it, so the parser's index is built again."""
+        self._parse_index = None
         entry = self.rules.get(key)
         if entry is None:
             entry = self.rules[key] = SynchronizedRule(key)
-            self._parse_index = None
         return entry
 
     def rules_by_rhs(self):
@@ -126,13 +129,19 @@ class RuleBase:
         return index
 
     def parse_index(self):
-        """The parser's view of ``rules_by_rhs``: (right-hand side, rules)
-        pairs of two or more categories, and unary rules by their one
-        category.  Built once, and again after ``rule`` adds a backbone."""
+        """The parser's view of ``rules_by_rhs``: (right-hand side,
+        [(rule, equation-free)]) pairs of two or more categories, and
+        unary rules by their one category.  A rule is equation-free when
+        none of its syntax equation sets has an equation.  Built once,
+        and again after a call to ``rule``."""
         if self._parse_index is None:
             index = self.rules_by_rhs()
             self._parse_index = (
-                [(rhs, rules) for rhs, rules in index.items() if len(rhs) >= 2],
+                [
+                    (rhs, [(r, not any(s.equations for s in r.syntax_sets)) for r in rules])
+                    for rhs, rules in index.items()
+                    if len(rhs) >= 2
+                ],
                 {rhs[0]: rules for rhs, rules in index.items() if len(rhs) == 1},
             )
         return self._parse_index
@@ -263,23 +272,36 @@ def dump_rules(rb, kind):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def arity_errors(rb):
+    """One line per equation set that names a variable beyond its
+    backbone's right-hand side, which no solution could bind."""
+    lines = []
+    for key, rule in sorted(rb.rules.items(), key=lambda item: item[0].as_tuple()):
+        bound = {"X%d" % i for i in range(key.arity + 1)}
+        for kind, sets in (
+            ("syntax", rule.syntax_sets),
+            ("semantics", rule.semantic_sets),
+            ("gloss", rule.gloss_sets),
+        ):
+            for eqset in sets:
+                beyond = equation_variables(eqset.equations) - bound
+                if beyond:
+                    lines.append(
+                        "%s rule %r references X%d beyond arity %d"
+                        % (kind, key, max(int(v[1:]) for v in beyond), key.arity)
+                    )
+    return lines
+
+
 def validate_rulebase(rb, mode):
-    """Report syntax backbones missing their gloss/semantic counterpart
-    and equations referencing out-of-range variables."""
+    """Report syntax backbones missing their gloss/semantic counterpart,
+    then equations referencing out-of-range variables."""
     if mode not in ("gloss", "interlingua"):
         raise ValueError("mode must be 'gloss' or 'interlingua'")
     wanted = "gloss" if mode == "gloss" else "semantics"
-    lines = []
-    for key in sorted(rb.rules, key=lambda k: k.as_tuple()):
-        rule = rb.rules[key]
-        if rule.syntax_sets and not rule.sets(wanted):
-            lines.append("missing %s rule for backbone %r" % (wanted, key))
-        for kind in ("syntax", "semantics", "gloss"):
-            for eqset in rule.sets(kind):
-                top = max((int(v[1:]) for v in equation_variables(eqset.equations)), default=0)
-                if top > key.arity:
-                    lines.append(
-                        "%s rule %r references X%d beyond arity %d"
-                        % (kind, key, top, key.arity)
-                    )
-    return lines
+    lines = [
+        "missing %s rule for backbone %r" % (wanted, key)
+        for key in sorted(rb.rules, key=lambda k: k.as_tuple())
+        if rb.rules[key].syntax_sets and not rb.rules[key].sets(wanted)
+    ]
+    return lines + arity_errors(rb)

@@ -201,6 +201,18 @@ def test_parse_sees_rules_added_after_an_earlier_parse():
     assert len(parse(_tokens("AD"), rb).roots) == 1
 
 
+def test_parse_sees_equations_added_to_a_backbone_after_an_earlier_parse():
+    # (S -> S S) has no equations at the first parse and has some at the
+    # second, so its derivations must no longer pack without a solve
+    rb = parse_rule_file("((S -> A)) ((S -> S S))", "syntax")
+    assert len(parse(_tokens("AAAA"), rb).roots) == 1
+    parse_rule_file("((S -> S S) ((X0 f) = v1))", "syntax", rb)
+    fresh = parse_rule_file("((S -> A)) ((S -> S S)) ((S -> S S) ((X0 f) = v1))", "syntax")
+    forest = parse(_tokens("AAAA"), rb)
+    assert dump_forest(forest) == dump_forest(parse(_tokens("AAAA"), fresh))
+    assert len(forest.roots) == 2
+
+
 def test_edge_cap_truncates():
     forest = parse(_tokens("A" * 12), TOY, edge_cap=20)
     assert forest.truncated
@@ -502,6 +514,75 @@ def test_forests_of_random_grammars_equal_recorded_digests():
         if _forest_digest(forest)[:16] != want:
             changed.append(seed)
     assert changed == []
+
+
+def _barrier_line(tags, category, lo, hi):
+    tokens = _tokens(tags)
+    tokens.insert(hi, Token.end(category))
+    tokens.insert(lo, Token.begin(category))
+    return tokens
+
+
+# grammars whose rules have no equations, or mix such rules with rules
+# that have them, on lines whose forests pack many derivations per cell
+CAP_SWEEP_CASES = {
+    "toy": (TOY, _tokens("ABBABAABBA")),
+    "toy-barrier": (TOY, _barrier_line("ABBABAABBA", "S", 3, 7)),
+    # an equation-free rule beside equation rules with its right-hand
+    # side or its left-hand side; X0 = X2 gives an empty structure that
+    # packs with the equation-free rule's
+    "shared-sides": (
+        parse_rule_file(
+            """
+((S -> A)) ((S -> B)) ((S -> S S))
+((T -> S S) ((X0 f) = v1))
+((S -> S A) (X0 = X2))
+((S -> A S) ((X0 f) = v1))
+""",
+            "syntax",
+        ),
+        _tokens("AABAAB"),
+    ),
+    # one backbone with an empty and a non-empty equation set
+    "mixed-sets": (
+        parse_rule_file(
+            "((S -> A)) ((S -> B)) ((S -> S S)) ((S -> S S) ((X0 f) = v1))", "syntax"
+        ),
+        _tokens("ABAABA"),
+    ),
+    # one backbone given two empty equation sets
+    "two-empty-sets": (
+        parse_rule_file("((S -> A)) ((S -> B)) ((S -> S S)) ((S -> S S))", "syntax"),
+        _barrier_line("ABBABAAB", "S", 2, 5),
+    ),
+}
+
+# per case: the first edge cap that does not truncate, and the first 16
+# hex digits of the sha256 over the forest digests at caps 1 up to it;
+# recorded from the parser that solved and installed every derivation
+CAP_SWEEP_DIGESTS = {
+    "toy": (175, "57d9954a4d68cfc6"),
+    "toy-barrier": (94, "017cdf6a420dcede"),
+    "shared-sides": (179, "3932bc7756d48864"),
+    "mixed-sets": (91, "63868547756916e8"),
+    "two-empty-sets": (57, "8665ed3bf8dca87f"),
+}
+
+
+def _cap_sweep(grammar, tokens):
+    sweep = hashlib.sha256()
+    cap = 0
+    while True:
+        cap += 1
+        forest = parse(tokens, grammar, root_categories=("S", "T"), edge_cap=cap)
+        sweep.update(_forest_digest(forest).encode("ascii"))
+        if not forest.truncated:
+            return cap, sweep.hexdigest()[:16]
+
+
+def test_forests_at_every_edge_cap_equal_recorded_digests():
+    got = {name: _cap_sweep(*case) for name, case in CAP_SWEEP_CASES.items()}
+    assert got == CAP_SWEEP_DIGESTS
 
 
 def test_packed_solutions_of_one_application_record_it_once():

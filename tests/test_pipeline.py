@@ -91,6 +91,40 @@ def test_load_config_relative_paths():
     assert os.path.exists(cfg.path_of("lm_model"))
 
 
+@pytest.mark.parametrize(
+    "key, rules, message",
+    [
+        (
+            "grammar",
+            "((S -> NP V) ((X0 syn) = (X1 syn)))\n((NP -> N) ((X0 syn) = (X3 syn)))\n",
+            "syntax rule (NP -> N) references X3 beyond arity 1",
+        ),
+        (
+            "gloss_rules",
+            "((NP -> N) ((X0 gloss) = (X2 gloss)))\n",
+            "gloss rule (NP -> N) references X2 beyond arity 1",
+        ),
+    ],
+    ids=["syntax", "gloss"],
+)
+def test_rule_naming_a_variable_beyond_its_backbone_fails_at_load(
+    tmp_path, capsys, key, rules, message
+):
+    # no solution could bind the variable, so the first sentence that
+    # used the rule would fail with it unbound
+    (tmp_path / "bad.rules").write_text(rules)
+    (tmp_path / "lex.tsv").write_text("neko\tN\n")
+    config = tmp_path / "bad.cfg"
+    config.write_text("%s = bad.rules\nsyn_lexicon = lex.tsv\n" % key)
+    with pytest.raises(ResourceError) as err:
+        Pipeline(load_config(str(config)))
+    assert str(err.value) == message
+    inp = tmp_path / "in.txt"
+    inp.write_text("neko/N\n")
+    code, out, err = _run(capsys, ["--config", str(config), "parse", "--input", str(inp)])
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
 def test_nouns_file_skips_comment_lines(tmp_path):
     (tmp_path / "nouns.txt").write_text("# one noun per line\nCat\n\ndog\n")
     cfg = PipelineConfig(base_dir=str(tmp_path))
@@ -541,6 +575,17 @@ def test_cli_rank_reproduces_analyze(tmp_path, capsys):
     spl = tmp_path / "candidates.spl"
     spl.write_text(analyzed)
     assert _cli_output(capsys, "interlingua.cfg", "rank", spl) == analyzed
+
+
+def test_cli_rank_reports_a_bad_candidate_line_and_goes_on(tmp_path, capsys):
+    good = "(|h-1| / |have as a goal| :SENSER (|c-2| / |company/business|))"
+    other = "(|i-1| / |ingest| :AGENT (|f-2| / |found, launch|))"
+    spl = tmp_path / "sets.spl"
+    spl.write_text("# set\n(|i-1| / |ingest|\n%s\n# set2\n%s\n" % (good, other))
+    assert _cli_output(capsys, "interlingua.cfg", "rank", spl) == (
+        "# set\n# error: unbalanced '(': 1 open at end of input\n1\t%s\n"
+        "# set2\n1e-06\t%s\n" % (good, other)
+    )
 
 
 def test_cli_rank_ranks_each_set_apart(tmp_path, capsys):
