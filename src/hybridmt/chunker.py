@@ -166,9 +166,10 @@ def load_patterns(text, filename="<string>"):
             raise PatternError("%s: malformed pattern entry %r" % (filename, expr))
         name = expr[0]
         if expr[1] == "==":
-            if len(expr) != 3 or not isinstance(expr[2], list) or expr[2][0] != "is":
+            alias = expr[2] if len(expr) == 3 and isinstance(expr[2], list) else []
+            if len(alias) != 2 or alias[0] != "is" or not isinstance(alias[1], str):
                 raise PatternError("%s: alias must be (NAME == (is CAT))" % filename)
-            pset.aliases.setdefault(name, set()).add(expr[2][1])
+            pset.aliases.setdefault(name, set()).add(alias[1])
             continue
         if not isinstance(expr[1], list):
             raise PatternError("%s: pattern %s needs an element list" % (filename, name))
@@ -178,10 +179,11 @@ def load_patterns(text, filename="<string>"):
         left = right = None
         rest = expr[2:]
         while rest:
-            if rest[0] == ":left" and len(rest) >= 2:
-                left = _marker_label(rest[1])
-            elif rest[0] == ":right" and len(rest) >= 2:
-                right = _marker_label(rest[1])
+            label = rest[1] if len(rest) >= 2 and isinstance(rest[1], str) else None
+            if rest[0] == ":left" and label is not None:
+                left = _marker_label(label)
+            elif rest[0] == ":right" and label is not None:
+                right = _marker_label(label)
             else:
                 raise PatternError("%s: bad directive %r in %s" % (filename, rest[0], name))
             rest = rest[2:]
@@ -252,12 +254,6 @@ def resegment(tokens, compounds=None, gazetteer=None):
 # Matching
 # ---------------------------------------------------------------------
 
-def _token_matches(pset, token, element):
-    if token.marker:
-        return False
-    return token.tag in pset.expand(element)
-
-
 def match_pattern(pattern, tokens, start, pset=None, spans=None):
     """Longest span accepted by the pattern starting at ``start``.
 
@@ -311,7 +307,7 @@ def match_pattern(pattern, tokens, start, pset=None, spans=None):
             ends = []
             cur = pos
             while True:
-                if cur < len(tokens) and _token_matches(pset, tokens[cur], base):
+                if cur < len(tokens) and not tokens[cur].marker and tokens[cur].tag in accepted:
                     cur += 1
                     ends.append(cur)
                     continue
@@ -329,7 +325,7 @@ def match_pattern(pattern, tokens, start, pset=None, spans=None):
         else:
             for end in span_ends:
                 walk(end, elem_index + 1, anchor_start, anchor_end)
-            if pos < len(tokens) and _token_matches(pset, tokens[pos], base):
+            if pos < len(tokens) and not tokens[pos].marker and tokens[pos].tag in accepted:
                 walk(pos + 1, elem_index + 1, anchor_start, anchor_end)
 
     walk(start, 0, None, None)

@@ -18,6 +18,7 @@ import re
 # apply_equations is unused here but kept: the benchmark tracer wraps it by this name
 from .featstruct import FeatStruct, apply_equations, canonical  # noqa: F401
 from .parser import compose, fragment_cover
+from .rulebase import tagged_entries
 from . import sexpr
 from .sexpr import QuotedString
 from . import lattice_lm as wl
@@ -197,11 +198,7 @@ def gloss_leaf(token, rb, verbal_categories=frozenset()):
     """
     if token.marker:
         raise GlossError("marker tokens have no gloss")
-    entries = rb.bilingual.get(token.surface, [])
-    if token.tag:
-        tagged = [e for e in entries if e.pos == token.tag]
-        if tagged:
-            entries = tagged
+    entries = tagged_entries(rb.bilingual, token)
     if not entries:
         return FeatStruct.complex(
             {

@@ -13,6 +13,7 @@ forest; the glosser and the semantic analyzer both use it.
 
 from . import sexpr
 from .featstruct import SOLUTION_CAP, FeatStruct, apply_equations, canonical, subsumes
+from .rulebase import tagged_entries
 
 __all__ = [
     "Constituent",
@@ -62,24 +63,17 @@ class ParseForest:
         self.roots = []
         self.truncated = False
         self._by_start = {}  # (start, category) -> [Constituent]
-        self._at_start = {}  # start -> [Constituent]
-        self._by_span = {}  # (start, end, category) -> [Constituent]
+        self._by_span = {}  # (start, end, category) -> [Constituent], in insertion order
 
     def add(self, const):
         self.constituents[const.id] = const
         self._by_start.setdefault((const.start, const.category), []).append(const)
-        self._at_start.setdefault(const.start, []).append(const)
         self._by_span.setdefault((const.start, const.end, const.category), []).append(const)
 
     def at(self, start, category=None):
         if category is None:
-            return self._at_start.get(start, [])
+            return [c for c in self if c.start == start]
         return self._by_start.get((start, category), [])
-
-    def spanning(self, start, end, category):
-        """Constituents of ``category`` over exactly [start, end), in
-        insertion order."""
-        return self._by_span.get((start, end, category), [])
 
     def __getitem__(self, cid):
         return self.constituents[cid]
@@ -120,11 +114,7 @@ def lexical_entries(token, rb):
     coverage the tag itself is the category, and untagged unknown words
     become UNKNOWN constituents (the glosser passes them through).
     """
-    entries = rb.syn_lexicon.get(token.surface, []) if rb is not None else []
-    if token.tag:
-        tagged = [e for e in entries if e.pos == token.tag]
-        if tagged:
-            entries = tagged
+    entries = tagged_entries(rb.syn_lexicon, token) if rb is not None else []
     if entries:
         return [(e.pos, e.features) for e in entries]
     category = token.tag if token.tag else UNKNOWN_CATEGORY
@@ -141,7 +131,6 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
     n = len(words)
     regions = barrier_regions(tokens)
     forest = ParseForest(n, words)
-    longer_rules, unary_rules = rb.parse_index()
     by_length = [[] for _ in range(n + 1)]
     next_id = 0
     edges = 0
@@ -154,7 +143,7 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
             cat == category and _crosses(start, end, rs, re) for cat, rs, re in regions
         ):
             return None
-        for existing in forest.spanning(start, end, category):
+        for existing in forest._by_span.get((start, end, category), ()):
             # subsumption is reflexive, so one shared structure packs at once
             if existing.fs is fs or (subsumes(existing.fs, fs) and subsumes(fs, existing.fs)):
                 # an application happens once and installs its solutions
@@ -171,58 +160,34 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
         by_length[end - start].append(const)
         return const
 
-    def apply_rule(rule, child_structures):
-        nonlocal edges
-        if edges >= edge_cap:
-            forest.truncated = True
-            return []
-        edges += 1
-        return _solve_rule(rule.syntax_sets, child_structures)
-
     for token_pos, token in enumerate(words):
         for category, fs in lexical_entries(token, rb):
             install(category, token_pos, token_pos + 1, fs, lexical=True, token=token)
 
     for length in range(1, n + 1):
-        # non-unary rules first (children are strictly shorter)
-        if length >= 2:
-            for start in range(0, n - length + 1):
-                end = start + length
-                # equation-free rule -> the constituent its first derivation
-                # over [start, end) went to, or None if a barrier forbade it
-                held = {}
-                for rhs, rules in longer_rules:
-                    if (start, rhs[0]) not in forest._by_start:
-                        continue  # the common case on real grammars; skip it cheaply
-                    for child_ids, child_structures in _child_sequences(forest, rhs, start, end):
-                        for rule, free in rules:
-                            derivation = (rule.key, child_ids)
-                            if free and rule in held:
-                                # its X0 is the shared empty structure again,
-                                # which packs where the first one went
-                                if edges >= edge_cap:
-                                    forest.truncated = True
-                                else:
-                                    edges += 1
-                                    if held[rule] is not None:
-                                        held[rule].derivations.append(derivation)
-                                continue
-                            solutions = apply_rule(rule, child_structures)
-                            for fs in solutions:
-                                const = install(rule.key.lhs, start, end, fs, derivation)
-                            if free and solutions:
-                                held[rule] = const
-        # unary closure over this span length
-        agenda = list(by_length[length])
-        while agenda:
-            child = agenda.pop()
-            for rule in unary_rules.get(child.category, ()):
-                derivation = (rule.key, (child.id,))
-                for fs in apply_rule(rule, (child.fs,)):
-                    made = next_id
-                    const = install(rule.key.lhs, child.start, child.end, fs, derivation)
-                    if next_id > made:  # new, not packed
-                        agenda.append(const)
+        for start, end, rules, sequences in _applications(forest, rb, by_length, length):
+            # equation-free rule -> the constituent its first derivation over
+            # [start, end) went to, or None if a barrier forbade it
+            held = {}
+            for child_ids, child_structures in sequences:
+                for rule, free in rules:
+                    # every application is one edge, whichever way it is made
+                    if edges >= edge_cap:
+                        forest.truncated = True
+                        continue
+                    edges += 1
+                    derivation = (rule.key, child_ids)
+                    if free and rule in held:
+                        # its X0 is the shared empty structure again,
+                        # which packs where the first one went
+                        if held[rule] is not None:
+                            held[rule].derivations.append(derivation)
+                        continue
+                    solutions = _solve_rule(rule.syntax_sets, child_structures)
+                    for fs in solutions:
+                        const = install(rule.key.lhs, start, end, fs, derivation)
+                    if free and solutions:
+                        held[rule] = const
         if forest.truncated:
             break
 
@@ -234,6 +199,29 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
         ),
     )
     return forest
+
+
+def _applications(forest, rb, by_length, length):
+    """(start, end, [(rule, equation-free)], child sequences) of every
+    right-hand side that may cover a span of ``length``: those of two or
+    more categories first (their children are strictly shorter), then
+    the unary closure.  Its agenda is ``by_length[length]`` itself, so a
+    constituent installed while the caller applies the rules is taken
+    up too."""
+    longer_rules, unary_rules = rb.parse_index()
+    if length >= 2:
+        for start in range(0, forest.token_count - length + 1):
+            end = start + length
+            for rhs, rules in longer_rules:
+                # on real grammars most have no first child here; skip them cheaply
+                if (start, rhs[0]) in forest._by_start:
+                    yield start, end, rules, _child_sequences(forest, rhs, start, end)
+    agenda = by_length[length]
+    while agenda:
+        child = agenda.pop()
+        rules = unary_rules.get(child.category)
+        if rules:
+            yield child.start, child.end, rules, [((child.id,), (child.fs,))]
 
 
 def _child_sequences(forest, rhs, start, end):

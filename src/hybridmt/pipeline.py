@@ -167,25 +167,36 @@ def format_trace(traces):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_TRACE_COLUMNS = {"stage": 7, "note": 4, "result": 4}
+
+
 def parse_trace(text):
+    """The traces of ``format_trace`` text; a malformed row raises
+    ValueError naming its line."""
     traces = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         cols = line.split("\t")
-        index = int(cols[0])
+        kind = cols[1] if len(cols) > 1 else None
+        if len(cols) != _TRACE_COLUMNS.get(kind) or kind == "result" and cols[2] not in ("ok", "error"):
+            raise ValueError("trace line %d: not a stage, note or result row: %r" % (lineno, line))
+        try:
+            index = int(cols[0])
+            counts = [int(c) for c in cols[4:]] if kind == "stage" else ()
+        except ValueError as err:
+            raise ValueError("trace line %d: %s" % (lineno, err)) from None
         t = traces.get(index)
         if t is None:
             t = traces[index] = SentenceTrace(index)
-        if cols[1] == "stage":
-            t.stage(cols[2], cols[3], int(cols[4]), int(cols[5]))
-        elif cols[1] == "note":
+        if kind == "stage":
+            t.stage(cols[2], cols[3], *counts[:2])
+        elif kind == "note":
             t.notes[cols[2]] = cols[3]
-        elif cols[1] == "result":
-            if cols[2] == "error":
-                t.error = cols[3]
-            else:
-                t.output = cols[3]
+        elif cols[2] == "error":
+            t.error = cols[3]
+        else:
+            t.output = cols[3]
     return [traces[i] for i in sorted(traces)]
 
 

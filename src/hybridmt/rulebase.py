@@ -15,6 +15,7 @@ Lexicons are flat tab-separated files:
 """
 
 import os
+from operator import itemgetter
 
 from . import sexpr
 from .featstruct import equation_variables, parse_equations, parse_featstruct_expr, FeatStruct
@@ -36,29 +37,26 @@ class RuleBaseError(ValueError):
     """A rule or lexicon file failed to parse; message carries file/line."""
 
 
-class RuleKey:
-    """Context-free backbone: LHS category and RHS category sequence."""
+class RuleKey(tuple):
+    """Context-free backbone ``(lhs, rhs)``: LHS category, RHS category tuple."""
 
-    __slots__ = ("lhs", "rhs")
+    __slots__ = ()
 
-    def __init__(self, lhs, rhs):
+    def __new__(cls, lhs, rhs):
+        rhs = tuple(rhs)
         if not rhs:
             raise RuleBaseError("rule %s has an empty right-hand side" % lhs)
-        self.lhs = lhs
-        self.rhs = tuple(rhs)
+        return tuple.__new__(cls, (lhs, rhs))
+
+    lhs = property(itemgetter(0))
+    rhs = property(itemgetter(1))
 
     @property
     def arity(self):
         return len(self.rhs)
 
     def as_tuple(self):
-        return (self.lhs, self.rhs)
-
-    def __eq__(self, other):
-        return isinstance(other, RuleKey) and self.as_tuple() == other.as_tuple()
-
-    def __hash__(self):
-        return hash(self.as_tuple())
+        return tuple(self)
 
     def __repr__(self):
         return "(%s -> %s)" % (self.lhs, " ".join(self.rhs))
@@ -102,6 +100,17 @@ class LexiconEntry:
         return "LexiconEntry(%s/%s)" % (self.surface, self.pos)
 
 
+def tagged_entries(lexicon, token):
+    """The lexicon's entries for the token's surface; when any has the
+    token's tag as its POS, only those."""
+    entries = lexicon.get(token.surface, [])
+    if token.tag:
+        tagged = [e for e in entries if e.pos == token.tag]
+        if tagged:
+            return tagged
+    return entries
+
+
 class RuleBase:
     def __init__(self):
         self.rules = {}  # RuleKey -> SynchronizedRule
@@ -125,23 +134,22 @@ class RuleBase:
         for key, rule in self.rules.items():
             index.setdefault(key.rhs, []).append(rule)
         for rules in index.values():
-            rules.sort(key=lambda r: r.key.as_tuple())
+            rules.sort(key=lambda r: r.key)
         return index
 
     def parse_index(self):
         """The parser's view of ``rules_by_rhs``: (right-hand side,
         [(rule, equation-free)]) pairs of two or more categories, and
-        unary rules by their one category.  A rule is equation-free when
-        none of its syntax equation sets has an equation.  Built once,
-        and again after a call to ``rule``."""
+        the unary ones' lists by their one category.  A rule is
+        equation-free when none of its syntax equation sets has an
+        equation.  Built once, and again after a call to ``rule``."""
         if self._parse_index is None:
-            index = self.rules_by_rhs()
+            index = {
+                rhs: [(r, not any(s.equations for s in r.syntax_sets)) for r in rules]
+                for rhs, rules in self.rules_by_rhs().items()
+            }
             self._parse_index = (
-                [
-                    (rhs, [(r, not any(s.equations for s in r.syntax_sets)) for r in rules])
-                    for rhs, rules in index.items()
-                    if len(rhs) >= 2
-                ],
+                [(rhs, rules) for rhs, rules in index.items() if len(rhs) >= 2],
                 {rhs[0]: rules for rhs, rules in index.items() if len(rhs) == 1},
             )
         return self._parse_index
@@ -170,7 +178,7 @@ def parse_rule_file(text, kind, rb=None, filename="<string>"):
                 "%s: rule %d must be ((LHS -> RHS...) equations...)" % (filename, i + 1)
             )
         head = expr[0]
-        if len(head) < 3 or head[1] != "->":
+        if len(head) < 3 or head[1] != "->" or list in map(type, head):
             raise RuleBaseError("%s: malformed backbone %r" % (filename, head))
         key = RuleKey(head[0], head[2:])
         body = expr[1:]
@@ -265,7 +273,7 @@ def load_rulebase(
 def dump_rules(rb, kind):
     """Serialize one rule kind back to file text."""
     lines = []
-    for key in sorted(rb.rules, key=lambda k: k.as_tuple()):
+    for key in sorted(rb.rules):
         for eqset in rb.rules[key].sets(kind):
             head = [key.lhs, "->", *key.rhs]
             lines.append(sexpr.dump([head, *eqset.exprs]))
@@ -276,14 +284,10 @@ def arity_errors(rb):
     """One line per equation set that names a variable beyond its
     backbone's right-hand side, which no solution could bind."""
     lines = []
-    for key, rule in sorted(rb.rules.items(), key=lambda item: item[0].as_tuple()):
+    for key in sorted(rb.rules):
         bound = {"X%d" % i for i in range(key.arity + 1)}
-        for kind, sets in (
-            ("syntax", rule.syntax_sets),
-            ("semantics", rule.semantic_sets),
-            ("gloss", rule.gloss_sets),
-        ):
-            for eqset in sets:
+        for kind in ("syntax", "semantics", "gloss"):
+            for eqset in rb.rules[key].sets(kind):
                 beyond = equation_variables(eqset.equations) - bound
                 if beyond:
                     lines.append(
@@ -301,7 +305,7 @@ def validate_rulebase(rb, mode):
     wanted = "gloss" if mode == "gloss" else "semantics"
     lines = [
         "missing %s rule for backbone %r" % (wanted, key)
-        for key in sorted(rb.rules, key=lambda k: k.as_tuple())
+        for key in sorted(rb.rules)
         if rb.rules[key].syntax_sets and not rb.rules[key].sets(wanted)
     ]
     return lines + arity_errors(rb)

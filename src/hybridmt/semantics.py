@@ -159,17 +159,19 @@ class Taxonomy:
                 % where
             )
         name, domain, range_ = fields[0], fields[2], fields[4]
-        level, penalty = 0, None
+        options = {"relax": 0, "penalty": None}
         rest = fields[5:]
         while rest:
-            if rest[0] == "relax" and len(rest) >= 2:
-                level = int(rest[1])
-            elif rest[0] == "penalty" and len(rest) >= 2:
-                penalty = float(rest[1])
-            else:
+            if rest[0] not in options or len(rest) < 2:
                 raise TaxonomyError("%s: bad relation option %r" % (where, rest[0]))
+            try:
+                options[rest[0]] = int(rest[1]) if rest[0] == "relax" else float(rest[1])
+            except ValueError as err:
+                raise TaxonomyError("%s: %s" % (where, err)) from None
             rest = rest[2:]
-        self.relations[name.lower()] = _Relation(name.lower(), domain, range_, level, penalty)
+        self.relations[name.lower()] = _Relation(
+            name.lower(), domain, range_, options["relax"], options["penalty"]
+        )
 
     @staticmethod
     def load(path):

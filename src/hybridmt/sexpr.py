@@ -31,82 +31,53 @@ class QuotedString(str):
     __slots__ = ()
 
 
-_DELIMS = set('()"|;')
 # an atom holding whitespace or a delimiter prints pipe-quoted
-_PIPED_CHAR = re.compile(r"[\s%s]" % re.escape("".join(sorted(_DELIMS))))
-# bare parentheses are structure; these equal no atom, not even |(|
-OPEN, CLOSE = object(), object()
+_PIPED_CHAR = re.compile(r'[\s()"|;]')
+# Space and ``;`` comments, then one token: a parenthesis, a "string" in
+# which a backslash escapes the next character, a |symbol|, a bare symbol,
+# or the opening quote of an unterminated string or |symbol|.  At the end
+# of the text ``\Z`` stands in for the token, so the skip never gives back
+# part of a comment to be read as a symbol.
+_TOKEN = re.compile(
+    r'\s*(?:;[^\n]*\s*)*'
+    r'(?:(\()|(\))|"([^"\\]*(?:\\.[^"\\]*)*)"|\|([^|]*)\||([^\s()"|;]+)|(["|])|\Z)',
+    re.S,
+)
+_ESCAPED = re.compile(r"\\(.)", re.S)
 
 
-def tokenize(text):
-    """Yield (token, line, col) triples; bare parens yield OPEN/CLOSE."""
-    line, col = 1, 0
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 0
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch in "()":
-            yield (OPEN if ch == "(" else CLOSE), start_line, start_col
-            i += 1
-            col += 1
-        elif ch == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    j += 1
-                buf.append(text[j])
-                j += 1
-            if j >= n:
-                raise SexprError("unterminated string at line %d" % start_line)
-            yield QuotedString("".join(buf)), start_line, start_col
-            col += j + 1 - i
-            i = j + 1
-        elif ch == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SexprError("unterminated |atom| at line %d" % start_line)
-            yield text[i + 1 : j], start_line, start_col
-            col += j + 1 - i
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in _DELIMS:
-                j += 1
-            yield text[i:j], start_line, start_col
-            col += j - i
-            i = j
+def _line_of(text, pos):
+    return text.count("\n", 0, pos) + 1
 
 
 def parse_all(text):
     """Parse every top-level expression in ``text`` into nested lists."""
-    stack = [[]]
-    for tok, line, _col in tokenize(text):
-        if tok is OPEN:
-            stack.append([])
-        elif tok is CLOSE:
-            if len(stack) == 1:
-                raise SexprError("unbalanced ')' at line %d" % line)
-            done = stack.pop()
-            stack[-1].append(done)
-        else:
-            stack[-1].append(tok)
-    if len(stack) != 1:
-        raise SexprError("unbalanced '(': %d open at end of input" % (len(stack) - 1))
-    return stack[0]
+    # ``top`` is the list being filled; ``stack`` holds the ones it is in
+    stack = []
+    top = []
+    for match in _TOKEN.finditer(text):
+        kind = match.lastindex
+        if kind == 1:
+            stack.append(top)
+            top = []
+        elif kind == 2:
+            if not stack:
+                raise SexprError("unbalanced ')' at line %d" % _line_of(text, match.start(2)))
+            done = top
+            top = stack.pop()
+            top.append(done)
+        elif kind == 3:
+            top.append(QuotedString(_ESCAPED.sub(r"\1", match.group(3))))
+        elif kind == 6:
+            raise SexprError(
+                "unterminated %s at line %d"
+                % ("string" if match.group(6) == '"' else "|atom|", _line_of(text, match.start(6)))
+            )
+        elif kind:  # a bare or piped symbol; None is the space after the last token
+            top.append(match.group(kind))
+    if stack:
+        raise SexprError("unbalanced '(': %d open at end of input" % len(stack))
+    return top
 
 
 def parse_one(text):

@@ -298,6 +298,24 @@ def test_trace_roundtrip(gloss_pipeline):
     assert format_trace(back) == text
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1\tstage", "not a stage, note or result row: '1\\tstage'"),
+        ("1", "not a stage, note or result row: '1'"),
+        ("1\tbogus", "not a stage, note or result row: '1\\tbogus'"),
+        ("1\tresult\tmaybe\ty", "not a stage, note or result row"),
+        ("1\tnote\tpaths\t2\textra", "not a stage, note or result row"),
+        ("x\tresult\tok\ty", "invalid literal for int() with base 10: 'x'"),
+        ("1\tstage\tparse\ttransformer\t3\tmany\t0", "invalid literal for int()"),
+    ],
+)
+def test_parse_trace_rejects_a_malformed_row_naming_its_line(row, message):
+    with pytest.raises(ValueError) as err:
+        parse_trace("0\tresult\tok\tfine\n\n%s\n" % row)
+    assert str(err.value).startswith("trace line 3: " + message)
+
+
 def test_trace_pruned_only_counts_ranker_stages():
     t = SentenceTrace(0)
     t.stage("rank", "ranker-pruner", 10, 3)
@@ -567,6 +585,47 @@ def test_cli_stage_commands_report_bad_lines_and_go_on(tmp_path, capsys, command
     out = _cli_output(capsys, "interlingua.cfg", command, inp)
     assert out == "".join(alone)
     assert re.findall(r"^# error: (.*)$", out, flags=re.M) == errors
+
+
+def test_cli_report_rejects_a_malformed_trace_row(tmp_path, capsys):
+    trace = tmp_path / "trace.tsv"
+    trace.write_text("0\tresult\tok\tfine\n1\tbogus\n")
+    assert _run(capsys, ["report", "--input", str(trace)]) == (
+        1, "", "error: trace line 2: not a stage, note or result row: '1\\tbogus'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "key, text, message",
+    [
+        ("patterns", "(A == (is))\n", ": alias must be (NAME == (is CAT))"),
+        ("patterns", "(A == ())\n", ": alias must be (NAME == (is CAT))"),
+        ("patterns", "(A == (is (B)))\n", ": alias must be (NAME == (is CAT))"),
+        ("patterns", "(P (N) :left (NP))\n", ": bad directive ':left' in P"),
+        ("grammar", "(((S) -> NP))\n", ": malformed backbone [['S'], '->', 'NP']"),
+        ("grammar", "((S -> (NP)))\n", ": malformed backbone ['S', '->', ['NP']]"),
+        (
+            "taxonomy",
+            "concept a\nrelation r domain a range a relax x\n",
+            ":2: invalid literal for int() with base 10: 'x'",
+        ),
+        (
+            "taxonomy",
+            "concept a\nrelation r domain a range a penalty y\n",
+            ":2: could not convert string to float: 'y'",
+        ),
+    ],
+)
+def test_cli_rejects_a_malformed_resource_naming_its_file(tmp_path, capsys, key, text, message):
+    resource = tmp_path / "resource"
+    resource.write_text(text)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("%s = resource\n" % key)
+    inp = tmp_path / "in.txt"
+    inp.write_text("neko/N\n")
+    code, out, err = _run(capsys, ["--config", str(cfg), "translate", "--input", str(inp)])
+    assert (code, out) == (1, "")
+    assert err == "error: %s%s\n" % (resource, message)
 
 
 def test_cli_rank_reproduces_analyze(tmp_path, capsys):
