@@ -75,7 +75,7 @@ class FeatStruct:
     is atomic the residue has already been subtracted.
     """
 
-    __slots__ = ("features", "allowed", "forbidden", "_canon")
+    __slots__ = ("features", "allowed", "forbidden")
 
     def __init__(self, features=None, allowed=None, forbidden=frozenset()):
         if features and allowed is not None:
@@ -85,7 +85,6 @@ class FeatStruct:
         self.features = dict(features) if features else {}
         self.allowed = frozenset(allowed) if allowed is not None else None
         self.forbidden = frozenset(forbidden) if allowed is None else frozenset()
-        self._canon = None
 
     # -- constructors -------------------------------------------------
 
@@ -164,11 +163,7 @@ class FeatStruct:
         return hash(canonical(self))
 
     def __repr__(self):
-        return "FeatStruct(%s)" % self.serialize()
-
-    def serialize(self):
-        """Canonical parenthesized form, reentrancy as numbered tags."""
-        return canonical(self)
+        return "FeatStruct(%s)" % canonical(self)
 
 
 _EMPTY = FeatStruct()
@@ -183,14 +178,11 @@ def _sorted_atoms(atoms):
 
 
 def canonical(fs):
-    """Deterministic text form; equal strings iff isomorphic graphs."""
-    if fs._canon is not None:
-        return fs._canon
+    """Deterministic text form; equal strings iff isomorphic graphs.
+    Reentrancy is written as numbered tags."""
     refcount = {}
     _count_refs(fs, refcount)
-    text = _emit(fs, refcount, {})
-    fs._canon = text
-    return text
+    return _emit(fs, refcount, {})
 
 
 def _count_refs(node, refcount):

@@ -67,28 +67,25 @@ class WordLattice:
 
     def validate(self):
         _check_shape(self.node_count, self.edges)
-        indeg = [0] * self.node_count
-        outdeg = [0] * self.node_count
-        for src, dst, _label in self.edges:
-            indeg[dst] += 1
-            outdeg[src] += 1
-        if indeg[self.source] or outdeg[self.sink]:
+        source, sink = self.source, self.sink
+        if any(dst == source or src == sink for src, dst, _label in self.edges):
             raise LatticeError("source must have no in-edges, sink no out-edges")
-        order = topological_order(self)
+        out = self.out_edges()
+        order = _topological_order(out)
         if order is None:
             raise LatticeError("lattice contains a cycle")
-        fwd = reachable_from(self, self.source)
-        back = reachable_from(self.reversed(), self.sink)
+        # reach flows forward along the order and backward against it
+        fwd, back = {source}, {sink}
+        for node in order:
+            if node in fwd:
+                fwd.update(dst for dst, _label in out[node])
+        for node in reversed(order):
+            if any(dst in back for dst, _label in out[node]):
+                back.add(node)
         for node in range(self.node_count):
             if node not in fwd or node not in back:
                 raise LatticeError("node %d is not on any source-sink path" % node)
         return self
-
-    def reversed(self):
-        return WordLattice(
-            self.node_count,
-            [(dst, src, label) for src, dst, label in self.edges],
-        )
 
 
 def _check_shape(node_count, edges):
@@ -120,18 +117,6 @@ def _topological_order(out):
             if indeg[dst] == 0:
                 stack.append(dst)
     return order if len(order) == len(out) else None
-
-
-def reachable_from(lattice, start):
-    out = lattice.out_edges()
-    seen, todo = {start}, [start]
-    while todo:
-        node = todo.pop()
-        for dst, _label in out[node]:
-            if dst not in seen:
-                seen.add(dst)
-                todo.append(dst)
-    return seen
 
 
 # ---------------------------------------------------------------------

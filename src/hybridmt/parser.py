@@ -265,7 +265,7 @@ def enumerate_trees(forest, cid, cap=1000):
                     p + (t,) for p in partial for t in child_trees
                 ][:budget]
             for children in partial:
-                trees.append((const.category, const.span, rule_key.as_tuple(), children))
+                trees.append((const.category, const.span, rule_key, children))
                 if len(trees) >= budget:
                     return trees
         return trees

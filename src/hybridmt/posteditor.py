@@ -98,22 +98,32 @@ def _find_slots(tokens, nouns):
     return slots
 
 
-def _instance_features(stripped, slot, head_word, lemma, countability):
-    feats = {
-        "head": lemma,
-        "l1": stripped[slot - 1].lower() if slot >= 1 else BOUNDARY,
-        "l2": stripped[slot - 2].lower() if slot >= 2 else BOUNDARY,
-        "r1": stripped[slot].lower() if slot < len(stripped) else BOUNDARY,
-        "r2": stripped[slot + 1].lower() if slot + 1 < len(stripped) else BOUNDARY,
-        "number": _number_guess(head_word),
-        "initial": "yes" if slot == 0 else "no",
-    }
-    if countability is None:
-        feats["countable"] = "unknown"
-    else:
-        known = countability.get(lemma)
-        feats["countable"] = "unknown" if known is None else ("yes" if known else "no")
-    return feats
+def _slots(tokens, nouns, countability):
+    """(slot token index, label, features) for every slot of ``tokens``.
+
+    Context features are computed over the article-free text, so
+    training and insertion give the tree the same kind of neighbours.
+    """
+    stripped = []
+    position = []  # original index -> index in stripped
+    for tok in tokens:
+        position.append(len(stripped))
+        if tok.lower() not in ARTICLES:
+            stripped.append(tok)
+    for slot_idx, head_idx, label in _find_slots(tokens, nouns):
+        slot = position[slot_idx]
+        lemma = _is_noun(tokens[head_idx], nouns)
+        known = None if countability is None else countability.get(lemma)
+        yield slot_idx, label, {
+            "head": lemma,
+            "l1": stripped[slot - 1].lower() if slot >= 1 else BOUNDARY,
+            "l2": stripped[slot - 2].lower() if slot >= 2 else BOUNDARY,
+            "r1": stripped[slot].lower() if slot < len(stripped) else BOUNDARY,
+            "r2": stripped[slot + 1].lower() if slot + 1 < len(stripped) else BOUNDARY,
+            "number": _number_guess(tokens[head_idx]),
+            "initial": "yes" if slot == 0 else "no",
+            "countable": "unknown" if known is None else ("yes" if known else "no"),
+        }
 
 
 def extract_instances(sentences, nouns, countability=None):
@@ -127,23 +137,10 @@ def extract_instances(sentences, nouns, countability=None):
     out = []
     for sent in sentences:
         tokens = sent.split() if isinstance(sent, str) else list(sent)
-        if not tokens:
-            continue
-        slots = _find_slots(tokens, nouns)
-        # context features are computed over the article-free text
-        stripped = []
-        position = {}  # original index -> index in stripped
-        for i, tok in enumerate(tokens):
-            position[i] = len(stripped)
-            if tok.lower() not in ARTICLES:
-                stripped.append(tok)
-        position[len(tokens)] = len(stripped)
-        for slot_idx, head_idx, label in slots:
-            lemma = _is_noun(tokens[head_idx], nouns)
-            feats = _instance_features(
-                stripped, position[slot_idx], tokens[head_idx], lemma, countability
-            )
-            out.append(ArticleInstance(label, feats))
+        out.extend(
+            ArticleInstance(label, feats)
+            for _slot, label, feats in _slots(tokens, nouns, countability)
+        )
     return out
 
 
@@ -300,17 +297,10 @@ def insert_articles(text, tree, nouns, exceptions=frozenset(), countability=None
     out_lines = []
     for line in text.splitlines():
         tokens = line.split()
-        slots = [
-            (slot_idx, head_idx)
-            for slot_idx, head_idx, label in _find_slots(tokens, nouns)
-            if label == "null"
-        ]
         inserts = {}
-        for slot_idx, head_idx in slots:
-            lemma = _is_noun(tokens[head_idx], nouns)
-            feats = _instance_features(
-                tokens, slot_idx, tokens[head_idx], lemma, countability
-            )
+        for slot_idx, found, feats in _slots(tokens, nouns, countability):
+            if found != "null":
+                continue
             label = classify(tree, feats)
             if label == "the":
                 inserts[slot_idx] = "the"

@@ -55,9 +55,6 @@ class RuleKey(tuple):
     def arity(self):
         return len(self.rhs)
 
-    def as_tuple(self):
-        return tuple(self)
-
     def __repr__(self):
         return "(%s -> %s)" % (self.lhs, " ".join(self.rhs))
 

@@ -22,7 +22,7 @@ Reentrant instances are written once and back-referenced by bare id.
 
 from . import sexpr
 # apply_equations is unused here but kept: the benchmark tracer wraps it by this name
-from .featstruct import FeatStruct, apply_equations  # noqa: F401
+from .featstruct import FeatStruct, apply_equations, canonical  # noqa: F401
 from .parser import compose, fragment_cover
 
 __all__ = [
@@ -90,7 +90,7 @@ class Taxonomy:
         self.parents = {}  # concept -> set of parents
         self.relations = {}  # name -> _Relation
         self.disjoint_pairs = set()  # frozenset({a, b})
-        self.penalties = dict(DEFAULT_PENALTIES)
+        self.closure = {}  # concept -> frozenset of itself and its ancestors
 
     # -- queries -------------------------------------------------------
 
@@ -98,14 +98,8 @@ class Taxonomy:
         return c in self.parents
 
     def ancestors(self, c):
-        out, todo = set(), [c]
-        while todo:
-            cur = todo.pop()
-            if cur in out:
-                continue
-            out.add(cur)
-            todo.extend(self.parents.get(cur, ()))
-        return out
+        """``c`` and everything above it, as ``validate`` recorded."""
+        return self.closure.get(c) or frozenset((c,))
 
     def isa(self, c, d):
         """Reflexive transitive is-a."""
@@ -121,7 +115,7 @@ class Taxonomy:
     def penalty_for(self, relation):
         if relation.penalty is not None:
             return relation.penalty
-        return self.penalties.get(relation.level, HARD_FLOOR)
+        return DEFAULT_PENALTIES.get(relation.level, HARD_FLOOR)
 
     # -- loading -------------------------------------------------------
 
@@ -168,6 +162,8 @@ class Taxonomy:
                 options[rest[0]] = int(rest[1]) if rest[0] == "relax" else float(rest[1])
             except ValueError as err:
                 raise TaxonomyError("%s: %s" % (where, err)) from None
+            if rest[0] == "penalty" and not 0.0 < options["penalty"] <= 1.0:
+                raise TaxonomyError("%s: penalty %s is not in (0, 1]" % (where, rest[1]))
             rest = rest[2:]
         self.relations[name.lower()] = _Relation(
             name.lower(), domain, range_, options["relax"], options["penalty"]
@@ -184,21 +180,22 @@ class Taxonomy:
                     raise TaxonomyError(
                         "relation %s: %s concept %r is not declared" % (name, side, concept)
                     )
-        # the is-a graph must be acyclic
-        state = {}
+        # the is-a graph must be acyclic; the same walk records each
+        # concept's ancestors (None while the concept is on the path)
+        closure = {}
 
         def visit(c):
-            if state.get(c) == 2:
-                return
-            if state.get(c) == 1:
-                raise TaxonomyError("is-a cycle through %r" % c)
-            state[c] = 1
-            for p in self.parents.get(c, ()):
-                visit(p)
-            state[c] = 2
+            if c in closure:
+                if closure[c] is None:
+                    raise TaxonomyError("is-a cycle through %r" % c)
+                return closure[c]
+            closure[c] = None
+            closure[c] = frozenset((c,)).union(*map(visit, self.parents.get(c, ())))
+            return closure[c]
 
         for c in list(self.parents):
             visit(c)
+        self.closure = closure
 
 
 # ---------------------------------------------------------------------
@@ -327,7 +324,7 @@ def graph_from_featstruct(sem):
         typed = node.features.get("instance")
         if typed is None or typed.atom_value is None:
             raise SemanticsError(
-                "meaning node lacks a unique instance type: %s" % node.serialize()
+                "meaning node lacks a unique instance type: %s" % canonical(node)
             )
         concept = str(typed.atom_value)
         counter[0] += 1

@@ -151,6 +151,71 @@ def test_parse_lattice_rejects_what_validate_rejects(node_count, edges, message)
         parse_lattice(dump_lattice(lattice))
 
 
+def _reference_validate_message(node_count, edges):
+    """Reference for ``WordLattice.validate``: the message it raises, or
+    None, from a degree count, a cycle search and two separate reaches."""
+    indeg, outdeg = [0] * node_count, [0] * node_count
+    for src, dst, _label in edges:
+        indeg[dst] += 1
+        outdeg[src] += 1
+    if indeg[0] or outdeg[node_count - 1]:
+        return "source must have no in-edges, sink no out-edges"
+    left = {(src, dst) for src, dst, _label in edges}
+    live = set(range(node_count))
+    while live:
+        free = {n for n in live if not any(dst == n for src, dst in left)}
+        if not free:
+            return "lattice contains a cycle"
+        live -= free
+        left = {(src, dst) for src, dst in left if src not in free}
+
+    def reach(start, pairs):
+        seen, todo = {start}, [start]
+        while todo:
+            node = todo.pop()
+            for src, dst in pairs:
+                if src == node and dst not in seen:
+                    seen.add(dst)
+                    todo.append(dst)
+        return seen
+
+    fwd = reach(0, [(src, dst) for src, dst, _label in edges])
+    back = reach(node_count - 1, [(dst, src) for src, dst, _label in edges])
+    for node in range(node_count):
+        if node not in fwd or node not in back:
+            return "node %d is not on any source-sink path" % node
+    return None
+
+
+@st.composite
+def edge_lists(draw):
+    """2-7 nodes; mostly forward edges, sometimes the full chain, plus
+    self-loops, back edges, edges into the source and out of the sink."""
+    nodes = draw(st.integers(2, 7))
+    pairs = [(i, i + 1) for i in range(nodes - 1)] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 8))):
+        src = draw(st.integers(0, nodes - 2))
+        pairs.append((src, draw(st.integers(src + 1, nodes - 1))))
+    node = st.integers(0, nodes - 1)
+    pairs += draw(st.lists(st.tuples(node, node), max_size=2))
+    edges = [(src, dst, draw(st.sampled_from(["x", "y", EPS]))) for src, dst in pairs]
+    return nodes, draw(st.permutations(edges))
+
+
+@settings(max_examples=500, deadline=None)
+@given(edge_lists())
+def test_validate_raises_what_the_reference_raises(case):
+    node_count, edges = case
+    want = _reference_validate_message(node_count, edges)
+    lattice = WordLattice(node_count, edges)
+    if want is None:
+        assert lattice.validate() is lattice
+    else:
+        with pytest.raises(LatticeError) as err:
+            lattice.validate()
+        assert str(err.value) == want
+
+
 def test_topological_order_none_on_cycle():
     assert topological_order(WordLattice(3, [(0, 1, "x"), (1, 0, EPS), (1, 2, "y")])) is None
 

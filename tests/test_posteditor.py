@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hybridmt import posteditor
 from hybridmt.posteditor import (
     ArticleInstance,
     PosteditError,
@@ -185,6 +188,60 @@ def test_insert_articles_allomorph_uses_following_word():
     tree = train_tree(insts)
     nouns = {"owl"}
     assert insert_articles("he saw owl", tree, nouns) == "he saw an owl"
+
+
+def _classified_features(line, countability=None):
+    """The feature dicts ``insert_articles`` hands to ``classify``."""
+    seen = []
+
+    def record(tree, features):
+        seen.append(dict(features))
+        return classify(tree, features)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(posteditor, "classify", record)
+        insert_articles(line, train_tree(_toy_instances()), NOUNS, countability=countability)
+    return seen
+
+
+def _trained_null_features(line, countability=None):
+    return [
+        inst.features
+        for inst in extract_instances([line], NOUNS, countability)
+        if inst.label == "null"
+    ]
+
+
+def test_insertion_features_skip_articles_as_training_does():
+    # dog's bare slot follows "the cat": training strips the article,
+    # so its second left neighbour is the sentence boundary
+    (feats,) = _classified_features("the cat dog")
+    assert feats["l2"] == "<s>"
+    assert feats == _trained_null_features("the cat dog")[0]
+    (feats,) = _classified_features("she saw a dog cat")
+    assert feats["l2"] == "saw"
+    (feats,) = _classified_features("cat the dog")
+    assert feats["r2"] == "dog"
+
+
+_LINE_WORDS = st.sampled_from(
+    sorted(NOUNS)
+    + [n + "s" for n in sorted(NOUNS)]
+    + ["a", "an", "the", "The", "A"]
+    + ["he", "saw", "bright", "and", "of", "Is"]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(_LINE_WORDS, max_size=10),
+    st.sampled_from([None, {"cat": True, "water": False}]),
+)
+def test_insertion_classifies_the_features_training_extracts(words, countability):
+    line = " ".join(words)
+    assert _classified_features(line, countability) == _trained_null_features(
+        line, countability
+    )
 
 
 # -- repairs -------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridmt import semantics
 from hybridmt.chunker import parse_token_line
@@ -94,6 +96,103 @@ def test_taxonomy_rejects_undeclared_relation_concepts():
 def test_taxonomy_rejects_isa_cycle():
     with pytest.raises(TaxonomyError):
         Taxonomy.parse("concept a isa b\nconcept b isa a\n")
+
+
+@pytest.mark.parametrize("penalty", ["7", "nan", "inf", "0", "-0.5", "1.0001"])
+def test_taxonomy_rejects_a_penalty_outside_zero_one(penalty):
+    text = "concept a\nrelation r domain a range a relax 1 penalty %s\n" % penalty
+    with pytest.raises(TaxonomyError, match=r"^<string>:2: penalty .* not in \(0, 1\]"):
+        Taxonomy.parse(text)
+
+
+@pytest.mark.parametrize("penalty, score", [("1", 1.0), ("0.25", 0.25)])
+def test_taxonomy_penalty_in_range_scores_a_relaxed_violation(penalty, score):
+    tax = Taxonomy.parse(
+        "concept thing\nconcept a isa thing\nconcept b isa thing\n"
+        "relation r domain a range a relax 1 penalty %s\n" % penalty
+    )
+    assert score_assertions([("a", "r", "b")], tax) == score
+
+
+def _reference_ancestors(parents, c):
+    """Reference for ``Taxonomy.ancestors``: a fresh walk per query."""
+    out, todo = set(), [c]
+    while todo:
+        cur = todo.pop()
+        if cur in out:
+            continue
+        out.add(cur)
+        todo.extend(parents.get(cur, ()))
+    return out
+
+
+def _reference_cycle_message(parents):
+    """Reference for the cycle check of ``Taxonomy.validate``: a
+    depth-first search that records no ancestors."""
+    state = {}
+
+    def visit(c):
+        if state.get(c) == 2:
+            return None
+        if state.get(c) == 1:
+            return "is-a cycle through %r" % c
+        state[c] = 1
+        for p in parents.get(c, ()):
+            found = visit(p)
+            if found:
+                return found
+        state[c] = 2
+        return None
+
+    for c in list(parents):
+        found = visit(c)
+        if found:
+            return found
+    return None
+
+
+_DECLARED = ["c0", "c1", "c2", "c3", "c4"]
+_NAMED = _DECLARED + ["u0", "u1"]  # u0 and u1 are parents no line declares
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(_NAMED), max_size=3, unique=True),
+        min_size=len(_DECLARED),
+        max_size=len(_DECLARED),
+    ),
+    st.lists(st.tuples(st.sampled_from(_NAMED), st.sampled_from(_NAMED)), max_size=4),
+)
+def test_taxonomy_closure_answers_as_a_walk_per_query(parent_lists, pairs):
+    lines, parents = [], {}
+    for name, listed in zip(_DECLARED, parent_lists):
+        lines.append("concept %s isa %s" % (name, ",".join(listed)) if listed else "concept " + name)
+        parents.setdefault(name, set()).update(p for p in listed if p)
+    lines += ["disjoint %s %s" % pair for pair in pairs]
+    text = "\n".join(lines) + "\n"
+    cycle = _reference_cycle_message(parents)
+    if cycle is not None:
+        with pytest.raises(TaxonomyError, match="is-a cycle through"):
+            Taxonomy.parse(text)
+        # over the very same parent sets, the walk names the same concept
+        same = Taxonomy()
+        same.parents = parents
+        with pytest.raises(TaxonomyError) as err:
+            same.validate()
+        assert str(err.value) == cycle
+        return
+    tax = Taxonomy.parse(text)
+    declared_pairs = {frozenset(pair) for pair in pairs}
+    queries = _NAMED + ["nowhere"]
+    for a in queries:
+        above_a = _reference_ancestors(parents, a)
+        for b in queries:
+            above_b = _reference_ancestors(parents, b)
+            assert tax.isa(a, b) == (b in above_a)
+            assert tax.disjoint(a, b) == any(
+                frozenset((x, y)) in declared_pairs for x in above_a for y in above_b
+            )
 
 
 # -- SPL ---------------------------------------------------------------
