@@ -14,7 +14,14 @@ Structures are immutable values; ``unify`` returns a fresh structure (or
 equations over variables ``X0..Xn``; ``apply_equations`` solves an
 equation list against variable bindings, expanding ``*OR*`` blocks into
 alternative solutions and checking ``*XOR*`` blocks, existence tests and
-``=c`` constraint equations.
+``=c`` constraint equations.  An equation list that only collects child
+values into X0 is solved by ``graft`` instead, which builds X0 around
+the children's own nodes.
+
+Sharing nodes between structures is sound only because nothing changes
+a ``FeatStruct`` once it is built: unification works on mutable
+``_MNode`` copies and freezes the result into new nodes, and ``graft``
+fills in only the fresh X0 nodes it is building.
 """
 
 import re
@@ -37,6 +44,8 @@ __all__ = [
     "parse_equation",
     "parse_equations",
     "apply_equations",
+    "graft_plan",
+    "graft",
     "evaluate_test",
 ]
 
@@ -743,6 +752,124 @@ def apply_equations(bindings, eqs, solution_cap=SOLUTION_CAP):
             seen.add(key)
         solutions.append({var: frozen.features.get(var, _EMPTY) for var in bindings})
     return solutions
+
+
+# ---------------------------------------------------------------------
+# Grafting: an X0 that only collects child values shares them
+# ---------------------------------------------------------------------
+
+def graft_plan(eqs):
+    """How ``graft`` builds X0 for an equation list, or None when only
+    ``apply_equations`` can solve it.
+
+    A list is graftable when every equation is ``(X0 p) = (Xi q)`` with
+    i >= 1, or ``(X0 p) = leaf`` with an atom or ``*OR*`` leaf, and no
+    left-hand path p is empty, equal to another or a prefix of one.
+    The plan is the highest child index named and ``(p, i, q)`` per
+    equation, with i None and q the leaf's atoms for a leaf.
+    """
+    entries = []
+    arity = 0
+    for eq in eqs:
+        if type(eq) is not Assign or eq.lhs.var != "X0" or not eq.lhs.path:
+            return None
+        rhs = eq.rhs
+        if type(rhs) is PathRef:
+            if rhs.var[1] == "0":  # X0, or X00 or X01, which no child binds
+                return None
+            index = int(rhs.var[1:])
+            arity = max(arity, index)
+            entries.append((eq.lhs.path, index, rhs.path))
+        elif rhs.allowed is not None:
+            entries.append((eq.lhs.path, None, rhs.allowed))
+        else:
+            return None
+    # in sorted order a path sorts straight before the paths it prefixes
+    paths = sorted([lhs for lhs, _, _ in entries])
+    for shorter, longer in zip(paths, paths[1:]):
+        if longer[: len(shorter)] == shorter:
+            return None
+    return arity, entries
+
+
+def graft(plan, children):
+    """Solve a graftable equation list (see ``graft_plan``) with X0
+    empty and X1.. bound to ``children``, sharing instead of copying.
+
+    X0 is fresh nodes along the left-hand paths.  A leaf is the child's
+    own node at q, a fresh atom node, or, where q is missing in the
+    child, a fresh empty node (one per missing path and child node).
+    Returns ``[X0]``, ``[]`` when q descends into an atom, or None when
+    ``apply_equations`` must decide: it copies each variable apart, so
+    a node shared through two variables is not reentrant there, and it
+    grows a child along a missing path, which X0 may share.
+    """
+    arity, entries = plan
+    if arity > len(children):
+        raise UnboundVariableError("X%d" % arity)
+    x0 = FeatStruct()
+    shared = {}  # child index -> the child's nodes X0 shares
+    grown = {}  # (child index, id of the last node found, missing steps) -> leaf
+    for lhs, index, rhs in entries:
+        if index is None:
+            leaf = FeatStruct(allowed=rhs)
+        else:
+            node, depth = _follow(children[index - 1], rhs)
+            if node is None:
+                return []
+            if depth == len(rhs):
+                leaf = node
+                shared.setdefault(index, []).append(node)
+            else:
+                leaf = grown.setdefault((index, id(node), rhs[depth:]), FeatStruct())
+        parent = x0
+        for feat in lhs[:-1]:
+            child = parent.features.get(feat)
+            if child is None:
+                child = parent.features[feat] = FeatStruct()
+            parent = child
+        parent.features[lhs[-1]] = leaf
+    if (len(shared) > 1 or grown) and not _graft_agrees(shared, grown):
+        return None
+    return [x0]
+
+
+def _follow(node, path):
+    """(last node found along ``path``, steps taken), or (None, 0) when
+    the path descends into an atom."""
+    for depth, feat in enumerate(path):
+        if node.allowed is not None:
+            return None, 0
+        child = node.features.get(feat)
+        if child is None:
+            return node, depth
+        node = child
+    return node, len(path)
+
+
+def _graft_agrees(shared, grown):
+    """True iff the grafted X0 is the one ``apply_equations`` builds: no
+    node is shared through two variables, no missing path stops inside
+    a subgraph its own variable shares, and no missing path extends
+    another one stopping at the same node."""
+    owner = {}  # node id -> index of the variable sharing it
+    for index, nodes in shared.items():
+        stack = list(nodes)
+        while stack:
+            node = stack.pop()
+            held = owner.get(id(node))
+            if held is None:
+                owner[id(node)] = index
+                stack.extend(node.features.values())
+            elif held != index:
+                return False
+    for index, stop, steps in grown:
+        if owner.get(stop) == index:
+            return False
+        for k in range(1, len(steps)):
+            if (index, stop, steps[:k]) in grown:
+                return False
+    return True
 
 
 def evaluate_test(bindings, test):

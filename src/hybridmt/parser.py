@@ -12,7 +12,7 @@ forest; the glosser and the semantic analyzer both use it.
 """
 
 from . import sexpr
-from .featstruct import SOLUTION_CAP, FeatStruct, apply_equations, canonical, subsumes
+from .featstruct import SOLUTION_CAP, FeatStruct, apply_equations, canonical, graft, subsumes
 from .rulebase import tagged_entries
 
 __all__ = [
@@ -305,7 +305,8 @@ def count_trees(forest, cid):
 
 def _solve_rule(equation_sets, child_structures, solution_cap=SOLUTION_CAP):
     """X0 of every solution of every equation set, in order, with
-    X1..Xn bound to ``child_structures``."""
+    X1..Xn bound to ``child_structures``.  A set with a graft plan
+    builds X0 from the children's own nodes when ``graft`` can."""
     bindings = None
     produced = []
     for eqset in equation_sets:
@@ -313,6 +314,11 @@ def _solve_rule(equation_sets, child_structures, solution_cap=SOLUTION_CAP):
             # nothing to solve: the one solution leaves X0 empty
             produced.append(FeatStruct.empty())
             continue
+        if eqset.plan is not None:
+            grafted = graft(eqset.plan, child_structures)
+            if grafted is not None:
+                produced += grafted
+                continue
         if bindings is None:
             bindings = {"X0": FeatStruct.empty()}
             for i, fs in enumerate(child_structures, 1):
@@ -341,7 +347,9 @@ def compose(forest, leaf, equation_sets, cap):
         if const.lexical or not const.derivations:
             memo[cid] = leaf(const)[:cap]
             return memo[cid]
-        results, seen = [], set()
+        # dedup keys start with a second candidate: one has nothing to
+        # be a duplicate of
+        results, seen = [], None
         for rule_key, child_ids in const.derivations:
             sets = equation_sets(rule_key)
             if not sets:
@@ -354,10 +362,14 @@ def compose(forest, leaf, equation_sets, cap):
                 combos = [c + (o,) for c in combos for o in options][:cap]
             for combo in combos:
                 for fs in _solve_rule(sets, combo):
-                    key = canonical(fs)
-                    if key not in seen:
+                    if results:
+                        if seen is None:
+                            seen = {canonical(results[0])}
+                        key = canonical(fs)
+                        if key in seen:
+                            continue
                         seen.add(key)
-                        results.append(fs)
+                    results.append(fs)
             if len(results) >= cap:
                 break
         memo[cid] = results[:cap]

@@ -18,7 +18,13 @@ import os
 from operator import itemgetter
 
 from . import sexpr
-from .featstruct import equation_variables, parse_equations, parse_featstruct_expr, FeatStruct
+from .featstruct import (
+    FeatStruct,
+    equation_variables,
+    graft_plan,
+    parse_equations,
+    parse_featstruct_expr,
+)
 
 __all__ = [
     "RuleKey",
@@ -60,13 +66,15 @@ class RuleKey(tuple):
 
 
 class EquationSet:
-    """One parsed equation list plus its source expressions (for dumps)."""
+    """One parsed equation list, its source expressions (for dumps) and
+    its ``featstruct.graft_plan`` (None: the full solver solves it)."""
 
-    __slots__ = ("equations", "exprs")
+    __slots__ = ("equations", "exprs", "plan")
 
     def __init__(self, equations, exprs):
         self.equations = equations
         self.exprs = exprs
+        self.plan = graft_plan(equations) if equations else None
 
 
 class SynchronizedRule:

@@ -165,9 +165,18 @@ class Taxonomy:
             if rest[0] == "penalty" and not 0.0 < options["penalty"] <= 1.0:
                 raise TaxonomyError("%s: penalty %s is not in (0, 1]" % (where, rest[1]))
             rest = rest[2:]
-        self.relations[name.lower()] = _Relation(
-            name.lower(), domain, range_, options["relax"], options["penalty"]
-        )
+        level, penalty = options["relax"], options["penalty"]
+        if level < 0:
+            raise TaxonomyError("%s: relax level %d is negative" % (where, level))
+        if level == 0 and penalty is not None:
+            raise TaxonomyError(
+                "%s: penalty on a relation of relax level 0, which is never relaxed" % where
+            )
+        if level > 0 and penalty is None and level not in DEFAULT_PENALTIES:
+            raise TaxonomyError(
+                "%s: relax level %d has no default penalty; give it one" % (where, level)
+            )
+        self.relations[name.lower()] = _Relation(name.lower(), domain, range_, level, penalty)
 
     @staticmethod
     def load(path):

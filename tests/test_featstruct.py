@@ -17,6 +17,7 @@ from hybridmt.featstruct import (
     apply_equations,
     canonical,
     evaluate_test,
+    graft_plan,
     parse_equation,
     parse_equations,
     parse_featstruct,
@@ -498,3 +499,37 @@ def test_constraint_on_cyclic_structure_fails_the_solution():
     eqs = eqs_from("((X0) = (X0 a)) ((X0) =c v1)")
     assert apply_equations({"X0": EMPTY, "X1": FeatStruct.atom("v1")}, eqs) == []
     assert apply_equations({"X0": EMPTY}, eqs_from("((X0) = (X0 a))")) == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "((X0 a) = (X1 b))",
+        "((X0 a) = X1)",
+        "((X0 a b) = (X2 c)) ((X0 a c) = v1) ((X0 d) = (*OR* v1 v2))",
+        "((X0 a) = (X1 b)) ((X0 c) = (X1 b))",
+    ],
+)
+def test_sets_that_only_collect_child_values_are_graftable(text):
+    assert graft_plan(parse_equations(parse_all(text))) is not None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "((X0 a) = (X1 b)) ((X0 a) = (X2 b))",  # one left-hand path twice
+        "((X0 a) = (X1 b)) ((X0 a b) = v1)",  # one a prefix of another
+        "(X0 = X1)",  # no left-hand path
+        "((X1 a) = (X2 a))",  # a left-hand side on a child
+        "((X0 a) = (X0 b))",  # X0 on the right
+        "((X0 a) = (X00 b))",  # X00 is not X0; the solver reports it unbound
+        "((X0 a) = (*NOT* v1))",
+        "((X0 a) = ((b v1)))",
+        "((X0 a) =c v1)",
+        "(IS (X1 a))",
+        "(*OR* (((X0 a) = v1)) (((X0 a) = v2)))",
+        "(*XOR* (((X0 a) = v1)) (((X0 a) = v2)))",
+    ],
+)
+def test_sets_the_full_solver_must_solve_have_no_graft_plan(text):
+    assert graft_plan(parse_equations(parse_all(text))) is None

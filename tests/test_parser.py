@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fixture_path
 from hybridmt import parser
 from hybridmt.chunker import Token, parse_token_line
 from hybridmt.parser import (
@@ -21,13 +22,14 @@ from hybridmt.parser import (
 )
 from hybridmt.featstruct import (
     FeatStruct,
+    UnboundVariableError,
     apply_equations,
     canonical,
     parse_equations,
     parse_featstruct,
     subsumes,
 )
-from hybridmt.rulebase import EquationSet, LexiconEntry, parse_rule_file
+from hybridmt.rulebase import EquationSet, LexiconEntry, RuleKey, load_rulebase, parse_rule_file
 from hybridmt.sexpr import parse_all
 
 TOY = parse_rule_file(
@@ -334,6 +336,149 @@ def test_solve_rule_matches_apply_equations_per_set(case):
     for structures, cap in ((children, 64), (copies, 64), (children, 1)):
         got = [canonical(fs) for fs in parser._solve_rule(sets, structures, cap)]
         assert got == want(cap)
+
+
+@st.composite
+def _graftable_cases(draw):
+    """Children drawn from a small shared pool, some wrapped so that one
+    pooled subgraph recurs under another variable, and a graftable set
+    over them: X0 left-hand paths none of which is a prefix of another,
+    child paths present, missing or through an atom, and atom leaves."""
+    arity = draw(st.integers(1, 3))
+    structures = st.one_of(_feat_structs(), st.just(FeatStruct.empty()))
+    pool = draw(st.lists(structures, min_size=1, max_size=3))
+    feats = st.sampled_from(FS_FEATS)
+    children = []
+    for _ in range(arity):
+        fs = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            wrap = draw(st.lists(feats, min_size=1, max_size=2, unique=True))
+            fs = FeatStruct.complex({f: fs for f in wrap})
+        children.append(fs)
+    kept = []
+    lhs_paths = st.lists(feats, min_size=1, max_size=2).map(tuple)
+    for lhs in draw(st.lists(lhs_paths, min_size=1, max_size=5)):
+        if not any(lhs[: len(k)] == k or k[: len(lhs)] == lhs for k in kept):
+            kept.append(lhs)
+    # a few child paths per set, so that some recur and some nest
+    children_vars = st.sampled_from(["X%d" % i for i in range(1, arity + 1)])
+    child_paths = st.builds(_path, children_vars, st.lists(feats, max_size=3))
+    sources = draw(st.lists(child_paths, min_size=1, max_size=3))
+    values = st.one_of(st.sampled_from(sources), st.sampled_from(FS_ATOMS + ("(*OR* v1 v2)",)))
+    text = " ".join("(%s = %s)" % (_path("X0", lhs), draw(values)) for lhs in kept)
+    return children, _equation_set(text)
+
+
+def _equation_set(text):
+    exprs = parse_all(text)
+    return EquationSet(parse_equations(exprs), exprs)
+
+
+def _solver_x0s(eqset, children):
+    bindings = {"X0": FeatStruct.empty()}
+    bindings.update(("X%d" % i, fs) for i, fs in enumerate(children, 1))
+    return [canonical(sol["X0"]) for sol in apply_equations(bindings, eqset.equations)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_graftable_cases())
+def test_grafted_x0_equals_the_full_solvers_on_shared_children(case):
+    children, eqset = case
+    assert eqset.plan is not None
+    before = [canonical(fs) for fs in children]
+    want = _solver_x0s(eqset, children)
+    # fails exactly when the solver has no solution, too
+    assert [canonical(fs) for fs in parser._solve_rule([eqset], children)] == want
+    assert [canonical(fs) for fs in children] == before
+
+
+def _grafted(text, *children):
+    eqset = _equation_set(text)
+    got = [canonical(fs) for fs in parser._solve_rule([eqset], children)]
+    assert got == _solver_x0s(eqset, children)
+    return got
+
+
+SG = "((syn ((n sg))))"
+
+
+def test_one_structure_bound_to_two_variables_is_not_aliased():
+    child = parse_featstruct(SG)
+    got = _grafted("((X0 a) = (X1 syn)) ((X0 b) = (X2 syn))", child, child)
+    assert got == ["((a ((n sg))) (b ((n sg))))"]
+
+
+def test_one_child_path_named_twice_is_reentrant():
+    got = _grafted("((X0 a) = (X1 syn)) ((X0 b) = (X1 syn))", parse_featstruct(SG))
+    assert got == ["((a #1=((n sg))) (b #1#))"]
+
+
+def test_a_missing_child_path_gets_one_empty_node():
+    child = parse_featstruct(SG)
+    assert _grafted("((X0 a) = (X1 syn num))", child) == ["((a ()))"]
+    got = _grafted("((X0 a) = (X1 syn num)) ((X0 b) = (X1 syn num))", child)
+    assert got == ["((a #1=()) (b #1#))"]
+    got = _grafted("((X0 a) = (X1 syn num)) ((X0 b) = (X2 syn num))", child, child)
+    assert got == ["((a ()) (b ()))"]
+
+
+def test_a_missing_path_under_a_grafted_subgraph_grows_it():
+    child = parse_featstruct(SG)
+    got = _grafted("((X0 a) = (X1 syn)) ((X0 b) = (X1 syn num))", child)
+    assert got == ["((a ((n sg) (num #1=()))) (b #1#))"]
+    got = _grafted("((X0 b) = (X1 syn num)) ((X0 a) = (X1 syn))", child)
+    assert got == ["((a ((n sg) (num #1=()))) (b #1#))"]
+    # the grown node is reached through a reentrant path, not a prefix
+    reentrant = parse_featstruct("((f #1=((g v1))) (h #1#))")
+    got = _grafted("((X0 a) = (X1 f)) ((X0 b) = (X1 h k))", reentrant)
+    assert got == ["((a ((g v1) (k #1=()))) (b #1#))"]
+    got = _grafted("((X0 a) = (X1 syn num)) ((X0 b) = (X1 syn num pl))", child)
+    assert got == ["((a ((pl #1=()))) (b #1#))"]
+
+
+def test_a_path_through_an_atom_has_no_solution():
+    assert _grafted("((X0 a) = (X1 syn n x))", parse_featstruct(SG)) == []
+    atom = FeatStruct.atom("v1")
+    assert _grafted("((X0 a) = (X1 syn)) ((X0 b) = (X2 n))", parse_featstruct(SG), atom) == []
+
+
+def test_a_graft_naming_an_unbound_variable_is_an_error():
+    child = parse_featstruct(SG)
+    with pytest.raises(UnboundVariableError):
+        parser._solve_rule([_equation_set("((X0 a) = (X3 syn))")], [child, child])
+
+
+def test_grafted_x0_shares_the_childs_structure():
+    rule = load_rulebase(gloss_file=fixture_path("gloss.rules")).rules[RuleKey("NP", ("N",))]
+    child = parse_featstruct("((gloss ((head cat) (num sg))))")
+    (x0,) = parser._solve_rule(rule.gloss_sets, [child])
+    assert x0["gloss"] is child["gloss"]
+
+
+REPEATED_WORD_GRAMMAR = """
+((NP -> N) ((X0 syn) = (X1 syn)))
+((S -> NP NP) ((X0 a) = (X1 syn)) ((X0 b) = (X2 syn)))
+((S -> N N) ((X0 a) = (X1 syn)) ((X0 b) = (X1 syn)) ((X0 c) = (X2 syn)) ((X0 d) = plus))
+"""
+
+# dump_forest of ``neko neko`` under REPEATED_WORD_GRAMMAR, recorded
+# before X0 shared its children's structure
+REPEATED_WORD_FOREST = """\
+0	N	0	1		((syn ((n sg))))
+1	N	1	2		((syn ((n sg))))
+2	NP	1	2	(NP -> N):1	((syn ((n sg))))
+3	NP	0	1	(NP -> N):0	((syn ((n sg))))
+4	S	0	2	(S -> NP NP):3,2	((a ((n sg))) (b ((n sg))))
+5	S	0	2	(S -> N N):0,1	((a #1=((n sg))) (b #1#) (c ((n sg))) (d plus))
+"""
+
+
+def test_a_line_repeating_one_word_keeps_its_forest():
+    # both words are one lexicon structure, and the NPs graft it again
+    grammar = parse_rule_file(REPEATED_WORD_GRAMMAR, "syntax")
+    grammar.syn_lexicon["neko"] = [LexiconEntry("neko", "N", parse_featstruct(SG))]
+    forest = parse([Token("neko", "N"), Token("neko", "N")], grammar)
+    assert dump_forest(forest) == REPEATED_WORD_FOREST
 
 
 @settings(max_examples=300, deadline=None)

@@ -145,3 +145,26 @@ def test_validate_clean_fixture():
 def test_validate_rejects_bad_mode():
     with pytest.raises(ValueError):
         validate_rulebase(RuleBase(), "syntax")
+
+
+def test_shipped_sets_that_only_collect_child_values_get_a_graft_plan():
+    rb = load_rulebase(
+        grammar_file=fixture_path("grammar.rules"),
+        sem_file=fixture_path("sem.rules"),
+        gloss_file=fixture_path("gloss.rules"),
+    )
+    solver = sorted(
+        (kind, repr(key))
+        for key, rule in rb.rules.items()
+        for kind in ("syntax", "semantics", "gloss")
+        for eqset in rule.sets(kind)
+        if eqset.plan is None
+    )
+    # (X0 syn topic) under (X0 syn), and three sem sets whose left-hand
+    # paths nest, need the full solver
+    assert solver == [
+        ("semantics", "(DATEP -> DATE NI)"),
+        ("semantics", "(S -> NPT ADV V)"),
+        ("semantics", "(S -> NPT DATEP VNP V)"),
+        ("syntax", "(NPT -> NP HA)"),
+    ]

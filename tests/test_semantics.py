@@ -105,6 +105,30 @@ def test_taxonomy_rejects_a_penalty_outside_zero_one(penalty):
         Taxonomy.parse(text)
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ("relax 3", r"relax level 3 has no default penalty"),
+        ("relax -1", r"relax level -1 is negative"),
+        ("penalty 0.5", r"penalty on a relation of relax level 0"),
+        ("penalty 0.5 relax 0", r"penalty on a relation of relax level 0"),
+    ],
+)
+def test_taxonomy_rejects_a_relax_level_it_cannot_score(options, message):
+    # each of these once scored a relaxable violation HARD_FLOOR, silently
+    text = "concept a\nrelation r domain a range a %s\n" % options
+    with pytest.raises(TaxonomyError, match=r"^<string>:2: " + message):
+        Taxonomy.parse(text)
+
+
+def test_taxonomy_relax_level_without_a_default_takes_its_explicit_penalty():
+    tax = Taxonomy.parse(
+        "concept thing\nconcept a isa thing\nconcept b isa thing\n"
+        "relation r domain a range a relax 3 penalty 0.5\n"
+    )
+    assert score_assertions([("a", "r", "b")], tax) == 0.5
+
+
 @pytest.mark.parametrize("penalty, score", [("1", 1.0), ("0.25", 0.25)])
 def test_taxonomy_penalty_in_range_scores_a_relaxed_violation(penalty, score):
     tax = Taxonomy.parse(
