@@ -254,15 +254,13 @@ def resegment(tokens, compounds=None, gazetteer=None):
 # Matching
 # ---------------------------------------------------------------------
 
-def match_pattern(pattern, tokens, start, pset=None, spans=None):
+def match_pattern(pattern, tokens, start, pset, spans=None):
     """Longest span accepted by the pattern starting at ``start``.
 
     Returns ``(end, anchor_start, anchor_end)`` or None.  ``spans`` maps
     a start index to earlier ``(end, name)`` matches usable as single
     elements.
     """
-    if pset is None:
-        pset = PatternSet()
     if spans is None:
         spans = {}
     if not 0 <= start <= len(tokens):

@@ -320,8 +320,4 @@ def flatten_gloss(gloss, irregulars=None):
             return build(feats["gloss"], tmp | _tmp_flags(feats.get("tmp", FeatStruct.empty())))
         raise GlossError("cannot flatten node: %s" % canonical(node))
 
-    top_tmp = set()
-    if gloss.is_complex and "tmp" in gloss.features:
-        top_tmp = _tmp_flags(gloss.features["tmp"])
-    body = gloss.features.get("gloss", gloss) if gloss.is_complex else gloss
-    return build(body, top_tmp)
+    return build(gloss, set())

@@ -623,15 +623,9 @@ def _decode(lattice, model, n):
         for entry in entries:
             finals.append((entry[0] + lp, _words(entry)))
     finals.sort(key=lambda item: (-item[0], item[1]))
-    results, seen = [], set()
-    for score, seq in finals:
-        if seq in seen:
-            continue
-        seen.add(seq)
-        results.append((list(seq), score))
-        if len(results) >= n:
-            break
-    return results
+    # a word sequence fixes its (h1, h2) state and ``_push`` keeps it
+    # once per state, so no sequence reaches the sink twice
+    return [(list(seq), score) for score, seq in finals[:n]]
 
 
 def best_path(lattice, model):

@@ -70,10 +70,8 @@ class ParseForest:
         self._by_start.setdefault((const.start, const.category), []).append(const)
         self._by_span.setdefault((const.start, const.end, const.category), []).append(const)
 
-    def at(self, start, category=None):
-        if category is None:
-            return [c for c in self if c.start == start]
-        return self._by_start.get((start, category), [])
+    def at(self, start):
+        return [c for c in self if c.start == start]
 
     def __getitem__(self, cid):
         return self.constituents[cid]
@@ -191,13 +189,10 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
         if forest.truncated:
             break
 
-    forest.roots = sorted(
-        (
-            c.id
-            for c in forest
-            if c.start == 0 and c.end == n and c.category in root_categories
-        ),
-    )
+    # ids ascend in ``forest.add`` order, so the roots come out sorted
+    forest.roots = [
+        c.id for c in forest if c.start == 0 and c.end == n and c.category in root_categories
+    ]
     return forest
 
 

@@ -204,14 +204,10 @@ def run_trace_report(traces):
     """Aggregate per-stage totals and batch statistics."""
     if not traces:
         raise ValueError("report needs at least one translated sentence")
-    totals = {}
-    order = []
+    totals = {}  # stage name -> [kind, in, out, pruned], first seen first
     for t in traces:
         for s in t.stages:
-            if s.name not in totals:
-                totals[s.name] = [s.kind, 0, 0, 0]
-                order.append(s.name)
-            row = totals[s.name]
+            row = totals.setdefault(s.name, [s.kind, 0, 0, 0])
             row[1] += s.n_in
             row[2] += s.n_out
             row[3] += s.pruned
@@ -227,8 +223,7 @@ def run_trace_report(traces):
     lines.append("avg-lattice-paths\t%.4f" % mean("paths"))
     lines.append("avg-candidates\t%.4f" % mean("candidates"))
     lines.append("stage\tkind\tin\tout\tpruned")
-    for name in order:
-        kind, n_in, n_out, pruned = totals[name]
+    for name, (kind, n_in, n_out, pruned) in totals.items():
         lines.append("%s\t%s\t%d\t%d\t%d" % (name, kind, n_in, n_out, pruned))
     return "\n".join(lines) + "\n"
 

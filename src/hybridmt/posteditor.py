@@ -74,8 +74,8 @@ def _find_slots(tokens, nouns):
 
     An article marks a labeled slot when a known noun follows within
     three tokens; a known noun with no preceding article is a bare slot
-    labeled null.  Nouns directly preceded by an article belong to that
-    article's slot and yield no bare slot of their own.
+    labeled null.  A noun directly after an article is the first token
+    that article's lookahead tries, so it never yields a bare slot.
     """
     slots = []
     claimed = set()
@@ -90,8 +90,6 @@ def _find_slots(tokens, nouns):
                     break
     for j, tok in enumerate(tokens):
         if j in claimed or not _is_noun(tok, nouns):
-            continue
-        if j > 0 and tokens[j - 1].lower() in ARTICLES:
             continue
         slots.append((j, j, "null"))
     slots.sort()

@@ -283,8 +283,6 @@ class SemCandidate:
 
 def _leaf_candidates(const, rb):
     token = const.token
-    if token is None:
-        return []
     senses = rb.sem_lexicon.get(token.surface, [])
     out = []
     for concept in senses:
@@ -365,7 +363,7 @@ def root_candidates(forest, analyses, category_order=()):
     for cid in cids:
         for fs in analyses(cid):
             sem = fs.features.get("sem")
-            if sem is None or not sem.is_complex:
+            if sem is None:
                 continue
             try:
                 out.append(SemCandidate(graph_from_featstruct(sem)))
@@ -480,8 +478,6 @@ def score_assertions(assertions, taxonomy, warn=None):
             factors.append(max(taxonomy.penalty_for(rel), HARD_FLOOR))
         else:
             factors.append(HARD_FLOOR)
-    if not factors:
-        return 1.0
     # multiply smallest first so the result is order-invariant bit for bit
     score = 1.0
     for f in sorted(factors):

@@ -218,3 +218,23 @@ def test_marker_balance_property():
             depth[t.marker_cat] = d + (1 if t.marker_side == "begin" else -1)
             assert depth[t.marker_cat] >= 0
         assert all(v == 0 for v in depth.values())
+
+
+def test_load_patterns_plain_marker_labels():
+    (pat,) = load_patterns("(TOPIC (N+ HA) :left NPT :right NPT)").patterns
+    assert pat.left_label == "NPT" and pat.right_label == "NPT"
+
+
+def test_alias_closure_visits_a_shared_name_once():
+    pset = load_patterns(
+        "(NOMINAL == (is NOUNISH)) (NOMINAL == (is PRONISH))"
+        " (NOUNISH == (is N)) (PRONISH == (is N)) (N == (is NOMINAL))"
+    )
+    assert pset.expand("NOMINAL") == {"NOMINAL", "NOUNISH", "PRONISH", "N"}
+
+
+def test_tokens_compare_by_every_field():
+    assert parse_token_line("neko/N BEGIN-NP") == [Token("neko", "N"), Token.begin("NP")]
+    assert Token("neko", "N") != Token("neko", "V")
+    assert Token.begin("NP") != Token.end("NP")
+    assert Token("neko", "N") != "neko/N"

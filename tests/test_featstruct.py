@@ -533,3 +533,27 @@ def test_sets_that_only_collect_child_values_are_graftable(text):
 )
 def test_sets_the_full_solver_must_solve_have_no_graft_plan(text):
     assert graft_plan(parse_equations(parse_all(text))) is None
+
+
+def test_accessors_of_a_built_structure():
+    fs = parse_featstruct("((syn ((head noun) (num (*or* sg pl)))))")
+    assert fs.get(("syn", "head")).atom_value == "noun"
+    assert fs.get(("syn", "num")).atom_value is None
+    assert fs.get(("syn", "case")) is None
+    assert fs.get(("sem", "instance")) is None
+    assert "syn" in fs and "sem" not in fs
+    assert fs["syn"] is fs.get(("syn",))
+
+
+def test_subsumption_of_a_negated_atom():
+    not_pl = parse_featstruct("((num (*not* pl)))")
+    assert subsumes(not_pl, parse_featstruct("((num sg))"))
+    assert not subsumes(not_pl, parse_featstruct("((num pl))"))
+    assert not subsumes(not_pl, parse_featstruct("((num ((x y))))"))
+    assert subsumes(not_pl, parse_featstruct("((num (*not* pl du)))"))
+    assert not subsumes(parse_featstruct("((num (*not* pl du)))"), not_pl)
+
+
+def test_existence_test_through_an_atom_fails():
+    test = parse_equation(parse_all("(is (X1 syn head))")[0])
+    assert not evaluate_test({"X1": parse_featstruct("((syn noun))")}, test)

@@ -19,7 +19,7 @@ from hybridmt.glosser import (
     realize_verbgroup,
     third_singular_form,
 )
-from hybridmt.parser import parse
+from hybridmt.parser import count_trees, parse
 from hybridmt.rulebase import parse_rule_file, load_rulebase
 
 from conftest import fixture_path
@@ -231,3 +231,177 @@ def test_flatten_empty_node_is_epsilon():
         }
     )
     assert _flatten_paths(flatten_gloss(fs)) == {("hi",)}
+
+
+# -- composition reuse, duplicates and the alternative cap ------------------
+
+SHARED_LEAF_GRAMMAR = """
+((S -> A B))
+((S -> A BB))
+((BB -> B))
+((S -> AA B))
+((AA -> A))
+"""
+
+# (S -> A BB) glosses like (S -> A B), and (AA -> A) glosses A as "other"
+SHARED_LEAF_GLOSS = """
+((S -> A B) ((X0 gloss op1) = (X1 gloss)) ((X0 gloss op2) = (X2 gloss)))
+((S -> A BB) ((X0 gloss op1) = (X1 gloss)) ((X0 gloss op2) = (X2 gloss)))
+((BB -> B) ((X0 gloss) = (X1 gloss)))
+((AA -> A) ((X0 gloss) = other))
+((S -> AA B) ((X0 gloss op1) = (X1 gloss)) ((X0 gloss op2) = (X2 gloss)))
+"""
+
+
+def test_cover_keeps_distinct_options_once_and_glosses_shared_leaves_once(monkeypatch):
+    grammar = parse_rule_file(SHARED_LEAF_GRAMMAR, "syntax")
+    parse_rule_file(SHARED_LEAF_GLOSS, "gloss", grammar)
+    forest = parse(parse_token_line("x/A y/B"), grammar)
+    (root,) = forest.roots
+    # three derivations over two leaves, each leaf under two of them
+    assert len(forest[root].derivations) == 3
+    leaf_calls = []
+    real_leaf = glosser.gloss_leaf
+
+    def counting_leaf(token, *args):
+        leaf_calls.append(token.surface)
+        return real_leaf(token, *args)
+
+    monkeypatch.setattr(glosser, "gloss_leaf", counting_leaf)
+    fs = gloss_forest(forest, grammar)
+    # each leaf is glossed once and then read back from the memo
+    assert sorted(leaf_calls) == ["x", "y"]
+    # the (S -> A BB) option repeats (S -> A B)'s and is dropped
+    assert sorted(fs.features) == ["alt1", "alt2"]
+    assert _flatten_paths(flatten_gloss(fs)) == {("x", "y"), ("other", "y")}
+
+
+def test_cover_options_stop_at_the_alternative_cap():
+    grammar = parse_rule_file("((S -> A)) ((S -> S S))", "syntax")
+    parse_rule_file(
+        """
+((S -> A) ((X0 gloss) = (X1 gloss)))
+((S -> S S) ((X0 gloss op1) = (X1 gloss)) ((X0 gloss op2) = (X2 gloss)))
+""",
+        "gloss",
+        grammar,
+    )
+    # 429 bracketings of eight words, each a different op nesting
+    forest = parse(parse_token_line(" ".join(["a/A"] * 8)), grammar)
+    (root,) = forest.roots
+    assert count_trees(forest, root) == 429
+    looked_up = []
+
+    class CountingRules(dict):
+        def get(self, key, default=None):
+            looked_up.append(key)
+            return super().get(key, default)
+
+    grammar.rules = CountingRules(grammar.rules)
+    fs = gloss_forest(forest, grammar)
+    assert sorted(fs.features) == sorted("alt%d" % i for i in range(1, glosser.ALTERNATIVE_CAP + 1))
+    # a constituent holding its cap of options glosses no further derivation
+    assert len(looked_up) < sum(len(c.derivations) for c in forest)
+    assert _flatten_paths(flatten_gloss(fs)) == {("a",) * 8}
+
+
+# -- flattening starts at the top node -----------------------------------
+
+def _flatten_unwrapping_the_top(gloss, irregulars=None):
+    """``flatten_gloss`` as it was when it unwrapped the top node's
+    ``gloss`` and ``tmp`` features before building: the reference that
+    starting at the top node must equal."""
+
+    def build(node, tmp):
+        if node.is_atomic:
+            return wl.from_groups([[str(a) for a in node.allowed]])
+        if node.is_empty:
+            return wl.WordLattice(2, [(0, 1, wl.EPS)])
+        feats = node.features
+        if "base" in feats:
+            spec = VerbGroupSpec(
+                (str(a) for a in feats["base"].allowed),
+                glosser._tmp_flags(node) | tmp,
+            )
+            return wl.from_groups(realize_verbgroup(spec, irregulars))
+        ops = sorted(
+            ((int(m.group(1)), f) for f in feats if (m := glosser._OP_RE.match(f))),
+        )
+        if ops:
+            numbers = [n for n, _ in ops]
+            if numbers != list(range(1, len(numbers) + 1)):
+                raise GlossError("op features must be consecutive from op1")
+            return wl.concat_all([build(feats[f], tmp) for _, f in ops])
+        alts = sorted(
+            ((int(m.group(1)), f) for f in feats if (m := glosser._ALT_RE.match(f))),
+        )
+        if alts:
+            return wl.alternate_all([build(feats[f], tmp) for _, f in alts])
+        if "gloss" in feats:
+            tmp_node = feats.get("tmp", FeatStruct.empty())
+            return build(feats["gloss"], tmp | glosser._tmp_flags(tmp_node))
+        raise GlossError("cannot flatten node")
+
+    top_tmp = set()
+    if gloss.is_complex and "tmp" in gloss.features:
+        top_tmp = glosser._tmp_flags(gloss.features["tmp"])
+    body = gloss.features.get("gloss", gloss) if gloss.is_complex else gloss
+    return build(body, top_tmp)
+
+
+def _assert_flattens_like_the_reference(fs, irregulars=None):
+    try:
+        want = wl.dump_lattice(_flatten_unwrapping_the_top(fs, irregulars))
+    except GlossError:
+        with pytest.raises(GlossError):
+            flatten_gloss(fs, irregulars)
+        return
+    assert wl.dump_lattice(flatten_gloss(fs, irregulars)) == want
+
+
+def _gloss_of(feats):
+    return FeatStruct.complex({"gloss": FeatStruct.complex(feats)})
+
+
+# the structures the flattening tests above build by hand
+HAND_BUILT_GLOSSES = [
+    _gloss_of({"op1": FeatStruct.atom("the"), "op2": FeatStruct.atom("black cat")}),
+    _gloss_of({"alt1": FeatStruct.atom("cat"), "alt2": FeatStruct.atom("dog")}),
+    _gloss_of({"op1": FeatStruct.atom("a"), "op3": FeatStruct.atom("b")}),
+    FeatStruct.complex(
+        {
+            "gloss": FeatStruct.complex({"base": FeatStruct.atom("eat")}),
+            "tmp": FeatStruct.complex({"past": FeatStruct.atom("+")}),
+        }
+    ),
+    _gloss_of({"op1": FeatStruct.atom("hi"), "op2": FeatStruct.empty()}),
+]
+
+
+def test_hand_built_glosses_flatten_like_the_top_unwrap(rb, irregulars):
+    structures = list(HAND_BUILT_GLOSSES)
+    for line in ("john/N wa/HA ima/ADV tabetai/V", "john/N tabetai/V"):
+        structures.append(gloss_forest(parse(parse_token_line(line), rb), rb))
+    for fs in structures:
+        _assert_flattens_like_the_reference(fs, irregulars)
+
+
+@pytest.mark.parametrize("name", ["gloss_pipeline", "interlingua_pipeline"])
+def test_batch_glosses_flatten_like_the_top_unwrap(request, name):
+    pipe = request.getfixturevalue(name)
+    with open(fixture_path("batch50.txt"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 50
+    for line in lines:
+        fs = gloss_forest(
+            pipe.parse(pipe.chunk(line)),
+            pipe.rb,
+            verbal_categories=pipe.cfg.verbal_categories,
+            category_order=pipe.cfg.category_order,
+        )
+        _assert_flattens_like_the_reference(fs, pipe.irregulars)
+
+
+def test_passive_of_a_regular_verb_takes_the_regular_participle(irregulars):
+    groups = realize_verbgroup(VerbGroupSpec(["walk"], ["passive"]), irregulars)
+    assert groups == [["is", "are"], ["walked"]]

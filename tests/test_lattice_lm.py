@@ -547,3 +547,56 @@ def test_extending_a_state_breaks_new_ties_by_words():
     assert score_sequence(model, "b x y z".split()) == score_sequence(model, "a x y z".split())
     got = [words for words, _score in top_n(lattice, model, 2)]
     assert got == ["A x y z".split(), "a x y z".split()]
+
+
+@st.composite
+def rerouted_lattices(draw):
+    """A drawn lattice concatenated, on either side, with two routes
+    over one word or two epsilon routes, so that every word sequence
+    reaches the sink along at least two routes."""
+    lattice = draw(st.one_of(small_lattices(), epsilon_lattices()))
+    phrase = draw(st.sampled_from(SEEN_WORDS + ["x", ""]))
+    twin = alternate(from_phrase(phrase), from_phrase(phrase))
+    if draw(st.booleans()):
+        return concat(twin, lattice)
+    return concat(lattice, twin)
+
+
+@NBEST
+@given(rerouted_lattices(), st.one_of(small_models(), direct_models()), st.integers(1, 6))
+def test_top_n_lists_a_word_sequence_once_however_many_routes_reach_it(lattice, model, n):
+    paths, truncated = all_paths(lattice)
+    assert not truncated
+    got = [tuple(words) for words, _score in top_n(lattice, model, n)]
+    assert len(set(got)) == len(got) == min(n, len(paths))
+
+
+def test_top_n_lists_parallel_and_epsilon_routes_once():
+    # "a b" has four routes: two parallel "a" edges, each followed by
+    # "b" directly or through an epsilon detour
+    lattice = WordLattice(
+        5, [(0, 1, "a"), (0, 1, "a"), (1, 2, "b"), (1, 3, EPS), (3, 2, "b"), (2, 4, EPS), (0, 4, "c")]
+    )
+    model = train_trigram(["a b", "c"], k=1)
+    got = [words for words, _score in top_n(lattice, model, 5)]
+    assert sorted(got) == [["a", "b"], ["c"]]
+
+
+def test_all_paths_stops_at_its_cap():
+    lattice = concat(alternate(from_word("a"), from_word("b")), alternate(from_word("c"), from_word("d")))
+    paths, truncated = all_paths(lattice, cap=3)
+    assert truncated
+    assert len(paths) == 3
+    assert set(paths) < set(all_paths(lattice)[0])
+
+
+def test_parse_lattice_skips_blank_and_comment_lines():
+    lat = concat(from_word("a"), from_phrase("b c"))
+    text = "# a lattice\n\n" + dump_lattice(lat).replace("\n", "\n\n", 1)
+    back = parse_lattice(text)
+    assert (back.node_count, back.edges) == (lat.node_count, lat.edges)
+
+
+def test_training_skips_empty_sentences():
+    with_empty = train_trigram(["a b", "", [], "b c"], k=1)
+    assert with_empty.dump() == train_trigram(["a b", "b c"], k=1).dump()

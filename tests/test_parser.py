@@ -775,3 +775,29 @@ def test_parses_with_equations_leave_no_reference_cycles():
             lambda: parse(tokens, grammar, root_categories=("S", "T"), edge_cap=edge_cap)
         )
         assert garbage == 0, seed
+
+
+def test_random_forests_list_roots_in_order_and_derive_every_phrase():
+    several = 0
+    for seed in range(len(FOREST_DIGESTS)):
+        grammar, tokens, edge_cap = _forest_case(seed)
+        forest = parse(tokens, grammar, root_categories=("S", "T"), edge_cap=edge_cap)
+        # parse lists the roots in forest order without sorting them
+        ids = [c.id for c in forest]
+        assert ids == sorted(ids)
+        assert forest.roots == sorted(forest.roots)
+        several += len(forest.roots) > 1
+        # composition hands a constituent with no derivation to its leaf
+        # function, which reads the token: only lexical ones may get there
+        for c in forest:
+            assert (c.token is not None) == c.lexical
+            assert c.lexical or c.derivations
+    assert several > 10
+
+
+def test_enumerate_trees_stops_at_its_cap():
+    forest = parse(_tokens("AABBA"), TOY)
+    (root,) = forest.roots
+    every = enumerate_trees(forest, root, cap=10_000)
+    assert len(every) == 14
+    assert enumerate_trees(forest, root, cap=5) == every[:5]

@@ -1,3 +1,4 @@
+import io
 import os
 import random
 import re
@@ -767,3 +768,59 @@ def test_cli_bad_usage_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_trace_and_report_keep_a_failing_line(tmp_path, capsys, gloss_pipeline):
+    traces = gloss_pipeline.translate_batch([GLOSS_DEMO, "BEGIN-NP END-NP", "neko/N"])
+    assert [t.error is None for t in traces] == [True, False, True]
+    assert MARKERS_ONLY in traces[1].error
+    text = format_trace(traces)
+    assert "1\tresult\terror\t%s\n" % traces[1].error in text
+    back = parse_trace(text)
+    assert [(t.index, t.output, t.error) for t in back] == [
+        (t.index, t.output, t.error) for t in traces
+    ]
+    assert format_trace(back) == text
+    trace = tmp_path / "trace.tsv"
+    trace.write_text(text)
+    code, out, _err = _run(capsys, ["report", "--input", str(trace)])
+    assert code == 0
+    assert out.splitlines()[:2] == ["sentences\t3", "errors\t1"]
+
+
+def test_cli_extract_prints_each_instance(tmp_path, capsys, gloss_pipeline):
+    lines = ["the cat saw a dog", "cats drink water", "he saw the moon"]
+    inp = tmp_path / "in.txt"
+    inp.write_text("".join(line + "\n" for line in lines))
+    out = _cli_output(capsys, "gloss.cfg", "extract", inp)
+    instances = posteditor.extract_instances(
+        lines, gloss_pipeline.nouns, gloss_pipeline.countability
+    )
+    assert [i.label for i in instances] == ["the", "a-an", "null", "null", "the"]
+    want = [
+        "%s\t%s" % (i.label, ";".join("%s=%s" % kv for kv in sorted(i.features.items())))
+        for i in instances
+    ]
+    assert out.splitlines() == want
+
+
+def test_cli_reads_standard_input_without_input_option(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("john/N wa/HA\n"))
+    code, out, _err = _run(capsys, ["--config", fixture_path("gloss.cfg"), "chunk"])
+    assert code == 0
+    assert out == "BEGIN-NPT john/N wa/HA END-NPT\n"
+
+
+def test_cli_decode_takes_a_lattice_without_a_header(tmp_path, capsys, gloss_pipeline):
+    lattice = lattice_lm.from_groups([["John"], ["wants", "want"], ["to"], ["eat"]])
+    inp = tmp_path / "lattice.txt"
+    inp.write_text(lattice_lm.dump_lattice(lattice))
+    out = _cli_output(capsys, "gloss.cfg", "decode", inp)
+    words, _score = gloss_pipeline.decode(lattice)
+    assert out == " ".join(words) + "\n"
+
+
+def test_cli_train_postedit_reproduces_committed_tree(capsys):
+    code, out, _err = _run(capsys, ["--config", fixture_path("gloss.cfg"), "train-postedit"])
+    assert code == 0
+    assert out == _read("article.tree")

@@ -273,3 +273,25 @@ def test_repairs_pattern_may_start_with_hash():
     assert rules == [("## ", ""), (" ##", "")]
     assert apply_repairs("## X", rules) == "X"
     assert parse_repairs("# a\tb\n\n") == [("# a", "b")]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_LINE_WORDS, max_size=12))
+def test_a_noun_right_after_an_article_is_never_a_bare_slot(words):
+    slots = posteditor._find_slots(words, NOUNS)
+    for slot, head, label in slots:
+        if label == "null":
+            assert slot == head
+            assert slot == 0 or words[slot - 1].lower() not in posteditor.ARTICLES
+        else:
+            assert words[slot].lower() in posteditor.ARTICLES
+    for i in range(len(words) - 1):
+        if words[i].lower() in posteditor.ARTICLES and posteditor._is_noun(words[i + 1], NOUNS):
+            assert (i, i + 1, "the" if words[i].lower() == "the" else "a-an") in slots
+
+
+def test_tree_with_no_informative_split_is_a_leaf():
+    instances = [ArticleInstance(label, {"head": "cat"}) for label in ("the", "null") * 5]
+    tree = train_tree(instances)
+    assert tree.is_leaf
+    assert tree.dist == {"the": 5, "null": 5}

@@ -173,3 +173,43 @@ def test_lemma_on_every_path(lex):
         assert "plans" in path
         assert path[-1] == "."
         assert path[0][0].isupper()
+
+
+ADJECTIVE_LEX = (
+    "|have as a goal|\tplan\tverb\n"
+    "ingest\teat\tverb\n"
+    "|domestic cat|\tcat\tnoun\t+\n"
+    "|calendar month|\tmonth\tnoun\t+\n"
+    "black\tblack\tadjective\n"
+    "quick\tquick\tadjective\n"
+)
+
+
+def test_adjective_precedes_its_noun():
+    lat = realize(
+        parse_spl("(|e| / ingest :AGENT (|c| / |domestic cat| :COLOR (|b| / black)))"),
+        parse_gen_lexicon(ADJECTIVE_LEX),
+    )
+    assert _paths(lat) == {("The", "black", "cat", "eats", ".")}
+
+
+def test_adjective_on_a_clause_or_month_is_not_realized():
+    lat = realize(
+        parse_spl(
+            "(|h| / |have as a goal|"
+            " :SENSER (|c| / |domestic cat|)"
+            " :PHENOMENON (|e| / ingest :MANNER (|q| / quick)))"
+        ),
+        parse_gen_lexicon(ADJECTIVE_LEX),
+    )
+    assert _paths(lat) == {("The", "cat", "plans", "to", "eat", ".")}
+    lat = realize(
+        parse_spl("(|m| / |calendar month| :MONTH-INDEX 2 :COLOR (|b| / black))"),
+        parse_gen_lexicon(ADJECTIVE_LEX),
+    )
+    assert _paths(lat) == {("February", ".")}
+
+
+def test_parse_gen_lexicon_skips_empty_preposition_items():
+    table = parse_gen_lexicon("trip\ttrip\tnoun\t+\ttemporal-locating=during;;location=in;\n")
+    assert table["trip"].preps == {"temporal-locating": "during", "location": "in"}

@@ -1,4 +1,5 @@
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from hybridmt import semantics
 from hybridmt.chunker import parse_token_line
+from hybridmt.featstruct import FeatStruct
 from hybridmt.parser import parse
 from hybridmt.rulebase import load_rulebase
 from hybridmt.semantics import (
@@ -461,3 +463,23 @@ def test_infer_idempotent():
     once = infer(g)
     twice = infer(once)
     assert graph_signature(once) == graph_signature(twice)
+
+
+def test_root_candidates_skip_options_without_a_meaning_graph():
+    atom = FeatStruct.atom
+    options = [
+        FeatStruct.complex({"cat": atom("v")}),
+        FeatStruct.complex({"sem": FeatStruct.complex({"agent": FeatStruct.complex({})})}),
+        FeatStruct.complex({"sem": atom("ingest")}),
+        FeatStruct.complex({"sem": FeatStruct.complex({"instance": atom("ingest")})}),
+    ]
+    forest = types.SimpleNamespace(roots=[7])
+    analyses = {7: options}.__getitem__
+    (candidate,) = root_candidates(forest, analyses)
+    assert candidate.graph.root.concept == "ingest"
+    with pytest.raises(SemanticsError):
+        semantics.graph_from_featstruct(options[2].features["sem"])
+
+
+def test_no_assertions_score_exactly_one(taxonomy):
+    assert score_assertions([], taxonomy) == 1.0
