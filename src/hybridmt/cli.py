@@ -3,7 +3,9 @@
 Every subcommand reads from ``--input`` (default stdin) and writes to
 ``--output`` (default stdout).  A stage command that fails on one input
 line prints ``# error: <message>`` in that line's place and goes on.
-Exit codes: 0 on success, 1 on resource errors, 2 on bad usage.
+``translate`` does so even for a resource a sentence needs and the
+config lacks.  Exit codes: 0 on success, 1 on other resource errors,
+2 on bad usage.
 """
 
 import argparse

@@ -147,13 +147,8 @@ class FeatStruct:
 
     def get(self, path):
         """Walk a feature path; None if any step is missing."""
-        node = self
-        for feat in path:
-            child = node.features.get(feat)
-            if child is None:
-                return None
-            node = child
-        return node
+        node, depth = _follow(self, path)
+        return node if depth == len(path) else None
 
     def __getitem__(self, feat):
         return self.features[feat]

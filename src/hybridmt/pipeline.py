@@ -370,32 +370,9 @@ class Pipeline:
 
     # -- per-sentence paths ------------------------------------------------
 
-    def _front(self, line, trace):
-        tokens = self.chunk(line)
-        trace.stage("chunk", "transformer", len(line.split()), len(tokens))
-        forest = self.parse(tokens)
-        trace.stage("parse", "transformer", len(tokens), len(forest.constituents))
-        trace.notes["full_parse"] = 1 if forest.roots else 0
-        return forest
-
-    def _finish(self, lattice, n_paths, trace):
-        trace.notes["paths"] = n_paths
-        words, score = self.decode(lattice)
-        trace.stage("extract", "ranker-pruner", max(n_paths, 1), 1)
-        trace.notes["lm_score"] = "%.6f" % score
-        text = self.postedit(" ".join(words))
-        trace.stage("postedit", "transformer", 1, 1)
-        return text.rstrip("\n")
-
-    def _gloss_path(self, forest, trace):
-        lattice = self.gloss(forest)
-        n_paths = _path_count(lattice)
-        trace.stage("gloss", "transformer", len(forest.constituents), n_paths)
-        return self._finish(lattice, n_paths, trace)
-
-    def _interlingua_path(self, forest, trace):
-        """The translation, or None when no candidate survives or the
-        best one cannot be realized."""
+    def _realized(self, forest, trace):
+        """The best candidate's lattice, or None when no candidate
+        survives or the best one cannot be realized."""
         candidates = self.analyze(forest)
         trace.stage("analyze", "transformer", len(forest.constituents), len(candidates))
         trace.notes["candidates"] = len(candidates)
@@ -406,24 +383,33 @@ class Pipeline:
         best = kept[0]
         trace.notes["best_score"] = "%.6g" % best.score
         try:
-            lattice = self.realize(best.graph)
+            return self.realize(best.graph)
         except realizer.RealizeError:
             trace.notes["fallback"] = "realize-error"
             return None
-        n_paths = _path_count(lattice)
-        trace.stage("realize", "transformer", 1, n_paths)
-        return self._finish(lattice, n_paths, trace)
 
     def translate_line(self, line, index=0):
         trace = SentenceTrace(index)
         try:
-            forest = self._front(line, trace)
-            out = None
+            tokens = self.chunk(line)
+            trace.stage("chunk", "transformer", len(line.split()), len(tokens))
+            forest = self.parse(tokens)
+            trace.stage("parse", "transformer", len(tokens), len(forest.constituents))
+            trace.notes["full_parse"] = 1 if forest.roots else 0
+            lattice, stage, n_in = None, "realize", 1
             if self.cfg.get("path") == "interlingua":
-                out = self._interlingua_path(forest, trace)
-            if out is None:
-                out = self._gloss_path(forest, trace)
-            trace.output = out
+                lattice = self._realized(forest, trace)
+            if lattice is None:
+                lattice, stage, n_in = self.gloss(forest), "gloss", len(forest.constituents)
+            n_paths = _path_count(lattice)
+            trace.stage(stage, "transformer", n_in, n_paths)
+            trace.notes["paths"] = n_paths
+            words, score = self.decode(lattice)
+            trace.stage("extract", "ranker-pruner", max(n_paths, 1), 1)
+            trace.notes["lm_score"] = "%.6f" % score
+            text = self.postedit(" ".join(words))
+            trace.stage("postedit", "transformer", 1, 1)
+            trace.output = text.rstrip("\n")
         except Exception as err:
             trace.error = "%s: %s" % (type(err).__name__, err)
         return trace
@@ -438,20 +424,20 @@ class Pipeline:
 
     # -- training ----------------------------------------------------------
 
-    def train_lm(self):
-        path = self.cfg.path_of("lm_corpus")
+    def _corpus(self, key, command):
+        """The non-blank lines of a configured training corpus."""
+        path = self.cfg.path_of(key)
         if path is None:
-            raise ResourceError("train-lm requires the lm_corpus resource")
-        sentences = [l for l in sexpr.read_text(path).splitlines() if l.strip()]
-        return lattice_lm.train_trigram(sentences)
+            raise ResourceError("%s requires the %s resource" % (command, key))
+        return [l for l in sexpr.read_text(path).splitlines() if l.strip()]
+
+    def train_lm(self):
+        return lattice_lm.train_trigram(self._corpus("lm_corpus", "train-lm"))
 
     def train_postedit(self):
-        path = self.cfg.path_of("article_corpus")
-        if path is None:
-            raise ResourceError("train-postedit requires the article_corpus resource")
+        sentences = self._corpus("article_corpus", "train-postedit")
         if not self.nouns:
             raise ResourceError("train-postedit requires the nouns resource")
-        sentences = [l for l in sexpr.read_text(path).splitlines() if l.strip()]
         instances = posteditor.extract_instances(sentences, self.nouns, self.countability)
         if not instances:
             raise ResourceError("article corpus yielded no training instances")

@@ -443,21 +443,14 @@ def infer(g):
 
 def to_assertions(g):
     """One (head concept, relation, filler concept) triple per role
-    edge, in deterministic traversal order.  Attribute edges carry
-    scalar values and are not assertions."""
-    out, seen = [], set()
-
-    def visit(node):
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        for role in sorted(node.roles):
-            child = node.roles[role]
-            out.append((node.concept, role, child.concept))
-            visit(child)
-
-    visit(g.root)
-    return out
+    edge, node by node in ``g.nodes()`` order and each node's roles in
+    sorted order.  Attribute edges carry scalar values and are not
+    assertions."""
+    return [
+        (node.concept, role, node.roles[role].concept)
+        for node in g.nodes()
+        for role in sorted(node.roles)
+    ]
 
 
 def score_assertions(assertions, taxonomy, warn=None):

@@ -545,6 +545,39 @@ def test_accessors_of_a_built_structure():
     assert fs["syn"] is fs.get(("syn",))
 
 
+def _reference_get(fs, path):
+    """Reference for ``FeatStruct.get``: one feature lookup per step."""
+    node = fs
+    for feat in path:
+        child = node.features.get(feat)
+        if child is None:
+            return None
+        node = child
+    return node
+
+
+def random_path(rng, fs):
+    """Up to five steps, mostly along features ``fs`` has, so a path
+    may end inside it, at an atom, through an atom or at a missing
+    feature; the empty path is included."""
+    path, node = [], fs
+    for _ in range(rng.randint(0, 5)):
+        feats = sorted(node.features) if node is not None else []
+        feat = rng.choice(feats) if feats and rng.random() < 0.8 else rng.choice(FEATS)
+        path.append(feat)
+        node = node.features.get(feat) if node is not None else None
+    return tuple(path)
+
+
+def test_get_finds_what_a_step_by_step_walk_finds():
+    rng = random.Random(37)
+    for _ in range(500):
+        fs = random_fs(rng)
+        for _ in range(8):
+            path = random_path(rng, fs)
+            assert fs.get(path) is _reference_get(fs, path), (canonical(fs), path)
+
+
 def test_subsumption_of_a_negated_atom():
     not_pl = parse_featstruct("((num (*not* pl)))")
     assert subsumes(not_pl, parse_featstruct("((num sg))"))

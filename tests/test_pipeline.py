@@ -277,6 +277,85 @@ def test_interlingua_falls_back_to_gloss(interlingua_pipeline):
     assert trace.output == "the moon"
 
 
+# The rows a sentence keeps when one stage raises: (config, stage,
+# batch50 line) -> the stage and note rows written before the failure.
+# Line 0 is realized, line 2 has no candidate and line 11 fails to
+# realize, so both fall back to the gloss path.
+_FRONT = ["stage chunk transformer 4 6 0", "stage parse transformer 6 7 0"]
+_FAILED_STAGE_ROWS = {
+    ("gloss", "chunk", 0): [],
+    ("gloss", "parse", 0): _FRONT[:1],
+    ("gloss", "gloss", 0): _FRONT + ["note full_parse 1"],
+    ("gloss", "decode", 0): _FRONT + [
+        "stage gloss transformer 7 2 0", "note full_parse 1", "note paths 2",
+    ],
+    ("gloss", "postedit", 0): _FRONT + [
+        "stage gloss transformer 7 2 0", "stage extract ranker-pruner 2 1 1",
+        "note full_parse 1", "note lm_score -11.334118", "note paths 2",
+    ],
+    ("interlingua", "chunk", 0): [],
+    ("interlingua", "parse", 0): _FRONT[:1],
+    ("interlingua", "analyze", 0): _FRONT + ["note full_parse 1"],
+    ("interlingua", "rank", 0): _FRONT + [
+        "stage analyze transformer 7 1 0", "note candidates 1", "note full_parse 1",
+    ],
+    ("interlingua", "realize", 0): _FRONT + [
+        "stage analyze transformer 7 1 0", "stage rank ranker-pruner 1 1 0",
+        "note best_score 1", "note candidates 1", "note full_parse 1",
+    ],
+    ("interlingua", "gloss", 2): _FRONT + [
+        "stage analyze transformer 7 0 0", "note candidates 0", "note full_parse 1",
+    ],
+    ("interlingua", "gloss", 11): [
+        "stage chunk transformer 1 1 0", "stage parse transformer 1 1 0",
+        "stage analyze transformer 1 1 0", "stage rank ranker-pruner 1 1 0",
+        "note best_score 1", "note candidates 1", "note fallback realize-error",
+        "note full_parse 0",
+    ],
+    ("interlingua", "decode", 0): _FRONT + [
+        "stage analyze transformer 7 1 0", "stage rank ranker-pruner 1 1 0",
+        "stage realize transformer 1 5 0", "note best_score 1", "note candidates 1",
+        "note full_parse 1", "note paths 5",
+    ],
+    ("interlingua", "decode", 2): _FRONT + [
+        "stage analyze transformer 7 0 0", "stage gloss transformer 7 2 0",
+        "note candidates 0", "note full_parse 1", "note paths 2",
+    ],
+    ("interlingua", "postedit", 0): _FRONT + [
+        "stage analyze transformer 7 1 0", "stage rank ranker-pruner 1 1 0",
+        "stage realize transformer 1 5 0", "stage extract ranker-pruner 5 1 4",
+        "note best_score 1", "note candidates 1", "note full_parse 1",
+        "note lm_score -22.919201", "note paths 5",
+    ],
+    ("interlingua", "postedit", 11): [
+        "stage chunk transformer 1 1 0", "stage parse transformer 1 1 0",
+        "stage analyze transformer 1 1 0", "stage rank ranker-pruner 1 1 0",
+        "stage gloss transformer 1 1 0", "stage extract ranker-pruner 1 1 0",
+        "note best_score 1", "note candidates 1", "note fallback realize-error",
+        "note full_parse 0", "note lm_score -3.554982", "note paths 1",
+    ],
+}
+
+
+@pytest.mark.parametrize("name, stage, index", sorted(_FAILED_STAGE_ROWS))
+def test_a_failing_stage_keeps_the_rows_written_before_it(
+    request, monkeypatch, name, stage, index
+):
+    def boom(*_args):
+        raise ValueError("boom")
+
+    pipe = request.getfixturevalue(name + "_pipeline")
+    # an instance attribute shadows the stage method until the test ends
+    monkeypatch.setitem(vars(pipe), stage, boom)
+    line = _read("batch50.txt").splitlines()[index]
+    rows = [
+        "%d\t%s" % (index, "\t".join(row.split()))
+        for row in _FAILED_STAGE_ROWS[name, stage, index]
+    ]
+    rows.append("%d\tresult\terror\tValueError: boom" % index)
+    assert format_trace([pipe.translate_line(line, index)]) == "\n".join(rows) + "\n"
+
+
 def test_batch_skips_blank_lines(gloss_pipeline):
     traces = gloss_pipeline.translate_batch(["", GLOSS_DEMO, "   ", "neko/N"])
     assert [t.index for t in traces] == [1, 3]
@@ -546,6 +625,41 @@ def test_cli_decode_without_a_model_exits_1(tmp_path, capsys):
     code, out, err = _run(capsys, ["--config", str(cfg), "decode", "--input", str(inp)])
     assert code == 1 and out == ""
     assert "lm_model" in err and "Traceback" not in err
+
+
+def _fixture_config_without(tmp_path, name, key):
+    """The fixture config ``name`` without its ``key`` line, written to
+    ``tmp_path`` with its file paths made absolute."""
+    lines = []
+    for line in _read(name).splitlines():
+        k, eq, value = line.partition(" = ")
+        if k == key:
+            continue
+        if eq and os.path.isfile(fixture_path(value)):
+            line = "%s = %s" % (k, fixture_path(value))
+        lines.append(line)
+    cfg = tmp_path / name
+    cfg.write_text("\n".join(lines) + "\n")
+    return str(cfg)
+
+
+def test_cli_translate_records_a_missing_resource_as_each_sentences_error(tmp_path, capsys):
+    inp = tmp_path / "three.txt"
+    inp.write_text("".join(_read("batch50.txt").splitlines(True)[:3]))
+    no_model = _fixture_config_without(tmp_path, "gloss.cfg", "lm_model")
+    code, out, err = _run(capsys, ["--config", no_model, "translate", "--input", str(inp)])
+    missing = "# error: ResourceError: decoding requires a trained language model (lm_model)\n"
+    assert (code, out, err) == (0, missing * 3, "")
+    # the third line has no interlingua candidate, so nothing ranks it
+    # and it falls back to the gloss path
+    no_taxonomy = _fixture_config_without(tmp_path, "interlingua.cfg", "taxonomy")
+    code, out, err = _run(capsys, ["--config", no_taxonomy, "translate", "--input", str(inp)])
+    unranked = "# error: ResourceError: ranking requires a taxonomy\n"
+    fallback = _read("batch50.interlingua.out").splitlines(True)[2]
+    assert (code, out, err) == (0, unranked * 2 + fallback, "")
+    # a stage command stops at the same error instead
+    code, out, err = _run(capsys, ["--config", no_taxonomy, "analyze", "--input", str(inp)])
+    assert (code, out, err) == (1, "", "error: ranking requires a taxonomy\n")
 
 
 BAD_TOKENS = ["neko/N", "BEGIN-NP END-NP", "/", "tsuki/N"]

@@ -312,6 +312,74 @@ def test_to_assertions_counts_role_edges():
     assert ("found, launch", "agent", "company/business") in triples
 
 
+def _reference_assertions(g):
+    """Reference for ``to_assertions``: a depth-first walk that emits
+    each role edge as it descends."""
+    out, seen = [], set()
+
+    def visit(node):
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        for role in sorted(node.roles):
+            child = node.roles[role]
+            out.append((node.concept, role, child.concept))
+            visit(child)
+
+    visit(g.root)
+    return out
+
+
+# fixture-taxonomy concepts and relations, plus one of each it lacks
+_SPL_CONCEPTS = [
+    "thing", "entity", "event", "ingest", "food", "named person",
+    "company/business", "calendar month", "found, launch", "nowhere",
+]
+_SPL_ROLES = [
+    "senser", "theme", "phenomenon", "agent", "temporal-locating", "time", "q-mod", "mystery",
+]
+
+
+@st.composite
+def _spl_graphs(draw):
+    """A parsed SPL graph whose fillers are new instances, scalar
+    attributes or back-references to an instance already written: an
+    ancestor (a cycle) or a node of an earlier subtree (reentrancy)."""
+    ids, ancestors = [], []
+
+    def instance(depth):
+        ident = "n%d" % len(ids)
+        ids.append(ident)
+        ancestors.append(ident)
+        parts = ["|%s| / |%s|" % (ident, draw(st.sampled_from(_SPL_CONCEPTS)))]
+        roles = st.lists(st.sampled_from(_SPL_ROLES), max_size=3 if depth < 3 else 0, unique=True)
+        for role in draw(roles):
+            earlier = [i for i in ids if i not in ancestors]
+            kind = draw(st.sampled_from(["new", "ancestor", "earlier", "attribute"]))
+            if kind == "new":
+                filler = instance(depth + 1)
+            elif kind == "ancestor":
+                filler = "|%s|" % draw(st.sampled_from(ancestors))
+            elif kind == "earlier" and earlier:
+                filler = "|%s|" % draw(st.sampled_from(earlier))
+            else:
+                filler = "7"
+            parts.append(":%s %s" % (role.upper(), filler))
+        ancestors.pop()
+        return "(%s)" % " ".join(parts)
+
+    return parse_spl(instance(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spl_graphs())
+def test_to_assertions_reads_the_triples_of_a_depth_first_walk(taxonomy, g):
+    triples = to_assertions(g)
+    reference = _reference_assertions(g)
+    assert sorted(triples) == sorted(reference)
+    assert score_assertions(triples, taxonomy) == score_assertions(reference, taxonomy)
+
+
 def test_score_satisfied_assertion(taxonomy):
     s = score_assertions([("ingest", "senser", "named person")], taxonomy)
     assert s == pytest.approx(1.0)
