@@ -2,7 +2,7 @@
 phrase-barrier insertion.
 
 The chunker never deletes or reorders real tokens; it may merge adjacent
-tokens (numbers, dictionary compounds, gazetteer names) and insert
+tokens (numbers, dictionary compounds) and insert
 barrier pseudo-tokens such as ``BEGIN-NP``/``END-NP`` that the parser
 uses to forbid constituents from straddling phrase boundaries.
 
@@ -195,16 +195,14 @@ def load_patterns(text, filename="<string>"):
 # Resegmentation
 # ---------------------------------------------------------------------
 
-def resegment(tokens, compounds=None, gazetteer=None):
-    """Merge digit runs, dictionary compounds and gazetteer names.
+def resegment(tokens, compounds=None):
+    """Merge digit runs and dictionary compounds.
 
     Maximal adjacent digit runs become one number token; then the
     longest adjacent run whose concatenation appears in the compound
-    dictionary (or gazetteer) is merged, longest match first, scanning
-    left to right.
+    dictionary is merged, longest match first, scanning left to right.
     """
     compounds = compounds or {}
-    gazetteer = gazetteer or {}
 
     merged = []
     i = 0
@@ -222,7 +220,7 @@ def resegment(tokens, compounds=None, gazetteer=None):
 
     out = []
     i = 0
-    longest = max((len(c) for c in list(compounds) + list(gazetteer)), default=0)
+    longest = max(map(len, compounds), default=0)
     while i < len(merged):
         if merged[i].marker:
             out.append(merged[i])
@@ -238,8 +236,6 @@ def resegment(tokens, compounds=None, gazetteer=None):
                 break
             if j > i and run in compounds:
                 best = (j + 1, compounds[run])
-            elif j > i and run in gazetteer:
-                best = (j + 1, gazetteer[run])
         if best is not None:
             end, pos = best
             out.append(Token("".join(t.surface for t in merged[i:end]), pos))

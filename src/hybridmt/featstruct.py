@@ -46,7 +46,6 @@ __all__ = [
     "apply_equations",
     "graft_plan",
     "graft",
-    "evaluate_test",
 ]
 
 SOLUTION_CAP = 64  # solutions kept per equation list, *OR* expansion included
@@ -462,14 +461,6 @@ class Assign:
         self.lhs = lhs
         self.rhs = rhs  # PathRef or FeatStruct leaf/literal
 
-    @property
-    def is_negation(self):
-        return (
-            isinstance(self.rhs, FeatStruct)
-            and self.rhs.is_empty
-            and bool(self.rhs.forbidden)
-        )
-
 
 class Constraint:
     """Check-only equation (``=c``): passes iff the path already holds a
@@ -866,13 +857,3 @@ def _graft_agrees(shared, grown):
                 return False
     return True
 
-
-def evaluate_test(bindings, test):
-    """Evaluate a test-only equation (``=c``, negation, existence): true
-    iff ``apply_equations`` has a solution for it alone.  A variable the
-    test names but ``bindings`` lacks raises ``UnboundVariableError``."""
-    if not isinstance(test, (Exists, Constraint)) and not (
-        isinstance(test, Assign) and test.is_negation
-    ):
-        raise TypeError("not a test-only equation: %r" % (test,))
-    return bool(apply_equations(bindings, [test]))

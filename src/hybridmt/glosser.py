@@ -29,7 +29,6 @@ __all__ = [
     "gloss_leaf",
     "gloss_forest",
     "realize_verbgroup",
-    "analyze_verbgroup",
     "flatten_gloss",
     "load_irregulars",
     "FRAGMENT_SEPARATOR",
@@ -52,6 +51,9 @@ class VerbGroupSpec:
         if not self.bases:
             raise ValueError("verb group needs at least one base form")
         self.flags = frozenset(flags)
+        unknown = self.flags - SUPPORTED_FLAGS
+        if unknown:
+            raise ValueError("unsupported verb flags %s" % sorted(unknown))
 
 
 # ---------------------------------------------------------------------
@@ -107,18 +109,12 @@ def ing_form(base):
     return base + "ing"
 
 
-def realize_verbgroup(spec, irregulars=None, warn=None):
+def realize_verbgroup(spec, irregulars=None):
     """Expand a verb group into a sequence of word-alternative groups.
 
     Returns a list of groups, each a list of single-word alternatives,
     e.g. passive+past over "eat" -> [["was", "were"], ["eaten"]].
-    Unsupported flags fall back to the bases with a warning.
     """
-    unknown = spec.flags - SUPPORTED_FLAGS
-    if unknown:
-        if warn is not None:
-            warn("unsupported verb flags %s; using base forms" % sorted(unknown))
-        return [list(spec.bases)]
     flags = spec.flags
     past = "past" in flags
     if "passive" in flags or "progressive" in flags:
@@ -138,44 +134,6 @@ def realize_verbgroup(spec, irregulars=None, warn=None):
     if past:
         return [[past_form(b, irregulars) for b in spec.bases]]
     return [list(spec.bases)]
-
-
-def analyze_verbgroup(groups, bases, irregulars=None):
-    """Inverse of realize_verbgroup for known bases; returns the flag set."""
-    bases = sorted(set(bases))
-    words = [g[0] for g in groups]
-    flags = set()
-    idx = 0
-    if words[idx] in ("was", "were", "is", "are"):
-        if words[idx] in ("was", "were"):
-            flags.add("past")
-        idx += 1
-        if idx < len(words) and words[idx] == "not":
-            flags.add("negative")
-            idx += 1
-        if idx < len(words) and words[idx] == "being":
-            flags.add("being-marker")
-            idx += 1
-        head = words[idx]
-        if head == ing_form(bases[0]):
-            flags.add("progressive")
-            if "being-marker" in flags:
-                flags.discard("being-marker")
-                flags.add("passive")
-        else:
-            flags.add("passive")
-            if "being-marker" in flags:
-                flags.discard("being-marker")
-                flags.add("progressive")
-        return frozenset(flags)
-    if words[idx] in ("did", "does", "do"):
-        if words[idx] == "did":
-            flags.add("past")
-        flags.add("negative")
-        return frozenset(flags)
-    if words[idx] == past_form(bases[0], irregulars) and words[idx] != bases[0]:
-        return frozenset(["past"])
-    return frozenset()
 
 
 # ---------------------------------------------------------------------

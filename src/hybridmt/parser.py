@@ -12,7 +12,7 @@ forest; the glosser and the semantic analyzer both use it.
 """
 
 from . import sexpr
-from .featstruct import SOLUTION_CAP, FeatStruct, apply_equations, canonical, graft, subsumes
+from .featstruct import FeatStruct, apply_equations, canonical, graft, subsumes
 from .rulebase import tagged_entries
 
 __all__ = [
@@ -112,7 +112,7 @@ def lexical_entries(token, rb):
     coverage the tag itself is the category, and untagged unknown words
     become UNKNOWN constituents (the glosser passes them through).
     """
-    entries = tagged_entries(rb.syn_lexicon, token) if rb is not None else []
+    entries = tagged_entries(rb.syn_lexicon, token)
     if entries:
         return [(e.pos, e.features) for e in entries]
     category = token.tag if token.tag else UNKNOWN_CATEGORY
@@ -298,7 +298,7 @@ def count_trees(forest, cid):
     return count(cid)
 
 
-def _solve_rule(equation_sets, child_structures, solution_cap=SOLUTION_CAP):
+def _solve_rule(equation_sets, child_structures):
     """X0 of every solution of every equation set, in order, with
     X1..Xn bound to ``child_structures``.  A set with a graft plan
     builds X0 from the children's own nodes when ``graft`` can."""
@@ -318,7 +318,7 @@ def _solve_rule(equation_sets, child_structures, solution_cap=SOLUTION_CAP):
             bindings = {"X0": FeatStruct.empty()}
             for i, fs in enumerate(child_structures, 1):
                 bindings["X%d" % i] = fs
-        for sol in apply_equations(bindings, eqset.equations, solution_cap):
+        for sol in apply_equations(bindings, eqset.equations):
             produced.append(sol["X0"])
     return produced
 

@@ -113,7 +113,12 @@ def realize(g, lex, irregulars=None):
         realized.add(id(node))
         entry = lex[node.concept]
         if "month-index" in node.attributes:
-            index = int(node.attributes["month-index"])
+            try:
+                index = int(node.attributes["month-index"])
+            except ValueError:
+                raise RealizeError(
+                    "month index %r is not an integer" % node.attributes["month-index"]
+                ) from None
             if not 1 <= index <= 12:
                 raise RealizeError("month index %d out of range" % index)
             groups.append([MONTH_NAMES[index - 1]])

@@ -66,14 +66,13 @@ class RuleKey(tuple):
 
 
 class EquationSet:
-    """One parsed equation list, its source expressions (for dumps) and
-    its ``featstruct.graft_plan`` (None: the full solver solves it)."""
+    """One parsed equation list and its ``featstruct.graft_plan``
+    (None: the full solver solves it)."""
 
-    __slots__ = ("equations", "exprs", "plan")
+    __slots__ = ("equations", "plan")
 
-    def __init__(self, equations, exprs):
+    def __init__(self, equations):
         self.equations = equations
-        self.exprs = exprs
         self.plan = graft_plan(equations) if equations else None
 
 
@@ -159,15 +158,6 @@ class RuleBase:
             )
         return self._parse_index
 
-    def arity_counts(self, kind="syntax"):
-        counts = {}
-        for key, rule in self.rules.items():
-            if rule.sets(kind):
-                arity = min(key.arity, 3)
-                label = {1: "unary", 2: "binary", 3: "n-ary"}[arity]
-                counts[label] = counts.get(label, 0) + 1
-        return counts
-
 
 def parse_rule_file(text, kind, rb=None, filename="<string>"):
     """Parse one rule file into (or onto) a RuleBase."""
@@ -186,12 +176,11 @@ def parse_rule_file(text, kind, rb=None, filename="<string>"):
         if len(head) < 3 or head[1] != "->" or list in map(type, head):
             raise RuleBaseError("%s: malformed backbone %r" % (filename, head))
         key = RuleKey(head[0], head[2:])
-        body = expr[1:]
         try:
-            equations = parse_equations(body)
+            equations = parse_equations(expr[1:])
         except sexpr.SexprError as err:
             raise RuleBaseError("%s: rule %r: %s" % (filename, key, err))
-        rb.rule(key).sets(kind).append(EquationSet(equations, body))
+        rb.rule(key).sets(kind).append(EquationSet(equations))
     return rb
 
 
@@ -273,16 +262,6 @@ def load_rulebase(
                 raise RuleBaseError("missing lexicon file: %s" % path)
             loader(path, rb)
     return rb
-
-
-def dump_rules(rb, kind):
-    """Serialize one rule kind back to file text."""
-    lines = []
-    for key in sorted(rb.rules):
-        for eqset in rb.rules[key].sets(kind):
-            head = [key.lhs, "->", *key.rhs]
-            lines.append(sexpr.dump([head, *eqset.exprs]))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def arity_errors(rb):

@@ -94,9 +94,6 @@ class Taxonomy:
 
     # -- queries -------------------------------------------------------
 
-    def has_concept(self, c):
-        return c in self.parents
-
     def ancestors(self, c):
         """``c`` and everything above it, as ``validate`` recorded."""
         return self.closure.get(c) or frozenset((c,))
@@ -245,28 +242,6 @@ class MeaningGraph:
 
         visit(self.root)
         return out
-
-    def validate(self):
-        ids = set()
-        for node in self.nodes():
-            if node.id in ids:
-                raise SemanticsError("duplicate instance id %r" % node.id)
-            ids.add(node.id)
-        # acyclicity over role edges
-        state = {}
-
-        def visit(node):
-            if state.get(id(node)) == 2:
-                return
-            if state.get(id(node)) == 1:
-                raise SemanticsError("cycle through instance %r" % node.id)
-            state[id(node)] = 1
-            for child in node.roles.values():
-                visit(child)
-            state[id(node)] = 2
-
-        visit(self.root)
-        return self
 
 
 class SemCandidate:
@@ -453,14 +428,12 @@ def to_assertions(g):
     ]
 
 
-def score_assertions(assertions, taxonomy, warn=None):
+def score_assertions(assertions, taxonomy):
     """Product of per-triple coherence factors; always in (0, 1]."""
     factors = []
     for head, relation, filler in assertions:
         rel = taxonomy.relations.get(relation.lower())
         if rel is None:
-            if warn is not None:
-                warn("unknown relation %r scored %.1f" % (relation, UNKNOWN_RELATION_SCORE))
             factors.append(UNKNOWN_RELATION_SCORE)
             continue
         if taxonomy.isa(head, rel.domain) and taxonomy.isa(filler, rel.range):

@@ -64,12 +64,6 @@ def test_resegment_markers_block_merging():
     assert [t.surface for t in out] == ["a", "BEGIN-S", "b"]
 
 
-def test_resegment_gazetteer():
-    out = resegment(parse_token_line("to/X kyo/X"), gazetteer={"tokyo": "NAME"})
-    assert [t.surface for t in out] == ["tokyo"]
-    assert out[0].tag == "NAME"
-
-
 # -- patterns ----------------------------------------------------------
 
 TOPIC = "(TOPIC-HA (N+ HA) :left <<NPT :right NPT>>)"

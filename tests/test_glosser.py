@@ -8,7 +8,6 @@ from hybridmt.featstruct import FeatStruct
 from hybridmt.glosser import (
     GlossError,
     VerbGroupSpec,
-    analyze_verbgroup,
     flatten_gloss,
     gloss_forest,
     gloss_leaf,
@@ -63,14 +62,38 @@ def test_load_irregulars_bad_row_names_file_and_line(tmp_path):
         load_irregulars(str(path))
 
 
+# realize_verbgroup output for every flag set of "eat", one row per set
+_EAT_GROUPS = {
+    (): [["eat"]],
+    ("negative",): [["does", "do"], ["not"], ["eat"]],
+    ("passive",): [["is", "are"], ["eaten"]],
+    ("past",): [["ate"]],
+    ("progressive",): [["is", "are"], ["eating"]],
+    ("negative", "passive"): [["is", "are"], ["not"], ["eaten"]],
+    ("negative", "past"): [["did"], ["not"], ["eat"]],
+    ("negative", "progressive"): [["is", "are"], ["not"], ["eating"]],
+    ("passive", "past"): [["was", "were"], ["eaten"]],
+    ("passive", "progressive"): [["is", "are"], ["being"], ["eaten"]],
+    ("past", "progressive"): [["was", "were"], ["eating"]],
+    ("negative", "passive", "past"): [["was", "were"], ["not"], ["eaten"]],
+    ("negative", "passive", "progressive"): [["is", "are"], ["not"], ["being"], ["eaten"]],
+    ("negative", "past", "progressive"): [["was", "were"], ["not"], ["eating"]],
+    ("passive", "past", "progressive"): [["was", "were"], ["being"], ["eaten"]],
+    ("negative", "passive", "past", "progressive"): [
+        ["was", "were"], ["not"], ["being"], ["eaten"]
+    ],
+}
+
+
 def test_realize_analyze_roundtrip_all_flag_combos(irregulars):
     flags_all = sorted(glosser.SUPPORTED_FLAGS)
-    for r in range(len(flags_all) + 1):
-        for combo in itertools.combinations(flags_all, r):
-            spec = VerbGroupSpec(["eat"], combo)
-            groups = realize_verbgroup(spec, irregulars)
-            got = analyze_verbgroup(groups, ["eat"], irregulars)
-            assert got == frozenset(combo), combo
+    combos = [
+        c for r in range(len(flags_all) + 1) for c in itertools.combinations(flags_all, r)
+    ]
+    assert sorted(combos) == sorted(_EAT_GROUPS)
+    for combo in combos:
+        spec = VerbGroupSpec(["eat"], combo)
+        assert realize_verbgroup(spec, irregulars) == _EAT_GROUPS[combo], combo
 
 
 def test_realize_passive_past():
@@ -80,12 +103,8 @@ def test_realize_passive_past():
 
 
 def test_realize_unsupported_flag_warns():
-    warnings = []
-    groups = realize_verbgroup(
-        VerbGroupSpec(["eat"], ["future"]), warn=warnings.append
-    )
-    assert groups == [["eat"]]
-    assert warnings and "future" in warnings[0]
+    with pytest.raises(ValueError, match="future"):
+        VerbGroupSpec(["eat"], ["future"])
 
 
 # -- leaf glossing -----------------------------------------------------

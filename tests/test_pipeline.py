@@ -662,6 +662,38 @@ def test_cli_translate_records_a_missing_resource_as_each_sentences_error(tmp_pa
     assert (code, out, err) == (1, "", "error: ranking requires a taxonomy\n")
 
 
+def test_a_non_integer_month_index_falls_back_to_the_gloss_path(tmp_path, capsys):
+    # batch50 line 1 puts nigatsu's month index into the meaning graph
+    lexicon = tmp_path / "syn_lexicon.tsv"
+    lexicon.write_text(
+        _read("syn_lexicon.tsv").replace("((month-index 2))", "((month-index feb))")
+    )
+    cfg = _fixture_config_without(tmp_path, "interlingua.cfg", "syn_lexicon")
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write("syn_lexicon = %s\n" % lexicon)
+    line = _read("batch50.txt").splitlines()[1]
+    trace = Pipeline(load_config(cfg)).translate_line(line, 1)
+    assert trace.error is None
+    assert trace.notes["fallback"] == "realize-error"
+    assert [s.name for s in trace.stages] == [
+        "chunk", "parse", "analyze", "rank", "gloss", "extract", "postedit",
+    ]
+    # the gloss path reads no month index, so it gives the gloss config's line
+    assert trace.output == _read("batch50.gloss.out").splitlines()[1]
+    inp = tmp_path / "line.txt"
+    inp.write_text(line + "\n")
+    code, analyzed, err = _run(capsys, ["--config", cfg, "analyze", "--input", str(inp)])
+    assert code == 0, err
+    graph = analyzed.splitlines()[1].split("\t")[1]
+    assert ":MONTH-INDEX feb" in graph
+    spl = tmp_path / "graph.spl"
+    spl.write_text(graph + "\n")
+    code, out, err = _run(capsys, ["--config", cfg, "realize", "--input", str(spl)])
+    assert (code, out, err) == (
+        0, "# %s\n# error: month index 'feb' is not an integer\n" % graph, ""
+    )
+
+
 BAD_TOKENS = ["neko/N", "BEGIN-NP END-NP", "/", "tsuki/N"]
 BAD_GRAPHS = [
     "(|i-1| / |ingest| :TENSE past :AGENT (|n-2| / |named person|))",
@@ -749,6 +781,20 @@ def test_cli_rank_reproduces_analyze(tmp_path, capsys):
     spl = tmp_path / "candidates.spl"
     spl.write_text(analyzed)
     assert _cli_output(capsys, "interlingua.cfg", "rank", spl) == analyzed
+
+
+def test_cli_rank_and_realize_accept_a_cyclic_graph(tmp_path, capsys, interlingua_pipeline):
+    # the relative-clause graph semantics.infer builds: c-2 and f-3 point
+    # at each other
+    graph = "(|c-2| / |company/business| :REL-MOD (|f-3| / |found, launch| :THEME |c-2|))"
+    spl = tmp_path / "cyclic.spl"
+    spl.write_text(graph + "\n")
+    ranked = _cli_output(capsys, "interlingua.cfg", "rank", spl)
+    assert ranked.split("\t")[1] == graph + "\n"
+    lattice = interlingua_pipeline.realize(semantics.parse_spl(graph))
+    assert isinstance(lattice, lattice_lm.WordLattice)
+    words, _score = interlingua_pipeline.decode(lattice)
+    assert words[:2] == ["The", "company"] and words[-2:] == ["launching", "."]
 
 
 def test_cli_rank_reports_a_bad_candidate_line_and_goes_on(tmp_path, capsys):

@@ -4,7 +4,6 @@ from hybridmt.rulebase import (
     RuleBase,
     RuleBaseError,
     RuleKey,
-    dump_rules,
     load_rulebase,
     parse_rule_file,
     validate_rulebase,
@@ -49,27 +48,11 @@ def test_same_backbone_multiple_kinds():
     assert len(rule.sets("gloss")) == 1
 
 
-def test_dump_roundtrip():
-    rb = parse_rule_file(SIMPLE, "syntax")
-    text = dump_rules(rb, "syntax")
-    rb2 = parse_rule_file(text, "syntax")
-    assert set(rb.rules) == set(rb2.rules)
-    assert dump_rules(rb2, "syntax") == text
-
-
 def test_rules_by_rhs_sorted():
     rb = parse_rule_file("((B -> X Y)) ((A -> X Y)) ((C -> X))", "syntax")
     index = rb.rules_by_rhs()
     assert [r.key.lhs for r in index[("X", "Y")]] == ["A", "B"]
     assert [r.key.lhs for r in index[("X",)]] == ["C"]
-
-
-def test_arity_counts():
-    rb = parse_rule_file(
-        "((A -> X)) ((B -> X Y)) ((C -> X Y Z)) ((D -> X Y Z W))", "syntax"
-    )
-    counts = rb.arity_counts("syntax")
-    assert counts == {"unary": 1, "binary": 1, "n-ary": 2}
 
 
 def test_parse_rejects_malformed():

@@ -79,7 +79,7 @@ def test_taxonomy_disjoint_symmetric_and_inherited(taxonomy):
 
 
 def test_taxonomy_multiword_concepts_protected(taxonomy):
-    assert taxonomy.has_concept("have as a goal")
+    assert "have as a goal" in taxonomy.parents
     assert taxonomy.parents["have as a goal"] == {"event"}
 
 
@@ -279,7 +279,6 @@ def test_spl_roundtrip_random_graphs():
     rng = random.Random(23)
     for _ in range(1000):
         g = _random_graph(rng)
-        g.validate()
         back = parse_spl(serialize_spl(g))
         assert isomorphic(g, back)
 
@@ -290,15 +289,6 @@ def test_graph_signature_ignores_ids():
     assert graph_signature(a) == graph_signature(b)
     c = parse_spl("(|p| / |c| :R (|q| / |e|))")
     assert graph_signature(a) != graph_signature(c)
-
-
-def test_graph_validate_rejects_cycles():
-    a = Instance("a", "c")
-    b = Instance("b", "c")
-    a.roles["r"] = b
-    b.roles["r"] = a
-    with pytest.raises(SemanticsError):
-        MeaningGraph(a).validate()
 
 
 # -- assertions and scoring ---------------------------------------------
@@ -396,12 +386,8 @@ def test_score_disjoint_assertion(taxonomy):
 
 
 def test_score_unknown_relation_warns(taxonomy):
-    warnings = []
-    s = score_assertions(
-        [("ingest", "mystery-role", "food")], taxonomy, warn=warnings.append
-    )
-    assert s == pytest.approx(UNKNOWN_RELATION_SCORE)
-    assert warnings and "mystery-role" in warnings[0]
+    s = score_assertions([("ingest", "mystery-role", "food")], taxonomy)
+    assert s == UNKNOWN_RELATION_SCORE == 0.5
 
 
 def test_score_empty_assertions_is_one(taxonomy):
@@ -524,6 +510,29 @@ def test_infer_rel_mod_rewrite():
     assert clause.concept == "ingest"
     assert clause.roles["agent"] is out.root
     assert "gap" not in clause.attributes
+
+
+# infer turns a relative clause into a cycle: the head keeps a rel-mod
+# edge to the clause, and the clause's gap role points back at the head
+RELATIVE_CLAUSE = (
+    "(|w-1| / |rc-modified-object| :HEAD (|c-2| / |company/business|)"
+    " :REL-MOD (|f-3| / |found, launch| :GAP theme))"
+)
+
+
+def test_a_cyclic_meaning_graph_serializes_and_asserts_both_edges():
+    g = infer(parse_spl(RELATIVE_CLAUSE))
+    clause = g.root.roles["rel-mod"]
+    assert clause.roles["theme"] is g.root
+    text = serialize_spl(g)
+    assert text == (
+        "(|c-2| / |company/business| :REL-MOD (|f-3| / |found, launch| :THEME |c-2|))"
+    )
+    assert isomorphic(g, parse_spl(text))
+    assert to_assertions(g) == [
+        ("company/business", "rel-mod", "found, launch"),
+        ("found, launch", "theme", "company/business"),
+    ]
 
 
 def test_infer_idempotent():
