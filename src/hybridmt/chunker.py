@@ -29,6 +29,7 @@ __all__ = [
     "parse_token_line",
     "render_token_line",
     "load_patterns",
+    "CompoundDictionary",
     "resegment",
     "match_pattern",
     "chunk",
@@ -195,14 +196,51 @@ def load_patterns(text, filename="<string>"):
 # Resegmentation
 # ---------------------------------------------------------------------
 
+class CompoundDictionary(dict):
+    """Compound surface -> POS that holds the length of its longest
+    surface, so ``resegment`` never scans it.  Every way of adding an
+    entry (construction, item assignment, ``update``, ``setdefault``,
+    ``|=``) keeps the length.  It never shrinks: after a deletion it is
+    an upper bound, which stops no match."""
+
+    longest = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__()
+        self.update(*args, **kwargs)
+
+    def __setitem__(self, surface, pos):
+        super().__setitem__(surface, pos)
+        self.longest = max(self.longest, len(surface))
+
+    def update(self, *args, **kwargs):
+        for surface, pos in dict(*args, **kwargs).items():
+            self[surface] = pos
+
+    def setdefault(self, surface, pos=None):
+        if surface not in self:
+            self[surface] = pos
+        return self[surface]
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+
 def resegment(tokens, compounds=None):
     """Merge digit runs and dictionary compounds.
 
     Maximal adjacent digit runs become one number token; then the
     longest adjacent run whose concatenation appears in the compound
     dictionary is merged, longest match first, scanning left to right.
+    ``compounds`` may be a plain dict, whose longest key is found per
+    call, or a ``CompoundDictionary``, which holds it.
     """
     compounds = compounds or {}
+    if isinstance(compounds, CompoundDictionary):
+        longest = compounds.longest
+    else:
+        longest = max(map(len, compounds), default=0)
 
     merged = []
     i = 0
@@ -220,7 +258,6 @@ def resegment(tokens, compounds=None):
 
     out = []
     i = 0
-    longest = max(map(len, compounds), default=0)
     while i < len(merged):
         if merged[i].marker:
             out.append(merged[i])

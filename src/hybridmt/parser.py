@@ -63,15 +63,14 @@ class ParseForest:
         self.roots = []
         self.truncated = False
         self._by_start = {}  # (start, category) -> [Constituent]
-        self._by_span = {}  # (start, end, category) -> [Constituent], in insertion order
+        # (end, category) -> {start: [Constituent]}, each list in insertion order
+        self._by_end = {}
 
     def add(self, const):
         self.constituents[const.id] = const
         self._by_start.setdefault((const.start, const.category), []).append(const)
-        self._by_span.setdefault((const.start, const.end, const.category), []).append(const)
-
-    def at(self, start):
-        return [c for c in self if c.start == start]
+        ending = self._by_end.setdefault((const.end, const.category), {})
+        ending.setdefault(const.start, []).append(const)
 
     def __getitem__(self, cid):
         return self.constituents[cid]
@@ -120,7 +119,20 @@ def lexical_entries(token, rb):
 
 
 def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
-    """Parse a chunked token sequence into a packed forest."""
+    """Parse a chunked token sequence into a packed forest.
+
+    The unit of work is an application: one chart cell and one
+    right-hand side, with its rules and child sequences.  Each (child
+    sequence, rule) pair is one edge, and ``edge_cap`` bounds the
+    edges.  An application is charged min(sequences x rules, edges
+    left) at once; with ``q, e = divmod(charged, rules)``, rule j takes
+    the first ``q + (j < e)`` sequences, which are the pairs a count in
+    sequence order would reach.  A cut application sets
+    ``forest.truncated``, and the parse stops after that span length.
+    An equation-free rule installs its first derivation over the cell
+    and appends the rest to the same constituent in one step; a rule
+    with equations solves and installs each sequence in turn.
+    """
     if not tokens:
         raise ParseError("empty input")
     words = [t for t in tokens if not t.marker]
@@ -141,7 +153,8 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
             cat == category and _crosses(start, end, rs, re) for cat, rs, re in regions
         ):
             return None
-        for existing in forest._by_span.get((start, end, category), ()):
+        ending = forest._by_end.get((end, category))
+        for existing in ending.get(start, ()) if ending else ():
             # subsumption is reflexive, so one shared structure packs at once
             if existing.fs is fs or (subsumes(existing.fs, fs) and subsumes(fs, existing.fs)):
                 # an application happens once and installs its solutions
@@ -162,30 +175,42 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
         for category, fs in lexical_entries(token, rb):
             install(category, token_pos, token_pos + 1, fs, lexical=True, token=token)
 
+    constituents = forest.constituents
     for length in range(1, n + 1):
         for start, end, rules, sequences in _applications(forest, rb, by_length, length):
-            # equation-free rule -> the constituent its first derivation over
-            # [start, end) went to, or None if a barrier forbade it
-            held = {}
-            for child_ids, child_structures in sequences:
-                for rule, free in rules:
-                    # every application is one edge, whichever way it is made
-                    if edges >= edge_cap:
-                        forest.truncated = True
-                        continue
-                    edges += 1
+            wanted = len(sequences) * len(rules)
+            spent = min(wanted, max(edge_cap - edges, 0))
+            if spent < wanted:
+                forest.truncated = True
+            edges += spent
+            q, e = divmod(spent, len(rules))
+            # the pair (sequence i, rule j) is edge i * len(rules) + j of
+            # the application, and only the first ``spent`` were charged
+            for i, child_ids in enumerate(sequences[: q + (e > 0)]):
+                child_structures = None
+                for j, (rule, free) in enumerate(rules[: spent - i * len(rules)]):
                     derivation = (rule.key, child_ids)
-                    if free and rule in held:
-                        # its X0 is the shared empty structure again,
-                        # which packs where the first one went
-                        if held[rule] is not None:
-                            held[rule].derivations.append(derivation)
-                        continue
-                    solutions = _solve_rule(rule.syntax_sets, child_structures)
-                    for fs in solutions:
-                        const = install(rule.key.lhs, start, end, fs, derivation)
-                    if free and solutions:
-                        held[rule] = const
+                    if not free:
+                        if child_structures is None:
+                            child_structures = [constituents[c].fs for c in child_ids]
+                        for fs in _solve_rule(rule.syntax_sets, child_structures):
+                            install(rule.key.lhs, start, end, fs, derivation)
+                    elif not i:
+                        # X0 is the same empty structure for every
+                        # sequence, and no other rule here has this
+                        # left-hand side, so the rest pack where the
+                        # first went, in sequence order
+                        const = None
+                        for fs in _solve_rule(rule.syntax_sets, ()):
+                            const = install(rule.key.lhs, start, end, fs, derivation)
+                        if const is not None:
+                            const.derivations += [
+                                (rule.key, ids) for ids in sequences[1 : q + (j < e)]
+                            ]
+                if child_structures is None:
+                    # no rule with equations took this sequence, so none
+                    # takes a later one
+                    break
         if forest.truncated:
             break
 
@@ -197,12 +222,12 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
 
 
 def _applications(forest, rb, by_length, length):
-    """(start, end, [(rule, equation-free)], child sequences) of every
-    right-hand side that may cover a span of ``length``: those of two or
-    more categories first (their children are strictly shorter), then
-    the unary closure.  Its agenda is ``by_length[length]`` itself, so a
-    constituent installed while the caller applies the rules is taken
-    up too."""
+    """(start, end, [(rule, equation-free)], child id sequences) of every
+    right-hand side that covers a span of ``length`` in some way: those
+    of two or more categories first (their children are strictly
+    shorter), then the unary closure.  Its agenda is
+    ``by_length[length]`` itself, so a constituent installed while the
+    caller applies the rules is taken up too."""
     longer_rules, unary_rules = rb.parse_index()
     if length >= 2:
         for start in range(0, forest.token_count - length + 1):
@@ -210,33 +235,38 @@ def _applications(forest, rb, by_length, length):
             for rhs, rules in longer_rules:
                 # on real grammars most have no first child here; skip them cheaply
                 if (start, rhs[0]) in forest._by_start:
-                    yield start, end, rules, _child_sequences(forest, rhs, start, end)
+                    sequences = _child_sequences(forest, rhs, start, end)
+                    if sequences:
+                        yield start, end, rules, sequences
     agenda = by_length[length]
     while agenda:
         child = agenda.pop()
         rules = unary_rules.get(child.category)
         if rules:
-            yield child.start, child.end, rules, [((child.id,), (child.fs,))]
+            yield child.start, child.end, rules, [(child.id,)]
 
 
 def _child_sequences(forest, rhs, start, end):
-    """(child ids, child structures) of every way to cover [start, end)
-    with adjacent ``rhs`` constituents, the leftmost child varying
-    slowest; the sequences grow one child at a time."""
-    by_start, by_span = forest._by_start, forest._by_span
-    partial = [((), (), start)]
+    """Child id tuples of every way to cover [start, end) with adjacent
+    ``rhs`` constituents, the leftmost child varying slowest; the last
+    child comes from the constituents that end at ``end``."""
+    last = forest._by_end.get((end, rhs[-1]))
+    if not last:
+        return ()
+    by_start = forest._by_start
+    if len(rhs) == 2:
+        return [
+            (a.id, b.id) for a in by_start.get((start, rhs[0]), ()) for b in last.get(a.end, ())
+        ]
+    partial = [((), start)]
     for category in rhs[:-1]:
         partial = [
-            (ids + (c.id,), structures + (c.fs,), c.end)
-            for ids, structures, pos in partial
+            (ids + (c.id,), c.end)
+            for ids, pos in partial
             for c in by_start.get((pos, category), ())
             if c.end < end
         ]
-    return [
-        (ids + (c.id,), structures + (c.fs,))
-        for ids, structures, pos in partial
-        for c in by_span.get((pos, end, rhs[-1]), ())
-    ]
+    return [ids + (c.id,) for ids, pos in partial for c in last.get(pos, ())]
 
 
 def enumerate_trees(forest, cid, cap=1000):
@@ -379,19 +409,22 @@ def fragment_cover(forest, category_order=()):
     if forest.roots:
         return [forest.roots[0]]
     order = {cat: i for i, cat in enumerate(category_order)}
+    # start -> (-end, category order, id) of its best constituent
+    best = {}
+    for c in forest:
+        key = (-c.end, order.get(c.category, len(order)), c.id)
+        known = best.get(c.start)
+        if known is None or key < known:
+            best[c.start] = key
 
     cover = []
     pos = 0
     while pos < forest.token_count:
-        candidates = forest.at(pos)
-        if not candidates:
+        if pos not in best:
             raise ParseError("no constituent starts at position %d" % pos)
-        best = min(
-            candidates,
-            key=lambda c: (-c.end, order.get(c.category, len(order)), c.id),
-        )
-        cover.append(best.id)
-        pos = best.end
+        neg_end, _order, cid = best[pos]
+        cover.append(cid)
+        pos = -neg_end
     return cover
 
 

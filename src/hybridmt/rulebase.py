@@ -18,6 +18,7 @@ import os
 from operator import itemgetter
 
 from . import sexpr
+from .chunker import CompoundDictionary
 from .featstruct import (
     FeatStruct,
     equation_variables,
@@ -121,7 +122,7 @@ class RuleBase:
         self.syn_lexicon = {}  # surface -> [LexiconEntry]
         self.bilingual = {}  # surface -> [LexiconEntry]
         self.sem_lexicon = {}  # surface -> [concept]
-        self.compounds = {}  # compound surface -> pos
+        self.compounds = CompoundDictionary()  # compound surface -> pos
         self._parse_index = None
 
     def rule(self, key):

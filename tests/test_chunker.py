@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -5,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fixture_path
+from hybridmt import rulebase
 from hybridmt.chunker import (
+    CompoundDictionary,
     PatternError,
     PatternSet,
     Token,
@@ -62,6 +66,61 @@ def test_resegment_markers_block_merging():
     tokens = [Token("a", "X"), Token.begin("S"), Token("b", "X")]
     out = resegment(tokens, compounds)
     assert [t.surface for t in out] == ["a", "BEGIN-S", "b"]
+
+
+class _CountingCompounds(CompoundDictionary):
+    """Counts lookups and fails on iteration."""
+
+    probes = 0
+
+    def __contains__(self, surface):
+        self.probes += 1
+        return super().__contains__(surface)
+
+    def __getitem__(self, surface):
+        self.probes += 1
+        return super().__getitem__(surface)
+
+    def __iter__(self):
+        raise AssertionError("resegment iterated the compound dictionary")
+
+
+def test_resegment_probes_do_not_grow_with_the_compound_dictionary(tmp_path, monkeypatch):
+    # every surface has five letters, so both dictionaries have one longest length
+    letters = itertools.product("abcdefghij", repeat=5)
+    surfaces = ["".join(p) for p in itertools.islice(letters, 50_000)]
+    monkeypatch.setattr(rulebase, "CompoundDictionary", _CountingCompounds)
+    line = "aa/X aab/X aaa/X aj/X"
+    results = []
+    for size in (10, 50_000):
+        path = tmp_path / ("compounds%d.tsv" % size)
+        path.write_text("".join("%s\tN\n" % s for s in surfaces[:size]), encoding="utf-8")
+        rb = rulebase.RuleBase()
+        rulebase.load_compounds(str(path), rb)
+        assert type(rb.compounds) is _CountingCompounds
+        out = resegment(parse_token_line(line), rb.compounds)
+        results.append(([t.surface for t in out], rb.compounds.probes))
+    assert results[0] == results[1]
+    assert results[0] == (["aaaab", "aaaaj"], 4)
+
+
+def test_resegment_sees_compounds_added_after_load():
+    tokens = parse_token_line("shin/X kaisha/N hossoku/VN")
+    for how in ("assign", "update", "setdefault", "ior"):
+        rb = rulebase.load_rulebase(compound_file=fixture_path("compounds.tsv"))
+        assert [t.surface for t in resegment(tokens, rb.compounds)] == ["shinkaisha", "hossoku"]
+        if how == "assign":
+            rb.compounds["shinkaishahossoku"] = "VN"
+        elif how == "update":
+            rb.compounds.update({"shinkaishahossoku": "VN"})
+        elif how == "setdefault":
+            rb.compounds.setdefault("shinkaishahossoku", "VN")
+        else:
+            rb.compounds |= {"shinkaishahossoku": "VN"}
+        out = resegment(tokens, rb.compounds)
+        assert [(t.surface, t.tag) for t in out] == [("shinkaishahossoku", "VN")], how
+    built = CompoundDictionary({"shinkaishahossoku": "VN"})
+    assert [t.surface for t in resegment(tokens, built)] == ["shinkaishahossoku"]
 
 
 # -- patterns ----------------------------------------------------------

@@ -180,7 +180,7 @@ def test_fragment_cover_greedy_leftmost_longest():
 
 def test_unknown_words_become_constituents():
     forest = parse(parse_token_line("mystery"), TOY)
-    consts = forest.at(0)
+    consts = [c for c in forest if c.start == 0]
     assert [c.category for c in consts] == [parser.UNKNOWN_CATEGORY]
     cover = fragment_cover(forest)
     assert [forest[i].category for i in cover] == [parser.UNKNOWN_CATEGORY]
@@ -704,6 +704,24 @@ CAP_SWEEP_CASES = {
         parse_rule_file("((S -> A)) ((S -> B)) ((S -> S S)) ((S -> S S))", "syntax"),
         _barrier_line("ABBABAAB", "S", 2, 5),
     ),
+    # three rules on one binary right-hand side, the equation-free one
+    # between two with equations, and a ternary right-hand side shared
+    # by an equation-free rule and one with equations: some cap stops
+    # inside a sequence at each rule position
+    "three-rules-one-side": (
+        parse_rule_file(
+            """
+((S -> A)) ((S -> B))
+((R -> S S) ((X0 f) = v1))
+((S -> S S))
+((T -> S S) (X0 = X1))
+((S -> S S S))
+((T -> S S S) ((X0 g) = v2))
+""",
+            "syntax",
+        ),
+        _barrier_line("ABAABBA", "S", 2, 5),
+    ),
 }
 
 # per case: the first edge cap that does not truncate, and the first 16
@@ -715,6 +733,7 @@ CAP_SWEEP_DIGESTS = {
     "shared-sides": (179, "3932bc7756d48864"),
     "mixed-sets": (91, "63868547756916e8"),
     "two-empty-sets": (57, "8665ed3bf8dca87f"),
+    "three-rules-one-side": (167, "b8154cb2f148c1d9"),
 }
 
 
