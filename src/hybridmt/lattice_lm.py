@@ -70,8 +70,7 @@ class WordLattice:
         source, sink = self.source, self.sink
         if any(dst == source or src == sink for src, dst, _label in self.edges):
             raise LatticeError("source must have no in-edges, sink no out-edges")
-        out = self.out_edges()
-        order = _topological_order(out)
+        out, order = _edge_pass(self)
         if order is None:
             raise LatticeError("lattice contains a cycle")
         # reach flows forward along the order and backward against it
@@ -98,16 +97,19 @@ def _check_shape(node_count, edges):
 
 
 def topological_order(lattice):
-    return _topological_order(lattice.out_edges())
+    return _edge_pass(lattice)[1]
 
 
-def _topological_order(out):
-    """Node order of ``out_edges()`` lists, or None on a cycle."""
-    indeg = [0] * len(out)
-    for edges in out:
-        for dst, _label in edges:
-            indeg[dst] += 1
-    stack = [n for n in range(len(out)) if indeg[n] == 0]
+def _edge_pass(lattice):
+    """Out-edge lists and in-degrees from one pass over the edges, then
+    (out-edge lists, topological node order or None on a cycle)."""
+    node_count = lattice.node_count
+    out = [[] for _ in range(node_count)]
+    indeg = [0] * node_count
+    for src, dst, label in lattice.edges:
+        out[src].append((dst, label))
+        indeg[dst] += 1
+    stack = [node for node in range(node_count) if indeg[node] == 0]
     order = []
     while stack:
         node = stack.pop()
@@ -116,7 +118,7 @@ def _topological_order(out):
             indeg[dst] -= 1
             if indeg[dst] == 0:
                 stack.append(dst)
-    return order if len(order) == len(out) else None
+    return out, (order if len(order) == node_count else None)
 
 
 # ---------------------------------------------------------------------
@@ -168,17 +170,39 @@ def alternate(a, b):
 
 
 def concat_all(lattices):
-    out = None
+    """``concat`` folded left over the operands, built as one edge list
+    with a running node offset."""
+    if len(lattices) < 2:
+        return lattices[0] if lattices else None
+    edges, offset = [], 0
     for lat in lattices:
-        out = lat if out is None else concat(out, lat)
-    return out
+        if offset:
+            edges.append((offset - 1, offset, EPS))
+        edges.extend(_shift(lat.edges, offset))
+        offset += lat.node_count
+    return WordLattice(offset, edges)
 
 
 def alternate_all(lattices):
-    out = None
-    for lat in lattices:
-        out = lat if out is None else alternate(out, lat)
-    return out
+    """``alternate`` folded left over the operands, built as one edge
+    list.  Step i of the fold wraps the alternation so far one node
+    deeper, so with k operands its source is node k-1-i: the steps'
+    source edges come outermost first, then operand 0, then each step's
+    operand and its two sink edges."""
+    if len(lattices) < 2:
+        return lattices[0] if lattices else None
+    last = len(lattices) - 1
+    sources, rest = [], _shift(lattices[0].edges, last)
+    size = lattices[0].node_count  # nodes in the alternation so far
+    for i, lat in enumerate(lattices[1:], 1):
+        start = last - i
+        sink = start + size + lat.node_count + 1
+        sources.append(((start, start + 1, EPS), (start, start + 1 + size, EPS)))
+        rest.extend(_shift(lat.edges, start + 1 + size))
+        rest.append((start + size, sink, EPS))
+        rest.append((start + size + lat.node_count, sink, EPS))
+        size += lat.node_count + 2
+    return WordLattice(size, [edge for pair in reversed(sources) for edge in pair] + rest)
 
 
 def all_paths(lattice, cap=10_000):
@@ -389,9 +413,18 @@ class TrigramModel:
         """P(w | u, v): strictly positive for any query."""
         u, v = history
         symbols = self._symbols
-        return self._trigram(
-            symbols.get(w, OOV), symbols.get(u, OOV), symbols.get(v, OOV)
-        )
+        w, u, v = symbols.get(w, OOV), symbols.get(u, OOV), symbols.get(v, OOV)
+        context = (u, v)
+        ctx = self.trigram_ctx.get(context, 0)
+        if ctx == 0:
+            return self._bigram(w, v)
+        c = self.trigrams.get((u, v, w), 0)
+        if c > 0:
+            return self._adjusted[3][c] / ctx
+        alpha = self._alpha_tri.get(context)
+        if alpha is None:
+            alpha = self._trigram_alpha(context, ctx)
+        return alpha * self._bigram(w, v)
 
     # The cores take symbols that ``_map`` has already mapped.  Their
     # sums run in sorted key order, not fill order, so a reloaded model
@@ -416,25 +449,25 @@ class TrigramModel:
             self._alpha_bi[v] = alpha
         return alpha * dist.get(w, dist[OOV])
 
-    def _trigram(self, w, u, v):
-        ctx = self.trigram_ctx.get((u, v), 0)
-        if ctx == 0:
-            return self._bigram(w, v)
-        c = self.trigrams.get((u, v, w), 0)
-        if c > 0:
-            return self._adjusted[3][c] / ctx
-        alpha = self._alpha_tri.get((u, v))
-        if alpha is None:
-            adjusted, trigrams, symbols = self._adjusted[3], self.trigrams, self._symbols
-            seen_mass = seen_lower = 0
-            for key in sorted(self._trigram_followers[(u, v)]):
-                seen_mass += adjusted[trigrams[key]] / ctx
-                # a count table need not list a trigram's event as a
-                # unigram, so the event is mapped like a queried word
-                seen_lower += self._bigram(symbols.get(key[2], OOV), v)
-            alpha = max(1.0 - seen_mass, 1e-12) / max(1.0 - seen_lower, 1e-12)
-            self._alpha_tri[(u, v)] = alpha
-        return alpha * self._bigram(w, v)
+    def _trigram_alpha(self, context, ctx):
+        """The Katz weight of a counted trigram context, with ``ctx``
+        its summed count; computed once per context."""
+        v = context[1]
+        adjusted, trigrams, symbols = self._adjusted[3], self.trigrams, self._symbols
+        adjusted_bi, bigrams = self._adjusted[2], self.bigrams
+        ctx_bi = self.bigram_ctx.get(v, 0)
+        seen_mass = seen_lower = 0
+        for key in sorted(self._trigram_followers[context]):
+            seen_mass += adjusted[trigrams[key]] / ctx
+            # a count table need not list a trigram's event as a
+            # unigram, so the event is mapped like a queried word
+            w = symbols.get(key[2], OOV)
+            c = bigrams.get((v, w), 0) if ctx_bi else 0
+            # a counted bigram is read as ``_bigram`` would read it
+            seen_lower += adjusted_bi[c] / ctx_bi if c > 0 else self._bigram(w, v)
+        alpha = max(1.0 - seen_mass, 1e-12) / max(1.0 - seen_lower, 1e-12)
+        self._alpha_tri[context] = alpha
+        return alpha
 
     # -- persistence -----------------------------------------------------
 
@@ -575,51 +608,78 @@ def _decode(lattice, model, n):
     A state holds at most n entries (score, word, previous entry), best
     first, so extending one costs the same at any sentence length; word
     sequences are rebuilt from the chains only at the sink and where
-    two scores tie.  States move along the lattice's own edges in one
-    topological order: a word edge extends each entry and shifts the
+    two scores tie.  One pass over the edges gives the out-edge lists
+    and the topological order, and states move along the lattice's own
+    edges in that order: a word edge extends each entry and shifts the
     history, an epsilon edge carries the entries to its target under
     the same history, so the empty path reaches the sink as its
-    (``<s>``, ``<s>``) state.  A cycle, even one of epsilon edges only,
-    is an error.  Scores add up left to right from 0.0, as in
-    ``score_sequence``, and each distinct (h1, h2, symbol) query calls
-    ``model.prob`` once per decode.
+    (``<s>``, ``<s>``) state.  A cycle, even one of epsilon edges only
+    or one the source never reaches, is an error.
+
+    A node's states are made when its first entry arrives and dropped
+    once its out-edges are done.  A new state takes what ``_push`` would
+    build into an empty list: the extended entry of a one-entry source,
+    or a copy of the list an epsilon edge carries.  ``_push`` merges into
+    a state that has entries, the one place ties and duplicates arise.
+    Scores add up left to right from 0.0, as in ``score_sequence``, and
+    each distinct (h1, h2, symbol) query calls ``model.prob`` once per
+    decode.
     """
-    out = lattice.out_edges()
-    order = _topological_order(out)
+    out, order = _edge_pass(lattice)
     if order is None:
         raise LatticeError("cannot decode a cyclic lattice")
-    memo = {}
-    # node -> {(h1, h2): entries}
-    states = [{} for _ in out]
-    states[lattice.source][(BOS, BOS)] = [(0.0, None, None)]
+    symbol_of, prob, log = model._map, model.prob, math.log
+    # symbol -> {(h1, h2): log prob}
+    rows = {}
+    # node -> {(h1, h2): entries}, None until an entry arrives
+    states = [None] * lattice.node_count
+    states[lattice.source] = {(BOS, BOS): [(0.0, None, None)]}
+    sink = lattice.sink
     for node in order:
         here = states[node]
-        if not here:
+        # nothing the sink reaches can reach it back
+        if here is None or node == sink:
             continue
+        # the entry chains keep what later states need of this node
+        states[node] = None
         for dst, word in out[node]:
-            bucket = states[dst]
+            there = states[dst]
+            if there is None:
+                there = states[dst] = {}
             if word is EPS:
                 for hist, entries in here.items():
-                    target = bucket.setdefault(hist, [])
-                    for entry in entries:
-                        _push(target, n, entry)
+                    target = there.get(hist)
+                    if target is None:
+                        there[hist] = entries[:]
+                    else:
+                        for entry in entries:
+                            _push(target, n, entry)
                 continue
-            symbol = model._map(word)
-            for (h1, h2), entries in here.items():
-                key = (h1, h2, symbol)
-                lp = memo.get(key)
+            symbol = symbol_of(word)
+            row = rows.get(symbol)
+            if row is None:
+                row = rows[symbol] = {}
+            for hist, entries in here.items():
+                lp = row.get(hist)
                 if lp is None:
-                    lp = memo[key] = math.log(model.prob(word, (h1, h2)))
-                target = bucket.setdefault((h2, symbol), [])
+                    lp = row[hist] = log(prob(word, hist))
+                key = (hist[1], symbol)
+                target = there.get(key)
+                if target is None:
+                    if len(entries) == 1:
+                        entry = entries[0]
+                        there[key] = [(entry[0] + lp, word, entry)]
+                        continue
+                    target = there[key] = []
                 for entry in entries:
                     _push(target, n, (entry[0] + lp, word, entry))
 
     finals = []
-    for (h1, h2), entries in states[lattice.sink].items():
-        key = (h1, h2, EOS)
-        lp = memo.get(key)
+    row = rows.get(EOS, {})
+    for hist, entries in (states[sink] or {}).items():
+        lp = row.get(hist)
         if lp is None:
-            lp = memo[key] = math.log(model.prob(EOS, (h1, h2)))
+            lp = log(prob(EOS, hist))
         for entry in entries:
             finals.append((entry[0] + lp, _words(entry)))
     finals.sort(key=lambda item: (-item[0], item[1]))

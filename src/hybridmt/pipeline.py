@@ -230,12 +230,11 @@ def run_trace_report(traces):
 
 def _path_count(lattice):
     """Exact number of source-to-sink paths (labels ignored)."""
-    order = lattice_lm.topological_order(lattice)
+    out, order = lattice_lm._edge_pass(lattice)
     if order is None:
         return 0
     counts = [0] * lattice.node_count
     counts[lattice.source] = 1
-    out = lattice.out_edges()
     for node in order:
         for dst, _label in out[node]:
             counts[dst] += counts[node]

@@ -571,6 +571,72 @@ def test_top_n_lists_a_word_sequence_once_however_many_routes_reach_it(lattice, 
     assert len(set(got)) == len(got) == min(n, len(paths))
 
 
+@st.composite
+def renumbered_lattices(draw):
+    """A drawn lattice and a copy whose interior nodes carry permuted
+    ids, so that edges may run from higher to lower ids."""
+    lattice = draw(st.one_of(small_lattices(), epsilon_lattices()))
+    sink = lattice.sink
+    interior = draw(st.permutations(range(1, sink)))
+    new_id = [0, *interior, sink]
+    edges = [(new_id[src], new_id[dst], label) for src, dst, label in lattice.edges]
+    return lattice, WordLattice(lattice.node_count, edges)
+
+
+@NBEST
+@given(renumbered_lattices(), st.one_of(small_models(), direct_models()), st.integers(1, 5))
+def test_top_n_is_the_same_under_any_interior_numbering(case, model, n):
+    lattice, renumbered = case
+    assert top_n(renumbered, model, n) == top_n(lattice, model, n)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 4, "a"), (1, 2, "b"), (2, 1, "c"), (2, 4, "d")],
+        [(0, 4, "a"), (1, 2, EPS), (2, 3, EPS), (3, 1, EPS)],
+        [(0, 4, "a"), (3, 3, "b")],
+    ],
+)
+def test_best_path_rejects_a_cycle_the_source_never_reaches(edges):
+    model = train_trigram(["a b"])
+    with pytest.raises(LatticeError, match="^cannot decode a cyclic lattice$"):
+        best_path(WordLattice(5, edges), model)
+
+
+@pytest.mark.parametrize("head_start", [[], [(0, 4, "h"), (0, 5, "h")]])
+def test_epsilon_targets_do_not_share_the_entries_they_carry(head_start):
+    # node 3's (x, a) entries cross epsilon edges to nodes 4 and 5, which
+    # then take "c x a" and "e x a" respectively; a list the two held in
+    # common would invent "c x a g" and "e x a f".  The edge order makes
+    # node 3 go first, and ``head_start`` gives both targets a state
+    # before it does.
+    edges = head_start + [
+        (0, 6, "c"), (0, 8, "e"), (0, 1, "b"), (1, 2, "x"), (2, 3, "a"),
+        (3, 4, EPS), (3, 5, EPS), (6, 7, "x"), (7, 4, "a"), (8, 9, "x"), (9, 5, "a"),
+        (4, 10, "f"), (5, 10, "g"),
+    ]
+    lattice = WordLattice(11, edges)
+    model = train_trigram(["b x a f", "c x a g", "e x a"], k=1)
+    paths, _truncated = all_paths(lattice)
+    ranked = sorted(((score_sequence(model, p), p) for p in paths), key=lambda item: (-item[0], item[1]))
+    assert top_n(lattice, model, 8) == [(list(p), score) for score, p in ranked]
+
+
+def _fold(pairwise, lattices):
+    out = lattices[0]
+    for lat in lattices[1:]:
+        out = pairwise(out, lat)
+    return out
+
+
+@NBEST
+@given(st.lists(st.one_of(small_lattices(), epsilon_lattices()), min_size=1, max_size=6))
+def test_n_ary_algebra_dumps_what_the_pairwise_fold_dumps(lattices):
+    assert dump_lattice(concat_all(lattices)) == dump_lattice(_fold(concat, lattices))
+    assert dump_lattice(alternate_all(lattices)) == dump_lattice(_fold(alternate, lattices))
+
+
 def test_top_n_lists_parallel_and_epsilon_routes_once():
     # "a b" has four routes: two parallel "a" edges, each followed by
     # "b" directly or through an epsilon detour

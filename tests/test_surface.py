@@ -26,6 +26,9 @@ KEPT = {
     "parse_featstruct": "tests build feature structures from text",
     "validate_rulebase": "tests check the shipped resources cover each other",
     "from_word": "tests build one-word lattices",
+    "concat": "tests build lattices pairwise, the reference for concat_all",
+    "alternate": "tests build lattices pairwise, the reference for alternate_all",
+    "topological_order": "the reference decoder in tests orders its own lattice",
     "prob_unigram": "tests check the Katz backoff one order at a time",
     "prob_bigram": "tests check the Katz backoff one order at a time",
     "reserved_mass": "tests check that backed-off mass sums to one",
