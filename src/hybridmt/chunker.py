@@ -26,6 +26,7 @@ __all__ = [
     "Token",
     "ChunkPattern",
     "PatternError",
+    "TokenError",
     "parse_token_line",
     "render_token_line",
     "load_patterns",
@@ -38,6 +39,10 @@ __all__ = [
 
 class PatternError(ValueError):
     """Malformed chunk pattern, rejected at load time."""
+
+
+class TokenError(ValueError):
+    """A token line item that makes no token, such as ``/N``."""
 
 
 class Token:
@@ -78,11 +83,15 @@ class Token:
 
 
 def parse_token_line(line):
-    """Parse ``surface/POS`` tokens; bare BEGIN-X/END-X words are markers."""
+    """Parse ``surface/POS`` tokens; bare BEGIN-X/END-X words are markers.
+    An item with an empty surface (``/`` or ``/N``) is a ``TokenError``
+    naming the item and its 1-based position."""
     tokens = []
-    for item in line.split():
+    for position, item in enumerate(line.split(), 1):
         if "/" in item:
             surface, _, tag = item.rpartition("/")
+            if not surface:
+                raise TokenError("item %d %r: token surface must be non-empty" % (position, item))
             tokens.append(Token(surface, tag))
         elif item.startswith("BEGIN-") and len(item) > 6:
             tokens.append(Token.begin(item[6:]))

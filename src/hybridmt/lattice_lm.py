@@ -16,6 +16,7 @@ undecodable as any other cyclic one.
 
 import math
 from collections import Counter
+from itertools import zip_longest
 
 __all__ = [
     "WordLattice",
@@ -580,16 +581,53 @@ def _words(entry):
     return tuple(words)
 
 
+def _chain(entry):
+    """The entries of a chain, from ``entry`` back to the source's."""
+    while entry is not None:
+        yield entry
+        entry = entry[2]
+
+
+def _tails(a, b):
+    """The words entries ``a`` and ``b`` add after the last entry their
+    chains share.  Both chains are read back in step until one reaches
+    an entry the other passed; every chain ends at the source's one
+    entry, so they meet, and the work is the distance to where they do,
+    not the length of the sentence."""
+    a_at, b_at = {}, {}  # id(entry) -> its place in the path read so far
+    a_path, b_path = [], []
+    for x, y in zip_longest(_chain(a), _chain(b)):
+        if x is not None:
+            a_at[id(x)] = len(a_path)
+            a_path.append(x)
+            if id(x) in b_at:
+                shared = id(x)
+                break
+        if y is not None:
+            b_at[id(y)] = len(b_path)
+            b_path.append(y)
+            if id(y) in a_at:
+                shared = id(y)
+                break
+    return (
+        tuple(e[1] for e in reversed(a_path[: a_at[shared]])),
+        tuple(e[1] for e in reversed(b_path[: b_at[shared]])),
+    )
+
+
 def _push(entries, n, entry):
     """Insert into a best-first list of at most n entries, ordered by
     score descending, then words ascending.  Equal word sequences have
-    equal scores, so the tie check is also the duplicate check."""
+    equal scores, so the tie check is also the duplicate check.  Two
+    tied entries share every word before the last entry their chains
+    share, so ``_tails`` compares only the words after it: the order
+    and the duplicates are those of the whole sequences."""
     score = entry[0]
     for i, other in enumerate(entries):
         if score > other[0]:
             break
         if score == other[0]:
-            mine, theirs = _words(entry), _words(other)
+            mine, theirs = _tails(entry, other)
             if mine == theirs:
                 return
             if mine < theirs:
@@ -607,8 +645,9 @@ def _decode(lattice, model, n):
 
     A state holds at most n entries (score, word, previous entry), best
     first, so extending one costs the same at any sentence length; word
-    sequences are rebuilt from the chains only at the sink and where
-    two scores tie.  One pass over the edges gives the out-edge lists
+    sequences are rebuilt from the chains only at the sink, and where
+    two scores tie only the words after the two chains meet are read.
+    One pass over the edges gives the out-edge lists
     and the topological order, and states move along the lattice's own
     edges in that order: a word edge extends each entry and shifts the
     history, an epsilon edge carries the entries to its target under

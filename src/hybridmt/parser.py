@@ -11,6 +11,8 @@ always exists.  ``compose`` builds feature structures bottom-up over a
 forest; the glosser and the semantic analyzer both use it.
 """
 
+from bisect import bisect_left, bisect_right
+
 from . import sexpr
 from .featstruct import FeatStruct, apply_equations, canonical, graft, subsumes
 from .rulebase import tagged_entries
@@ -62,15 +64,10 @@ class ParseForest:
         self.tokens = tokens  # non-marker tokens, by position
         self.roots = []
         self.truncated = False
+        # both indexes are filled by ``parse`` as it installs, each list
+        # in insertion order
         self._by_start = {}  # (start, category) -> [Constituent]
-        # (end, category) -> {start: [Constituent]}, each list in insertion order
-        self._by_end = {}
-
-    def add(self, const):
-        self.constituents[const.id] = const
-        self._by_start.setdefault((const.start, const.category), []).append(const)
-        ending = self._by_end.setdefault((const.end, const.category), {})
-        ending.setdefault(const.start, []).append(const)
+        self._by_end = {}  # (end, category) -> {start: [Constituent]}
 
     def __getitem__(self, cid):
         return self.constituents[cid]
@@ -104,6 +101,32 @@ def _crosses(start, end, rstart, rend):
     return overlap and not contains and not contained
 
 
+def barrier_index(regions):
+    """category -> (sorted endpoints, the (start, end) region of each)
+    over ``regions``, for ``crosses_barrier``."""
+    index = {}
+    for category, rstart, rend in regions:
+        index.setdefault(category, []).extend([(rstart, rstart, rend), (rend, rstart, rend)])
+    for category, ends in index.items():
+        ends.sort()
+        index[category] = ([p for p, _, _ in ends], [(rs, re) for _, rs, re in ends])
+    return index
+
+
+def crosses_barrier(index, category, start, end):
+    """Whether a ``category`` constituent over [start, end) crosses one
+    of its regions in ``barrier_index``'s ``index``.  A region crosses
+    the span only if one of its endpoints lies strictly inside it, so
+    only the regions of those endpoints are checked."""
+    entry = index.get(category)
+    if entry is None:
+        return False
+    points, regions = entry
+    lo = bisect_right(points, start)
+    hi = bisect_left(points, end, lo)
+    return any(_crosses(start, end, rs, re) for rs, re in regions[lo:hi])
+
+
 def lexical_entries(token, rb):
     """Category/feature alternatives for one token.
 
@@ -121,17 +144,30 @@ def lexical_entries(token, rb):
 def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
     """Parse a chunked token sequence into a packed forest.
 
-    The unit of work is an application: one chart cell and one
-    right-hand side, with its rules and child sequences.  Each (child
-    sequence, rule) pair is one edge, and ``edge_cap`` bounds the
-    edges.  An application is charged min(sequences x rules, edges
-    left) at once; with ``q, e = divmod(charged, rules)``, rule j takes
-    the first ``q + (j < e)`` sequences, which are the pairs a count in
-    sequence order would reach.  A cut application sets
-    ``forest.truncated``, and the parse stops after that span length.
-    An equation-free rule installs its first derivation over the cell
-    and appends the rest to the same constituent in one step; a rule
-    with equations solves and installs each sequence in turn.
+    Spans are filled shortest first.  At each length of two or more,
+    every cell (start, end) tries each right-hand side of two or more
+    categories that can reach the length; then the unary closure runs
+    over the constituents of the length, its agenda ``by_length`` taking
+    up what it installs itself.  A right-hand side can reach a length
+    only if the longest constituents of its categories so far sum to at
+    least that: its children are strictly shorter, so all of them are
+    built.  The bound only skips cells where no child sequence exists.
+    A length that no right-hand side reaches ends the parse, as no
+    constituent of it, and so none longer, can be built.
+
+    The unit of work is an application: one cell and one right-hand
+    side, with its rules and child sequences.  Each (child sequence,
+    rule) pair is one edge, and ``edge_cap`` bounds the edges.  An
+    application is charged min(sequences x rules, edges left) at once;
+    with ``q, e = divmod(charged, rules)``, rule j takes the first
+    ``q + (j < e)`` sequences, which are the pairs a count in sequence
+    order would reach.  A cut application sets ``forest.truncated``,
+    and the parse stops after that span length.  When every rule of a
+    right-hand side is equation-free, a cell is one step per rule: its
+    derivations are built in one pass over the children, the first is
+    installed, and the rest extend the constituent it went to.  A
+    right-hand side with equations solves and installs each sequence in
+    turn.
     """
     if not tokens:
         raise ParseError("empty input")
@@ -139,21 +175,26 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
     if not words:
         raise ParseError("input contains only markers")
     n = len(words)
-    regions = barrier_regions(tokens)
+    barriers = barrier_index(barrier_regions(tokens))
     forest = ParseForest(n, words)
+    constituents, by_start, by_end = forest.constituents, forest._by_start, forest._by_end
     by_length = [[] for _ in range(n + 1)]
+    longer_rules, unary_rules, uses = rb.parse_index()
+    longest = {}  # category -> length of its longest constituent so far
+    # per right-hand side of ``longer_rules``: the sum of its categories'
+    # longest, the longest span it can cover so far
+    reaches = [0] * len(longer_rules)
     next_id = 0
-    edges = 0
+    edges_left = max(edge_cap, 0)
+    empty = FeatStruct.empty()  # the X0 of every equation-free rule
 
     def install(category, start, end, fs, derivation=None, lexical=False, token=None):
         """Pack or add; returns the constituent that holds the
         derivation, or None when a barrier forbids the constituent."""
         nonlocal next_id
-        if regions and any(
-            cat == category and _crosses(start, end, rs, re) for cat, rs, re in regions
-        ):
+        if barriers and crosses_barrier(barriers, category, start, end):
             return None
-        ending = forest._by_end.get((end, category))
+        ending = by_end.get((end, category))
         for existing in ending.get(start, ()) if ending else ():
             # subsumption is reflexive, so one shared structure packs at once
             if existing.fs is fs or (subsumes(existing.fs, fs) and subsumes(fs, existing.fs)):
@@ -167,106 +208,149 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
         next_id += 1
         if derivation is not None:
             const.derivations.append(derivation)
-        forest.add(const)
+        constituents[const.id] = const
+        by_start.setdefault((start, category), []).append(const)
+        if ending is None:
+            ending = by_end[(end, category)] = {}
+        ending.setdefault(start, []).append(const)
         by_length[end - start].append(const)
+        # constituents come shortest first, so this is the longest yet,
+        # and a right-hand side reaches as much further per occurrence of
+        # the category
+        grown = end - start - longest.get(category, 0)
+        if grown:
+            longest[category] = end - start
+            for i in uses.get(category, ()):
+                reaches[i] += grown
         return const
+
+    def apply_each(start, end, rules, sequences):
+        """Solve and install each (child sequence, rule) edge in turn."""
+        nonlocal edges_left
+        wanted = len(sequences) * len(rules)
+        spent = min(wanted, edges_left)
+        edges_left -= spent
+        if spent < wanted:
+            forest.truncated = True
+        q, e = divmod(spent, len(rules))
+        # the pair (sequence i, rule j) is edge i * len(rules) + j of
+        # the application, and only the first ``spent`` were charged
+        for i, child_ids in enumerate(sequences[: q + (e > 0)]):
+            child_structures = None
+            for j, (rule, free) in enumerate(rules[: spent - i * len(rules)]):
+                derivation = (rule.key, child_ids)
+                if not free:
+                    if child_structures is None:
+                        child_structures = [constituents[c].fs for c in child_ids]
+                    for fs in _solve_rule(rule.syntax_sets, child_structures):
+                        install(rule.key.lhs, start, end, fs, derivation)
+                elif not i:
+                    # X0 is the same empty structure for every sequence,
+                    # and no other rule here has this left-hand side, so
+                    # the rest pack where the first went, in sequence order
+                    const = None
+                    for _set in rule.syntax_sets:
+                        const = install(rule.key.lhs, start, end, empty, derivation)
+                    if const is not None:
+                        const.derivations += [
+                            (rule.key, ids) for ids in sequences[1 : q + (j < e)]
+                        ]
+            if child_structures is None:
+                # no rule with equations took this sequence, so none
+                # takes a later one
+                break
+
+    def close_unary(agenda):
+        """Apply the unary rules to the constituents of one length,
+        taking up what they install too."""
+        while agenda:
+            child = agenda.pop()
+            rules = unary_rules.get(child.category)
+            if rules:
+                apply_each(child.start, child.end, rules, [(child.id,)])
 
     for token_pos, token in enumerate(words):
         for category, fs in lexical_entries(token, rb):
             install(category, token_pos, token_pos + 1, fs, lexical=True, token=token)
 
-    constituents = forest.constituents
-    for length in range(1, n + 1):
-        for start, end, rules, sequences in _applications(forest, rb, by_length, length):
-            wanted = len(sequences) * len(rules)
-            spent = min(wanted, max(edge_cap - edges, 0))
-            if spent < wanted:
-                forest.truncated = True
-            edges += spent
-            q, e = divmod(spent, len(rules))
-            # the pair (sequence i, rule j) is edge i * len(rules) + j of
-            # the application, and only the first ``spent`` were charged
-            for i, child_ids in enumerate(sequences[: q + (e > 0)]):
-                child_structures = None
-                for j, (rule, free) in enumerate(rules[: spent - i * len(rules)]):
-                    derivation = (rule.key, child_ids)
-                    if not free:
-                        if child_structures is None:
-                            child_structures = [constituents[c].fs for c in child_ids]
-                        for fs in _solve_rule(rule.syntax_sets, child_structures):
-                            install(rule.key.lhs, start, end, fs, derivation)
-                    elif not i:
-                        # X0 is the same empty structure for every
-                        # sequence, and no other rule here has this
-                        # left-hand side, so the rest pack where the
-                        # first went, in sequence order
-                        const = None
-                        for fs in _solve_rule(rule.syntax_sets, ()):
-                            const = install(rule.key.lhs, start, end, fs, derivation)
-                        if const is not None:
-                            const.derivations += [
-                                (rule.key, ids) for ids in sequences[1 : q + (j < e)]
-                            ]
-                if child_structures is None:
-                    # no rule with equations took this sequence, so none
-                    # takes a later one
-                    break
+    close_unary(by_length[1])
+    for length in range(2, n + 1):
         if forest.truncated:
             break
+        reachable = [side for side, reach in zip(longer_rules, reaches) if reach >= length]
+        if not reachable:
+            # nothing of this length can be built, so no category's
+            # longest grows and no longer length is reachable either
+            break
+        for start in range(n - length + 1):
+            end = start + length
+            for rhs, rules, free in reachable:
+                # on real grammars most have no first child here; skip them cheaply
+                firsts = by_start.get((start, rhs[0]))
+                if firsts is None:
+                    continue
+                lasts = by_end.get((end, rhs[-1]))
+                if lasts is None:
+                    continue
+                if not free:
+                    sequences = _child_sequences(by_start, rhs, firsts, lasts, end)
+                    if sequences:
+                        apply_each(start, end, rules, sequences)
+                    continue
+                key = rules[0][0].key
+                if len(rhs) == 2:
+                    derivations = [
+                        (key, (a.id, b.id)) for a in firsts for b in lasts.get(a.end, ())
+                    ]
+                else:
+                    derivations = [
+                        (key, ids) for ids in _child_sequences(by_start, rhs, firsts, lasts, end)
+                    ]
+                if not derivations:
+                    continue
+                wanted = len(derivations) * len(rules)
+                spent = min(wanted, edges_left)
+                edges_left -= spent
+                if spent < wanted:
+                    forest.truncated = True
+                q, e = divmod(spent, len(rules))
+                for j, (rule, _free) in enumerate(rules):
+                    kept = q + (j < e)
+                    if not kept:
+                        break
+                    if j:
+                        derivations = [(rule.key, ids) for _key, ids in derivations[:kept]]
+                    # each equation set is empty and solves to the empty X0
+                    const = None
+                    for _set in rule.syntax_sets:
+                        const = install(rule.key.lhs, start, end, empty, derivations[0])
+                    if const is not None:
+                        const.derivations += derivations[1:kept]
+        close_unary(by_length[length])
 
-    # ids ascend in ``forest.add`` order, so the roots come out sorted
+    # ids ascend in install order, so the roots come out sorted
     forest.roots = [
         c.id for c in forest if c.start == 0 and c.end == n and c.category in root_categories
     ]
     return forest
 
 
-def _applications(forest, rb, by_length, length):
-    """(start, end, [(rule, equation-free)], child id sequences) of every
-    right-hand side that covers a span of ``length`` in some way: those
-    of two or more categories first (their children are strictly
-    shorter), then the unary closure.  Its agenda is
-    ``by_length[length]`` itself, so a constituent installed while the
-    caller applies the rules is taken up too."""
-    longer_rules, unary_rules = rb.parse_index()
-    if length >= 2:
-        for start in range(0, forest.token_count - length + 1):
-            end = start + length
-            for rhs, rules in longer_rules:
-                # on real grammars most have no first child here; skip them cheaply
-                if (start, rhs[0]) in forest._by_start:
-                    sequences = _child_sequences(forest, rhs, start, end)
-                    if sequences:
-                        yield start, end, rules, sequences
-    agenda = by_length[length]
-    while agenda:
-        child = agenda.pop()
-        rules = unary_rules.get(child.category)
-        if rules:
-            yield child.start, child.end, rules, [(child.id,)]
-
-
-def _child_sequences(forest, rhs, start, end):
-    """Child id tuples of every way to cover [start, end) with adjacent
-    ``rhs`` constituents, the leftmost child varying slowest; the last
-    child comes from the constituents that end at ``end``."""
-    last = forest._by_end.get((end, rhs[-1]))
-    if not last:
-        return ()
-    by_start = forest._by_start
+def _child_sequences(by_start, rhs, firsts, lasts, end):
+    """Child id tuples of every way to cover a span with adjacent
+    ``rhs`` constituents, the leftmost child varying slowest: ``firsts``
+    start the span and ``lasts`` (start -> constituents) end at
+    ``end``."""
     if len(rhs) == 2:
-        return [
-            (a.id, b.id) for a in by_start.get((start, rhs[0]), ()) for b in last.get(a.end, ())
-        ]
-    partial = [((), start)]
-    for category in rhs[:-1]:
+        return [(a.id, b.id) for a in firsts for b in lasts.get(a.end, ())]
+    partial = [((c.id,), c.end) for c in firsts if c.end < end]
+    for category in rhs[1:-1]:
         partial = [
             (ids + (c.id,), c.end)
             for ids, pos in partial
             for c in by_start.get((pos, category), ())
             if c.end < end
         ]
-    return [ids + (c.id,) for ids, pos in partial for c in last.get(pos, ())]
+    return [ids + (c.id,) for ids, pos in partial for c in lasts.get(pos, ())]
 
 
 def enumerate_trees(forest, cid, cap=1000):

@@ -144,18 +144,30 @@ class RuleBase:
 
     def parse_index(self):
         """The parser's view of ``rules_by_rhs``: (right-hand side,
-        [(rule, equation-free)]) pairs of two or more categories, and
-        the unary ones' lists by their one category.  A rule is
-        equation-free when none of its syntax equation sets has an
-        equation.  Built once, and again after a call to ``rule``."""
+        [(rule, equation-free)], all equation-free) triples of two or
+        more categories; the unary ones' lists by their one category;
+        and each category's places in the first list, once per
+        occurrence in a right-hand side.  A rule is equation-free when
+        none of its syntax equation sets has an equation.  Built once,
+        and again after a call to ``rule``."""
         if self._parse_index is None:
             index = {
                 rhs: [(r, not any(s.equations for s in r.syntax_sets)) for r in rules]
                 for rhs, rules in self.rules_by_rhs().items()
             }
+            longer = [
+                (rhs, rules, all(free for _rule, free in rules))
+                for rhs, rules in index.items()
+                if len(rhs) >= 2
+            ]
+            uses = {}
+            for i, (rhs, _rules, _free) in enumerate(longer):
+                for category in rhs:
+                    uses.setdefault(category, []).append(i)
             self._parse_index = (
-                [(rhs, rules) for rhs, rules in index.items() if len(rhs) >= 2],
+                longer,
                 {rhs[0]: rules for rhs, rules in index.items() if len(rhs) == 1},
+                uses,
             )
         return self._parse_index
 

@@ -13,6 +13,7 @@ from hybridmt.chunker import (
     PatternError,
     PatternSet,
     Token,
+    TokenError,
     chunk,
     load_patterns,
     match_pattern,
@@ -23,6 +24,14 @@ from hybridmt.chunker import (
 
 
 # -- token lines -------------------------------------------------------
+
+@pytest.mark.parametrize("item", ["/", "/N"])
+def test_an_item_with_an_empty_surface_is_a_token_error_naming_it(item):
+    with pytest.raises(TokenError, match="^item 2 %r: token surface must be non-empty$" % item):
+        parse_token_line("neko/N %s a//" % item)
+    # a tag may hold no slash, so the surface keeps every slash but the last
+    assert parse_token_line("a//") == [Token("a/", "")]
+
 
 def test_token_line_roundtrip():
     line = "john/N wa/HA BEGIN-NPT ima/ADV END-NPT tabetai/V bare"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridmt import lattice_lm
 from hybridmt.lattice_lm import (
     BOS,
     EOS,
@@ -666,3 +667,35 @@ def test_parse_lattice_skips_blank_and_comment_lines():
 def test_training_skips_empty_sentences():
     with_empty = train_trigram(["a b", "", [], "b c"], k=1)
     assert with_empty.dump() == train_trigram(["a b", "b c"], k=1).dump()
+
+
+def test_a_tie_reads_the_chains_back_only_to_where_they_meet(monkeypatch):
+    # two words the model never saw in each slot tie there, and the two
+    # tied entries extend the same entry: a tie must cost as much on a
+    # chain of 800 slots as on one of 100
+    model = train_trigram(["a b c"])
+    chain = lattice_lm._chain
+    visited = []
+
+    def counting_chain(entry):
+        for step in chain(entry):
+            visited[-1] += 1
+            yield step
+
+    tails = lattice_lm._tails
+
+    def counting_tails(a, b):
+        visited.append(0)
+        return tails(a, b)
+
+    monkeypatch.setattr(lattice_lm, "_chain", counting_chain)
+    monkeypatch.setattr(lattice_lm, "_tails", counting_tails)
+    most = {}
+    for slots in (100, 800):
+        visited.clear()
+        edges = [(i, i + 1, word % i) for i in range(slots) for word in ("p%d", "q%d")]
+        words, _score = best_path(WordLattice(slots + 1, edges), model)
+        assert words == ["p%d" % i for i in range(slots)]
+        assert len(visited) >= slots
+        most[slots] = max(visited)
+    assert most[800] <= most[100] <= 6

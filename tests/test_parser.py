@@ -824,3 +824,131 @@ def test_enumerate_trees_stops_at_its_cap():
     every = enumerate_trees(forest, root, cap=10_000)
     assert len(every) == 14
     assert enumerate_trees(forest, root, cap=5) == every[:5]
+
+
+# ---------------------------------------------------------------------
+# Work in proportion to the chart
+# ---------------------------------------------------------------------
+
+class _CountingDict(dict):
+    """A dict that counts its lookups (``get``, ``in`` and ``[]``)."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return dict.get(self, key, default)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return dict.__contains__(self, key)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return dict.__getitem__(self, key)
+
+
+def _seeded_batch_line(seed, tokens):
+    """``batch50.txt`` lines drawn with a seed and joined until the line
+    has at least ``tokens`` tokens."""
+    with open(fixture_path("batch50.txt"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rng = random.Random(seed)
+    picked, count = [], 0
+    while count < tokens:
+        line = rng.choice(lines)
+        picked.append(line)
+        count += len(line.split())
+    return " ".join(picked)
+
+
+# (start, right-hand side) probes of the chart per constituent: each
+# probe reads the constituents of the right-hand side's first category
+# at a start.  A constituent of the shipped grammar spans at most 7
+# tokens, so a bounded number of lengths can hold one.
+PROBES_PER_CONSTITUENT = 12
+
+
+def test_chart_probes_grow_with_the_constituents_not_the_line(gloss_pipeline, monkeypatch):
+    forests = []
+
+    class ProbedForest(parser.ParseForest):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self._by_start = _CountingDict()
+            forests.append(self)
+
+    monkeypatch.setattr(parser, "ParseForest", ProbedForest)
+    for seed, tokens in enumerate((100, 300, 1000)):
+        forests.clear()
+        forest = gloss_pipeline.parse(gloss_pipeline.chunk(_seeded_batch_line(seed, tokens)))
+        assert forests == [forest]
+        probes = forest._by_start.lookups
+        assert probes <= PROBES_PER_CONSTITUENT * len(forest.constituents), (tokens, probes)
+
+
+@st.composite
+def _short_category_grammars(draw):
+    """Equation-free rules whose left-hand sides are S and T only, so
+    that A, B and C stay one tag long and a right-hand side of them
+    cannot cover a long span: the span bound skips it there.  Unary
+    rules run from S to T or T to S, never both."""
+    unary = draw(st.sampled_from([[], [("S", ("T",))], [("T", ("S",))]]))
+    category = st.sampled_from(("S", "T", "A", "B", "C"))
+    lhs = st.sampled_from(("S", "S", "T"))
+    unary += draw(st.lists(st.tuples(lhs, st.tuples(st.sampled_from("ABC"))), max_size=3))
+    binary = st.tuples(lhs, st.tuples(category, category))
+    ternary = st.tuples(lhs, st.tuples(category, category, category))
+    rules = set(unary)
+    rules |= set(draw(st.lists(binary, min_size=1, max_size=6)))
+    rules |= set(draw(st.lists(ternary, max_size=3)))
+    return sorted(rules)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _short_category_grammars(),
+    st.lists(st.sampled_from("ABC"), min_size=1, max_size=20),
+    st.data(),
+)
+def test_span_bound_keeps_every_tree_of_grammars_with_short_categories(rules, tags, data):
+    grammar = parse_rule_file(
+        " ".join("((%s -> %s))" % (lhs, " ".join(rhs)) for lhs, rhs in rules), "syntax"
+    )
+    tokens = _tokens(tags)
+    barrier = None
+    if data.draw(st.booleans(), label="barrier"):
+        lo = data.draw(st.integers(0, len(tags) - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, len(tags)), label="hi")
+        category = data.draw(st.sampled_from(("S", "T")), label="category")
+        tokens = _barrier_line(tags, category, lo, hi)
+        barrier = (category, lo, hi)
+    by_lhs = {}
+    for lhs, rhs in rules:
+        by_lhs.setdefault(lhs, []).append(rhs)
+    forest = parse(tokens, grammar)
+    got = sum(count_trees(forest, r) for r in forest.roots)
+    assert got == _oracle_counts(tags, by_lhs, barrier)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("XYZ"), st.integers(0, 12), st.integers(0, 12)).map(
+            lambda r: (r[0], min(r[1:]), max(r[1:]))
+        ),
+        max_size=12,
+    ),
+    st.sampled_from("XYZ"),
+    st.integers(0, 11),
+    st.integers(1, 12),
+)
+def test_indexed_barrier_check_agrees_with_every_region(regions, category, start, length):
+    end = start + length
+    want = any(
+        cat == category and parser._crosses(start, end, rs, re) for cat, rs, re in regions
+    )
+    index = parser.barrier_index(regions)
+    assert parser.crosses_barrier(index, category, start, end) == want

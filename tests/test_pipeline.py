@@ -1,10 +1,15 @@
+import importlib
 import io
 import os
+import pkgutil
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hybridmt
 from hybridmt import glosser, lattice_lm, posteditor, realizer, rulebase, semantics
 from hybridmt.featstruct import canonical
 from hybridmt.cli import main
@@ -702,7 +707,7 @@ BAD_GRAPHS = [
     "(|m-1| / |calendar month| :MONTH-INDEX 2)",
 ]
 MARKERS_ONLY = "input contains only markers"
-EMPTY_SURFACE = "token surface must be non-empty"
+EMPTY_SURFACE = "item 1 '/': token surface must be non-empty"
 
 
 @pytest.mark.parametrize(
@@ -984,3 +989,38 @@ def test_cli_train_postedit_reproduces_committed_tree(capsys):
     code, out, _err = _run(capsys, ["--config", fixture_path("gloss.cfg"), "train-postedit"])
     assert code == 0
     assert out == _read("article.tree")
+
+
+# the public exception classes the package defines, by name
+TYPED_ERRORS = {
+    name
+    for info in pkgutil.iter_modules(hybridmt.__path__)
+    for name, value in vars(importlib.import_module("hybridmt." + info.name)).items()
+    if isinstance(value, type)
+    and issubclass(value, Exception)
+    and value.__module__.startswith("hybridmt.")
+    and not name.startswith("_")
+}
+ODD_ITEMS = ["/", "/N", "a//", "BEGIN-", "END-X"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(sorted(set(_read("batch50.txt").split())) + ODD_ITEMS),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_any_token_line_gives_an_output_or_a_typed_error(
+    gloss_pipeline, interlingua_pipeline, items
+):
+    line = " ".join(items)
+    for pipe in (gloss_pipeline, interlingua_pipeline):
+        trace = pipe.translate_line(line)
+        if trace.error is None:
+            assert trace.output is not None, line
+            continue
+        name = trace.error.split(":", 1)[0]
+        assert name in TYPED_ERRORS, (line, trace.error)
+        assert name not in ("ValueError", "TypeError", "KeyError", "IndexError")
