@@ -156,18 +156,17 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
     constituent of it, and so none longer, can be built.
 
     The unit of work is an application: one cell and one right-hand
-    side, with its rules and child sequences.  Each (child sequence,
-    rule) pair is one edge, and ``edge_cap`` bounds the edges.  An
-    application is charged min(sequences x rules, edges left) at once;
-    with ``q, e = divmod(charged, rules)``, rule j takes the first
-    ``q + (j < e)`` sequences, which are the pairs a count in sequence
-    order would reach.  A cut application sets ``forest.truncated``,
-    and the parse stops after that span length.  When every rule of a
-    right-hand side is equation-free, a cell is one step per rule: its
-    derivations are built in one pass over the children, the first is
-    installed, and the rest extend the constituent it went to.  A
-    right-hand side with equations solves and installs each sequence in
-    turn.
+    side, with its rules and child sequences, or one constituent and
+    the unary rules over its category.  ``apply`` runs every one.  Each
+    (child sequence, rule) pair is one edge, and ``edge_cap`` bounds
+    the edges.  An application is charged min(sequences x rules, edges
+    left) at once; with ``q, e = divmod(charged, rules)``, rule j takes
+    the first ``q + (j < e)`` sequences, which are the pairs a count in
+    sequence order would reach.  A cut application sets
+    ``forest.truncated``, and the parse stops after that span length.
+    An equation-free rule fills a cell in one step: its derivations all
+    have the empty X0, so they pack into one constituent (a shared
+    forest keeps one node per category and span, Billot & Lang 1989).
     """
     if not tokens:
         raise ParseError("empty input")
@@ -224,41 +223,59 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
                 reaches[i] += grown
         return const
 
-    def apply_each(start, end, rules, sequences):
-        """Solve and install each (child sequence, rule) edge in turn."""
+    def apply(start, end, rules, derivations):
+        """Install what ``rules``, one right-hand side's (rule,
+        equation-free) pairs, derive over [start, end); ``derivations``
+        are the first rule's (key, child ids), one per child sequence.
+
+        The edge cap is charged once, and rule j keeps the first
+        ``q + (j < e)`` sequences.  The rules take sequence 0 in order:
+        an equation-free rule installs its first derivation and appends
+        the rest it keeps to the constituent that took it; a rule with
+        equations solves sequence 0 at once.  Only if a rule has
+        equations are sequences 1.. solved after, in (sequence, rule)
+        order.  Each (sequence, rule) edge hands all its solutions one
+        derivation tuple, which ``install`` records once."""
         nonlocal edges_left
-        wanted = len(sequences) * len(rules)
+        wanted = len(derivations) * len(rules)
         spent = min(wanted, edges_left)
         edges_left -= spent
         if spent < wanted:
             forest.truncated = True
         q, e = divmod(spent, len(rules))
-        # the pair (sequence i, rule j) is edge i * len(rules) + j of
-        # the application, and only the first ``spent`` were charged
-        for i, child_ids in enumerate(sequences[: q + (e > 0)]):
-            child_structures = None
-            for j, (rule, free) in enumerate(rules[: spent - i * len(rules)]):
-                derivation = (rule.key, child_ids)
-                if not free:
-                    if child_structures is None:
-                        child_structures = [constituents[c].fs for c in child_ids]
-                    for fs in _solve_rule(rule.syntax_sets, child_structures):
-                        install(rule.key.lhs, start, end, fs, derivation)
-                elif not i:
-                    # X0 is the same empty structure for every sequence,
-                    # and no other rule here has this left-hand side, so
-                    # the rest pack where the first went, in sequence order
-                    const = None
-                    for _set in rule.syntax_sets:
-                        const = install(rule.key.lhs, start, end, empty, derivation)
-                    if const is not None:
-                        const.derivations += [
-                            (rule.key, ids) for ids in sequences[1 : q + (j < e)]
-                        ]
-            if child_structures is None:
-                # no rule with equations took this sequence, so none
-                # takes a later one
+        # the pair (sequence i, rule j) is edge i * len(rules) + j of the
+        # application, and only the first ``spent`` were charged
+        solving = ()  # (rule, its derivations, kept) of each rule with equations
+        child_structures = None
+        for j, (rule, free) in enumerate(rules):
+            kept = q + (j < e)
+            if not kept:
                 break
+            own = [(rule.key, ids) for _key, ids in derivations[:kept]] if j else derivations
+            if free:
+                # each equation set is empty and solves to the empty X0,
+                # and no other rule here has this left-hand side, so the
+                # rest pack where the first went, in sequence order
+                const = None
+                for _set in rule.syntax_sets:
+                    const = install(rule.key.lhs, start, end, empty, own[0])
+                if const is not None:
+                    const.derivations += own[1:kept]
+                continue
+            if child_structures is None:
+                child_structures = [constituents[c].fs for c in own[0][1]]
+            for fs in _solve_rule(rule.syntax_sets, child_structures):
+                install(rule.key.lhs, start, end, fs, own[0])
+            solving += ((rule, own, kept),)
+        if solving:
+            # kept shrinks with j, so the first rule here keeps the most
+            for i in range(1, solving[0][2]):
+                child_structures = [constituents[c].fs for c in derivations[i][1]]
+                for rule, own, kept in solving:
+                    if i == kept:
+                        break
+                    for fs in _solve_rule(rule.syntax_sets, child_structures):
+                        install(rule.key.lhs, start, end, fs, own[i])
 
     def close_unary(agenda):
         """Apply the unary rules to the constituents of one length,
@@ -267,7 +284,7 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
             child = agenda.pop()
             rules = unary_rules.get(child.category)
             if rules:
-                apply_each(child.start, child.end, rules, [(child.id,)])
+                apply(child.start, child.end, rules, [(rules[0][0].key, (child.id,))])
 
     for token_pos, token in enumerate(words):
         for category, fs in lexical_entries(token, rb):
@@ -284,7 +301,7 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
             break
         for start in range(n - length + 1):
             end = start + length
-            for rhs, rules, free in reachable:
+            for rhs, rules in reachable:
                 # on real grammars most have no first child here; skip them cheaply
                 firsts = by_start.get((start, rhs[0]))
                 if firsts is None:
@@ -292,40 +309,15 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
                 lasts = by_end.get((end, rhs[-1]))
                 if lasts is None:
                     continue
-                if not free:
-                    sequences = _child_sequences(by_start, rhs, firsts, lasts, end)
-                    if sequences:
-                        apply_each(start, end, rules, sequences)
-                    continue
                 key = rules[0][0].key
                 if len(rhs) == 2:
                     derivations = [
                         (key, (a.id, b.id)) for a in firsts for b in lasts.get(a.end, ())
                     ]
                 else:
-                    derivations = [
-                        (key, ids) for ids in _child_sequences(by_start, rhs, firsts, lasts, end)
-                    ]
-                if not derivations:
-                    continue
-                wanted = len(derivations) * len(rules)
-                spent = min(wanted, edges_left)
-                edges_left -= spent
-                if spent < wanted:
-                    forest.truncated = True
-                q, e = divmod(spent, len(rules))
-                for j, (rule, _free) in enumerate(rules):
-                    kept = q + (j < e)
-                    if not kept:
-                        break
-                    if j:
-                        derivations = [(rule.key, ids) for _key, ids in derivations[:kept]]
-                    # each equation set is empty and solves to the empty X0
-                    const = None
-                    for _set in rule.syntax_sets:
-                        const = install(rule.key.lhs, start, end, empty, derivations[0])
-                    if const is not None:
-                        const.derivations += derivations[1:kept]
+                    derivations = _derivations(by_start, rhs, key, firsts, lasts, end)
+                if derivations:
+                    apply(start, end, rules, derivations)
         close_unary(by_length[length])
 
     # ids ascend in install order, so the roots come out sorted
@@ -335,13 +327,11 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
     return forest
 
 
-def _child_sequences(by_start, rhs, firsts, lasts, end):
-    """Child id tuples of every way to cover a span with adjacent
-    ``rhs`` constituents, the leftmost child varying slowest: ``firsts``
-    start the span and ``lasts`` (start -> constituents) end at
-    ``end``."""
-    if len(rhs) == 2:
-        return [(a.id, b.id) for a in firsts for b in lasts.get(a.end, ())]
+def _derivations(by_start, rhs, key, firsts, lasts, end):
+    """(key, child ids) of every way to cover a span with adjacent
+    ``rhs`` constituents, three or more, the leftmost child varying
+    slowest: ``firsts`` start the span and ``lasts`` (start ->
+    constituents) end at ``end``."""
     partial = [((c.id,), c.end) for c in firsts if c.end < end]
     for category in rhs[1:-1]:
         partial = [
@@ -350,7 +340,7 @@ def _child_sequences(by_start, rhs, firsts, lasts, end):
             for c in by_start.get((pos, category), ())
             if c.end < end
         ]
-    return [ids + (c.id,) for ids, pos in partial for c in lasts.get(pos, ())]
+    return [(key, ids + (c.id,)) for ids, pos in partial for c in lasts.get(pos, ())]
 
 
 def enumerate_trees(forest, cid, cap=1000):

@@ -274,7 +274,7 @@ class Pipeline:
             "lm_model", lambda path: lattice_lm.TrigramModel.load(sexpr.read_text(path)), None
         )
         self.tree = self._load(
-            "tree", lambda path: posteditor.parse_tree(sexpr.read_text(path)), None
+            "tree", lambda path: posteditor.parse_tree(sexpr.read_text(path), path), None
         )
         self.repairs = self._load("repairs", posteditor.load_repairs, [])
         self.exceptions = self._load(

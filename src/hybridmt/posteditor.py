@@ -249,27 +249,40 @@ def dump_tree(tree):
     return sexpr.dump(emit(tree)) + "\n"
 
 
-def parse_tree(text):
+def parse_tree(text, filename="<string>"):
+    """The tree ``dump_tree`` wrote; anything else is a PosteditError
+    that names ``filename``."""
+
+    def fail(message):
+        raise PosteditError("%s: %s" % (filename, message))
+
     def build(expr):
         if not isinstance(expr, list) or not expr:
-            raise PosteditError("malformed tree node %r" % (expr,))
+            fail("malformed tree node %r" % (expr,))
         if expr[0] == "leaf":
+            if len(expr) == 1:
+                fail("leaf with no label counts")
             dist = {}
             for pair in expr[1:]:
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise PosteditError("malformed leaf entry %r" % (pair,))
-                dist[pair[0]] = int(pair[1])
+                if not isinstance(pair, list) or len(pair) != 2 or list in map(type, pair):
+                    fail("malformed leaf entry %r" % (pair,))
+                if pair[0] not in LABELS or pair[0] in dist:
+                    fail("unknown or repeated article label %r" % (pair[0],))
+                count = int(pair[1]) if pair[1].isdecimal() else 0
+                if count < 1:
+                    fail("leaf count %r is not a positive integer" % (pair[1],))
+                dist[pair[0]] = count
             return DecisionTree(dist=dist)
-        if expr[0] == "test" and len(expr) == 5:
+        if expr[0] == "test" and len(expr) == 5 and list not in map(type, expr[1:3]):
             return DecisionTree(
                 feature=expr[1], value=expr[2], yes=build(expr[3]), no=build(expr[4])
             )
-        raise PosteditError("malformed tree node %r" % (expr,))
+        fail("malformed tree node %r" % (expr,))
 
     try:
         return build(sexpr.parse_one(text))
     except sexpr.SexprError as err:
-        raise PosteditError(str(err))
+        raise PosteditError("%s: %s" % (filename, err))
 
 
 # ---------------------------------------------------------------------

@@ -134,34 +134,25 @@ class RuleBase:
             entry = self.rules[key] = SynchronizedRule(key)
         return entry
 
-    def rules_by_rhs(self):
-        index = {}
-        for key, rule in self.rules.items():
-            index.setdefault(key.rhs, []).append(rule)
-        for rules in index.values():
-            rules.sort(key=lambda r: r.key)
-        return index
-
     def parse_index(self):
-        """The parser's view of ``rules_by_rhs``: (right-hand side,
-        [(rule, equation-free)], all equation-free) triples of two or
-        more categories; the unary ones' lists by their one category;
-        and each category's places in the first list, once per
-        occurrence in a right-hand side.  A rule is equation-free when
-        none of its syntax equation sets has an equation.  Built once,
-        and again after a call to ``rule``."""
+        """The parser's view of the rules: (right-hand side, [(rule,
+        equation-free)]) pairs of two or more categories; the unary
+        ones' lists by their one category; and each category's places in
+        the first list, once per occurrence in a right-hand side.  Sides
+        come in the order of their first rule, and each one's rules in
+        key order.  A rule is equation-free when none of its syntax
+        equation sets has an equation.  Built once, and again after a
+        call to ``rule``."""
         if self._parse_index is None:
-            index = {
-                rhs: [(r, not any(s.equations for s in r.syntax_sets)) for r in rules]
-                for rhs, rules in self.rules_by_rhs().items()
-            }
-            longer = [
-                (rhs, rules, all(free for _rule, free in rules))
-                for rhs, rules in index.items()
-                if len(rhs) >= 2
-            ]
+            index = {}
+            for key, rule in self.rules.items():
+                free = not any(s.equations for s in rule.syntax_sets)
+                index.setdefault(key.rhs, []).append((rule, free))
+            for rules in index.values():
+                rules.sort(key=lambda pair: pair[0].key)
+            longer = [(rhs, rules) for rhs, rules in index.items() if len(rhs) >= 2]
             uses = {}
-            for i, (rhs, _rules, _free) in enumerate(longer):
+            for i, (rhs, _rules) in enumerate(longer):
                 for category in rhs:
                     uses.setdefault(category, []).append(i)
             self._parse_index = (

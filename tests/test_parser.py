@@ -722,6 +722,19 @@ CAP_SWEEP_CASES = {
         ),
         _barrier_line("ABAABBA", "S", 2, 5),
     ),
+    # equation-free unary rules and unary rules with equations on one
+    # child category, and a unary rule over a category that binary rules
+    # build, so that some cap stops inside a unary closure at each rule
+    "unary-shared-child": (
+        parse_rule_file(
+            """
+((S -> A)) ((T -> A) ((X0 f) = v1)) ((U -> A) (X0 = X1))
+((S -> B)) ((T -> S)) ((S -> S S)) ((S -> U S) ((X0 f) = v1))
+""",
+            "syntax",
+        ),
+        _barrier_line("ABAAB", "S", 1, 3),
+    ),
 }
 
 # per case: the first edge cap that does not truncate, and the first 16
@@ -734,6 +747,7 @@ CAP_SWEEP_DIGESTS = {
     "mixed-sets": (91, "63868547756916e8"),
     "two-empty-sets": (57, "8665ed3bf8dca87f"),
     "three-rules-one-side": (167, "b8154cb2f148c1d9"),
+    "unary-shared-child": (56, "40c89446aae8b484"),
 }
 
 

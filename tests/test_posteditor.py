@@ -141,6 +141,22 @@ def test_parse_tree_rejects_malformed():
         parse_tree("(branch x y)")
     with pytest.raises(PosteditError):
         parse_tree("(test f v (leaf (the 1)))")
+    # non-atom labels, features, values and counts; counts that are not
+    # positive integers; an empty leaf; a label outside LABELS or twice
+    for text in (
+        "(leaf ((a) 1))",
+        "(leaf (the (1)))",
+        "(leaf (the x))",
+        "(leaf (the 0))",
+        "(leaf (the -1))",
+        "(leaf)",
+        "(leaf (an 1))",
+        "(leaf (the 1) (null 3) (the 5))",
+        "(test (f) v (leaf (the 1)) (leaf (null 1)))",
+        "(test f (v) (leaf (the 1)) (leaf (null 1)))",
+    ):
+        with pytest.raises(PosteditError, match="^article.tree: "):
+            parse_tree(text, "article.tree")
 
 
 # -- allomorphy and insertion -------------------------------------------

@@ -48,11 +48,16 @@ def test_same_backbone_multiple_kinds():
     assert len(rule.sets("gloss")) == 1
 
 
-def test_rules_by_rhs_sorted():
-    rb = parse_rule_file("((B -> X Y)) ((A -> X Y)) ((C -> X))", "syntax")
-    index = rb.rules_by_rhs()
-    assert [r.key.lhs for r in index[("X", "Y")]] == ["A", "B"]
-    assert [r.key.lhs for r in index[("X",)]] == ["C"]
+def test_parse_index_sorted():
+    rb = parse_rule_file(
+        "((B -> X Y)) ((A -> X Y) (X0 = X1)) ((C -> X)) ((A -> W X))", "syntax"
+    )
+    longer, unary, uses = rb.parse_index()
+    # sides in the order of their first rule, each one's rules in key order
+    assert [rhs for rhs, _rules in longer] == [("X", "Y"), ("W", "X")]
+    assert [(r.key.lhs, free) for r, free in longer[0][1]] == [("A", False), ("B", True)]
+    assert [r.key.lhs for r, _free in unary["X"]] == ["C"]
+    assert uses == {"X": [0, 1], "Y": [0], "W": [1]}
 
 
 def test_parse_rejects_malformed():
