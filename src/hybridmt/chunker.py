@@ -16,25 +16,14 @@ tag (``N+``), the wildcard ``ANY1+``, anchor delimiters ``<`` ``>``, or
 the tail symbol ``~`` (skip to the next comma or the end of the
 sentence).  ``:left``/``:right`` directives insert begin/end markers at
 the match edges, or around the anchor region when anchors are present.
-An element also matches a complete span claimed earlier in the scan by
-a pattern of that name, so patterns can build on each other.
+``chunk`` tries the patterns in file order at each position and keeps
+the first match.  ``match_pattern`` lets an element accept a whole
+span claimed under a name the element accepts, but ``chunk`` records
+each claim at its start, which its left-to-right scan has already
+passed, so a pattern cannot yet use another pattern's span.
 """
 
 from . import sexpr
-
-__all__ = [
-    "Token",
-    "ChunkPattern",
-    "PatternError",
-    "TokenError",
-    "parse_token_line",
-    "render_token_line",
-    "load_patterns",
-    "CompoundDictionary",
-    "resegment",
-    "match_pattern",
-    "chunk",
-]
 
 
 class PatternError(ValueError):
@@ -197,7 +186,10 @@ def load_patterns(text, filename="<string>"):
             else:
                 raise PatternError("%s: bad directive %r in %s" % (filename, rest[0], name))
             rest = rest[2:]
-        pset.patterns.append(ChunkPattern(name, elements, left, right))
+        try:
+            pset.patterns.append(ChunkPattern(name, elements, left, right))
+        except PatternError as err:
+            raise PatternError("%s: %s" % (filename, err)) from None
     return pset
 
 
@@ -242,14 +234,12 @@ def resegment(tokens, compounds=None):
     Maximal adjacent digit runs become one number token; then the
     longest adjacent run whose concatenation appears in the compound
     dictionary is merged, longest match first, scanning left to right.
-    ``compounds`` may be a plain dict, whose longest key is found per
-    call, or a ``CompoundDictionary``, which holds it.
+    ``compounds`` is a ``CompoundDictionary``: it holds the length of
+    its longest surface, so no run grows past it.
     """
-    compounds = compounds or {}
-    if isinstance(compounds, CompoundDictionary):
-        longest = compounds.longest
-    else:
-        longest = max(map(len, compounds), default=0)
+    if compounds is None:
+        compounds = CompoundDictionary()
+    longest = compounds.longest
 
     merged = []
     i = 0

@@ -26,27 +26,7 @@ fills in only the fresh X0 nodes it is building.
 
 import re
 
-from .sexpr import QuotedString, SexprError, dump, parse_one
-
-__all__ = [
-    "FeatStruct",
-    "UnboundVariableError",
-    "unify",
-    "subsumes",
-    "canonical",
-    "parse_featstruct",
-    "Assign",
-    "Constraint",
-    "Exists",
-    "OrBlock",
-    "XorBlock",
-    "PathRef",
-    "parse_equation",
-    "parse_equations",
-    "apply_equations",
-    "graft_plan",
-    "graft",
-]
+from .sexpr import QuotedString, SexprError, dump
 
 SOLUTION_CAP = 64  # solutions kept per equation list, *OR* expansion included
 
@@ -283,11 +263,6 @@ def parse_featstruct_expr(expr, tags=None):
             tags[tagname] = value
         features[feat] = value
     return FeatStruct.complex(features)
-
-
-def parse_featstruct(text):
-    """Parse the textual feature-structure syntax (paper-style parens)."""
-    return parse_featstruct_expr(parse_one(text))
 
 
 # ---------------------------------------------------------------------

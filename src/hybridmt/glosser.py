@@ -23,17 +23,6 @@ from . import sexpr
 from .sexpr import QuotedString
 from . import lattice_lm as wl
 
-__all__ = [
-    "GlossError",
-    "VerbGroupSpec",
-    "gloss_leaf",
-    "gloss_forest",
-    "realize_verbgroup",
-    "flatten_gloss",
-    "load_irregulars",
-    "FRAGMENT_SEPARATOR",
-]
-
 FRAGMENT_SEPARATOR = "##"
 ALTERNATIVE_CAP = 64  # gloss alternatives kept per constituent
 SUPPORTED_FLAGS = frozenset(["past", "passive", "negative", "progressive"])

@@ -18,22 +18,6 @@ import math
 from collections import Counter
 from itertools import zip_longest
 
-__all__ = [
-    "WordLattice",
-    "LatticeError",
-    "from_word",
-    "from_phrase",
-    "from_groups",
-    "concat",
-    "alternate",
-    "all_paths",
-    "TrigramModel",
-    "train_trigram",
-    "score_sequence",
-    "best_path",
-    "top_n",
-]
-
 EPS = None
 BOS = "<s>"
 EOS = "</s>"
@@ -97,10 +81,6 @@ def _check_shape(node_count, edges):
             raise LatticeError("edge endpoint out of range")
 
 
-def topological_order(lattice):
-    return _edge_pass(lattice)[1]
-
-
 def _edge_pass(lattice):
     """Out-edge lists and in-degrees from one pass over the edges, then
     (out-edge lists, topological node order or None on a cycle)."""
@@ -126,10 +106,6 @@ def _edge_pass(lattice):
 # Lattice algebra
 # ---------------------------------------------------------------------
 
-def from_word(word):
-    return WordLattice(2, [(0, 1, word)])
-
-
 def from_phrase(phrase):
     """Split a multiword string on spaces into an edge sequence."""
     words = phrase.split()
@@ -151,28 +127,10 @@ def _shift(edges, offset):
     return [(s + offset, d + offset, w) for s, d, w in edges]
 
 
-def concat(a, b):
-    """Splice a's sink to b's source with an epsilon edge."""
-    edges = list(a.edges)
-    edges.append((a.sink, a.node_count, EPS))
-    edges.extend(_shift(b.edges, a.node_count))
-    return WordLattice(a.node_count + b.node_count, edges)
-
-
-def alternate(a, b):
-    """Fresh source/sink with epsilon edges around both operands."""
-    edges = [(0, 1, EPS), (0, 1 + a.node_count, EPS)]
-    edges.extend(_shift(a.edges, 1))
-    edges.extend(_shift(b.edges, 1 + a.node_count))
-    sink = 1 + a.node_count + b.node_count
-    edges.append((a.sink + 1, sink, EPS))
-    edges.append((b.sink + 1 + a.node_count, sink, EPS))
-    return WordLattice(sink + 1, edges)
-
-
 def concat_all(lattices):
-    """``concat`` folded left over the operands, built as one edge list
-    with a running node offset."""
+    """The operands in sequence, each one's sink spliced to the next
+    one's source by an epsilon edge, built as one edge list with a
+    running node offset."""
     if len(lattices) < 2:
         return lattices[0] if lattices else None
     edges, offset = [], 0
@@ -185,11 +143,12 @@ def concat_all(lattices):
 
 
 def alternate_all(lattices):
-    """``alternate`` folded left over the operands, built as one edge
-    list.  Step i of the fold wraps the alternation so far one node
-    deeper, so with k operands its source is node k-1-i: the steps'
-    source edges come outermost first, then operand 0, then each step's
-    operand and its two sink edges."""
+    """A choice between the operands, folded left as pairs that each
+    get a fresh source and sink with epsilon edges around both, built
+    as one edge list.  Step i of the fold wraps the alternation so far
+    one node deeper, so with k operands its source is node k-1-i: the
+    steps' source edges come outermost first, then operand 0, then each
+    step's operand and its two sink edges."""
     if len(lattices) < 2:
         return lattices[0] if lattices else None
     last = len(lattices) - 1
@@ -483,11 +442,12 @@ class TrigramModel:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def load(text):
+    def load(text, filename="<string>"):
         """Parse ``dump`` output in one pass.  Lines whose first column
         is not ``#k``, ``1``, ``2`` or ``3`` are ignored; such a line
         with the wrong column count, a non-integer count or an n-gram
-        count below 1 raises LatticeError naming its line number."""
+        count below 1 raises LatticeError naming ``filename`` and its
+        line number."""
         k = 5
         uni, bi, tri = {}, {}, {}
         try:
@@ -514,7 +474,7 @@ class TrigramModel:
                     # it would give probabilities outside [0, 1]
                     raise ValueError
         except ValueError:
-            raise _bad_model_line(lineno, cols) from None
+            raise _bad_model_line("%s:%d" % (filename, lineno), cols) from None
         return TrigramModel(uni, bi, tri, k=k)
 
 
@@ -522,18 +482,17 @@ class TrigramModel:
 _MODEL_LINE_WIDTH = {"#k": 2, "1": 3, "2": 4, "3": 5}
 
 
-def _bad_model_line(lineno, cols):
+def _bad_model_line(where, cols):
     width = _MODEL_LINE_WIDTH[cols[0]]
     if len(cols) != width:
         return LatticeError(
-            "model line %d: %r needs %d tab-separated columns, got %d"
-            % (lineno, cols[0], width, len(cols))
+            "%s: %r needs %d tab-separated columns, got %d" % (where, cols[0], width, len(cols))
         )
     try:
         int(cols[-1])
     except ValueError:
-        return LatticeError("model line %d: count %r is not an integer" % (lineno, cols[-1]))
-    return LatticeError("model line %d: count %r is below 1" % (lineno, cols[-1]))
+        return LatticeError("%s: count %r is not an integer" % (where, cols[-1]))
+    return LatticeError("%s: count %r is below 1" % (where, cols[-1]))
 
 
 def train_trigram(sentences, k=5):

@@ -17,17 +17,6 @@ from . import sexpr
 from .featstruct import FeatStruct, apply_equations, canonical, graft, subsumes
 from .rulebase import tagged_entries
 
-__all__ = [
-    "Constituent",
-    "ParseForest",
-    "ParseError",
-    "parse",
-    "enumerate_trees",
-    "compose",
-    "fragment_cover",
-    "dump_forest",
-]
-
 UNKNOWN_CATEGORY = "UNKNOWN"
 DEFAULT_EDGE_CAP = 100_000
 
@@ -48,10 +37,6 @@ class Constituent:
         self.derivations = []  # [(RuleKey, (child ids...))]
         self.lexical = lexical
         self.token = token
-
-    @property
-    def span(self):
-        return (self.start, self.end)
 
     def __repr__(self):
         return "<%d %s %d:%d>" % (self.id, self.category, self.start, self.end)
@@ -341,42 +326,6 @@ def _derivations(by_start, rhs, key, firsts, lasts, end):
             if c.end < end
         ]
     return [(key, ids + (c.id,)) for ids, pos in partial for c in lasts.get(pos, ())]
-
-
-def enumerate_trees(forest, cid, cap=1000):
-    """Unpack derivation trees below one constituent.
-
-    Trees are ``(category, (start, end), rule-or-None, child trees)``
-    tuples, in derivation-list order, children expanded left to right.
-    """
-    if cid not in forest.constituents:
-        raise KeyError("unknown constituent id %r" % cid)
-
-    def expand(const, budget):
-        if const.lexical or not const.derivations:
-            return [(const.category, const.span, None, ())]
-        trees = []
-        for rule_key, child_ids in const.derivations:
-            partial = [()]
-            for child_id in child_ids:
-                child_trees = expand(forest[child_id], budget)
-                partial = [
-                    p + (t,) for p in partial for t in child_trees
-                ][:budget]
-            for children in partial:
-                trees.append((const.category, const.span, rule_key, children))
-                if len(trees) >= budget:
-                    return trees
-        return trees
-
-    out, seen = [], set()
-    for tree in expand(forest[cid], cap):
-        if tree not in seen:
-            seen.add(tree)
-            out.append(tree)
-        if len(out) >= cap:
-            break
-    return out
 
 
 def count_trees(forest, cid):

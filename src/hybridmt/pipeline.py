@@ -18,18 +18,6 @@ import os
 
 from . import chunker, glosser, lattice_lm, parser, posteditor, realizer, rulebase, semantics, sexpr
 
-__all__ = [
-    "PipelineConfig",
-    "Pipeline",
-    "ResourceError",
-    "StageTrace",
-    "SentenceTrace",
-    "load_config",
-    "run_trace_report",
-    "format_trace",
-    "parse_trace",
-]
-
 
 class ResourceError(ValueError):
     """A configured resource file is missing or unreadable."""
@@ -81,9 +69,6 @@ class PipelineConfig:
             self.values[key] = value
         else:
             raise ResourceError("unknown config key %r" % key)
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
 
     def path_of(self, key):
         value = self.values.get(key)
@@ -271,7 +256,7 @@ class Pipeline:
         )
         self.taxonomy = self._load("taxonomy", semantics.Taxonomy.load, None)
         self.lm = self._load(
-            "lm_model", lambda path: lattice_lm.TrigramModel.load(sexpr.read_text(path)), None
+            "lm_model", lambda path: lattice_lm.TrigramModel.load(sexpr.read_text(path), path), None
         )
         self.tree = self._load(
             "tree", lambda path: posteditor.parse_tree(sexpr.read_text(path), path), None
@@ -396,7 +381,7 @@ class Pipeline:
             trace.stage("parse", "transformer", len(tokens), len(forest.constituents))
             trace.notes["full_parse"] = 1 if forest.roots else 0
             lattice, stage, n_in = None, "realize", 1
-            if self.cfg.get("path") == "interlingua":
+            if self.cfg.values["path"] == "interlingua":
                 lattice = self._realized(forest, trace)
             if lattice is None:
                 lattice, stage, n_in = self.gloss(forest), "gloss", len(forest.constituents)

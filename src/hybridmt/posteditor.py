@@ -16,23 +16,6 @@ import math
 
 from . import sexpr
 
-__all__ = [
-    "ArticleInstance",
-    "DecisionTree",
-    "PosteditError",
-    "extract_instances",
-    "train_tree",
-    "classify",
-    "insert_articles",
-    "apply_repairs",
-    "load_repairs",
-    "parse_repairs",
-    "load_word_list",
-    "choose_allomorph",
-    "dump_tree",
-    "parse_tree",
-]
-
 ARTICLES = ("a", "an", "the")
 BOUNDARY = "<s>"
 LABELS = ("a-an", "null", "the")

@@ -13,16 +13,6 @@ Reentrant fillers are realized once; later mentions are skipped.
 from . import lattice_lm as wl, sexpr
 from .glosser import past_form, third_singular_form
 
-__all__ = [
-    "GenEntry",
-    "RealizeError",
-    "load_gen_lexicon",
-    "parse_gen_lexicon",
-    "realize",
-    "DEFAULT_PREPOSITIONS",
-    "MONTH_NAMES",
-]
-
 DEFAULT_PREPOSITIONS = ("in", "on", "at", "for", "of")
 SUBJECT_ROLES = ("senser", "agent", "theme")
 OBJECT_ROLES = ("phenomenon", "theme")

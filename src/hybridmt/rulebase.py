@@ -27,18 +27,6 @@ from .featstruct import (
     parse_featstruct_expr,
 )
 
-__all__ = [
-    "RuleKey",
-    "SynchronizedRule",
-    "LexiconEntry",
-    "RuleBase",
-    "RuleBaseError",
-    "load_rulebase",
-    "parse_rule_file",
-    "arity_errors",
-    "validate_rulebase",
-]
-
 
 class RuleBaseError(ValueError):
     """A rule or lexicon file failed to parse; message carries file/line."""
@@ -283,17 +271,3 @@ def arity_errors(rb):
                         % (kind, key, max(int(v[1:]) for v in beyond), key.arity)
                     )
     return lines
-
-
-def validate_rulebase(rb, mode):
-    """Report syntax backbones missing their gloss/semantic counterpart,
-    then equations referencing out-of-range variables."""
-    if mode not in ("gloss", "interlingua"):
-        raise ValueError("mode must be 'gloss' or 'interlingua'")
-    wanted = "gloss" if mode == "gloss" else "semantics"
-    lines = [
-        "missing %s rule for backbone %r" % (wanted, key)
-        for key in sorted(rb.rules)
-        if rb.rules[key].syntax_sets and not rb.rules[key].sets(wanted)
-    ]
-    return lines + arity_errors(rb)

@@ -25,27 +25,6 @@ from . import sexpr
 from .featstruct import FeatStruct, apply_equations, canonical  # noqa: F401
 from .parser import compose, fragment_cover
 
-__all__ = [
-    "Taxonomy",
-    "TaxonomyError",
-    "Instance",
-    "MeaningGraph",
-    "SemCandidate",
-    "SplError",
-    "SemanticsError",
-    "analyze",
-    "root_candidates",
-    "graph_from_featstruct",
-    "infer",
-    "to_assertions",
-    "score_assertions",
-    "rank_candidates",
-    "parse_spl",
-    "serialize_spl",
-    "isomorphic",
-    "graph_signature",
-]
-
 HARD_FLOOR = 1e-6
 UNKNOWN_RELATION_SCORE = 0.5
 DEFAULT_PENALTIES = {1: 0.1, 2: 0.3}
@@ -493,12 +472,10 @@ def _parse_instance(expr, instances):
             raise SplError("duplicate role %s on instance %r" % (role, ident))
         if isinstance(filler, list):
             inst.roles[name] = _parse_instance(filler, instances)
-        elif isinstance(filler, str) and filler in instances:
+        elif filler in instances:
             inst.roles[name] = instances[filler]  # back-reference
-        elif isinstance(filler, str):
-            inst.attributes[name] = str(filler)
         else:
-            raise SplError("bad filler %r for %s" % (filler, role))
+            inst.attributes[name] = str(filler)
     return inst
 
 
@@ -517,30 +494,3 @@ def serialize_spl(g):
         return "(%s)" % " ".join(parts)
 
     return emit(g.root)
-
-
-# ---------------------------------------------------------------------
-# Graph comparison
-# ---------------------------------------------------------------------
-
-def graph_signature(g):
-    """Canonical text ignoring instance ids; equal iff isomorphic."""
-    numbers = {}
-
-    def emit(node):
-        known = numbers.get(id(node))
-        if known is not None:
-            return "#%d" % known
-        numbers[id(node)] = len(numbers) + 1
-        parts = ["#%d" % numbers[id(node)], "|%s|" % node.concept]
-        for name in sorted(node.attributes):
-            parts.append("%s=%s" % (name, node.attributes[name]))
-        for role in sorted(node.roles):
-            parts.append("%s:%s" % (role, emit(node.roles[role])))
-        return "(%s)" % " ".join(parts)
-
-    return emit(g.root)
-
-
-def isomorphic(a, b):
-    return graph_signature(a) == graph_signature(b)

@@ -15,11 +15,12 @@ import test_featstruct as fsoracle
 from hybridmt import glosser, lattice_lm as wl, posteditor, semantics
 from hybridmt.chunker import Token
 from hybridmt.featstruct import unify
-from hybridmt.parser import enumerate_trees, parse
+from hybridmt.parser import parse
 from hybridmt.realizer import realize
 from hybridmt.rulebase import LexiconEntry, parse_rule_file
 
 from conftest import fixture_path
+from oracles import alternate, concat, enumerate_trees, from_word, isomorphic
 
 GLOSS_DEMO = "john/N wa/HA ima/ADV tabetai/V"
 INTERLINGUA_DEMO = "kaisha/N wa/HA nigatsu/DATE ni/NI hossoku/VN wo/WO keikaku/V"
@@ -201,14 +202,14 @@ def _random_lattice(rng, depth=0):
     if depth >= 3 or rng.random() < 0.3:
         if rng.random() < 0.5:
             w = rng.choice(words)
-            return wl.from_word(w), {(w,)}
+            return from_word(w), {(w,)}
         phrase = " ".join(rng.choice(words) for _ in range(rng.randint(0, 3)))
         return wl.from_phrase(phrase), {tuple(phrase.split())}
     left, lp = _random_lattice(rng, depth + 1)
     right, rp = _random_lattice(rng, depth + 1)
     if rng.random() < 0.5:
-        return wl.concat(left, right), {a + b for a in lp for b in rp}
-    return wl.alternate(left, right), lp | rp
+        return concat(left, right), {a + b for a in lp for b in rp}
+    return alternate(left, right), lp | rp
 
 
 # -- 5: worked example, gloss path ---------------------------------------
@@ -250,7 +251,7 @@ def test_criterion_06_interlingua_worked_example(interlingua_pipeline):
     assert phen.roles["temporal-locating"].attributes["month-index"] == "2"
     # SPL text round-trip
     back = semantics.parse_spl(semantics.serialize_spl(g))
-    assert semantics.isomorphic(g, back)
+    assert isomorphic(g, back)
     # end-to-end
     trace = pipe.translate_line(INTERLINGUA_DEMO)
     assert trace.error is None
@@ -303,8 +304,8 @@ def test_criterion_08_generation_defaults(gloss_pipeline):
     paths, _ = wl.all_paths(realize(g, lex))
     assert {" ".join(p) for p in paths} == {"The company eats ."}
     # ("the" | "a") . "moon" resolves to "the moon" under the fixture LM
-    lat = wl.concat(
-        wl.alternate(wl.from_word("the"), wl.from_word("a")), wl.from_word("moon")
+    lat = concat(
+        alternate(from_word("the"), from_word("a")), from_word("moon")
     )
     words, _score = wl.best_path(lat, gloss_pipeline.lm)
     assert words == ["the", "moon"]

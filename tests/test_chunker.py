@@ -58,7 +58,7 @@ def test_resegment_digit_runs():
 
 
 def test_resegment_compound_longest_match():
-    compounds = {"shinkaisha": "N", "shinkaishahossoku": "VN"}
+    compounds = CompoundDictionary({"shinkaisha": "N", "shinkaishahossoku": "VN"})
     tokens = parse_token_line("shin/X kaisha/N hossoku/VN")
     out = resegment(tokens, compounds)
     assert [t.surface for t in out] == ["shinkaishahossoku"]
@@ -66,12 +66,12 @@ def test_resegment_compound_longest_match():
 
 
 def test_resegment_single_token_never_merged():
-    out = resegment(parse_token_line("shinkaisha/X"), {"shinkaisha": "N"})
+    out = resegment(parse_token_line("shinkaisha/X"), CompoundDictionary({"shinkaisha": "N"}))
     assert out[0].tag == "X"
 
 
 def test_resegment_markers_block_merging():
-    compounds = {"ab": "N"}
+    compounds = CompoundDictionary({"ab": "N"})
     tokens = [Token("a", "X"), Token.begin("S"), Token("b", "X")]
     out = resegment(tokens, compounds)
     assert [t.surface for t in out] == ["a", "BEGIN-S", "b"]
@@ -153,6 +153,26 @@ def test_load_patterns_alias():
 def test_load_patterns_rejects_bad_directive():
     with pytest.raises(PatternError):
         load_patterns("(P (N) :middle X)")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(P (N)", "unbalanced '('"),
+        ("(P)", "malformed pattern entry"),
+        ("(P N)", "pattern P needs an element list"),
+        ("(P ((N)))", "pattern P has non-atomic elements"),
+        ("(P (N < HA))", "pattern P: at most one < > anchor region"),
+        ("(P (N +))", "pattern P: bare quantifier"),
+        ("(P (~ N))", "pattern P: ~ must be the last element"),
+    ],
+)
+def test_load_patterns_rejects_a_malformed_pattern_file(text, message):
+    # the last three come from ``ChunkPattern``, which knows no file name
+    with pytest.raises(PatternError) as exc:
+        load_patterns(text, "x.pat")
+    assert str(exc.value).startswith("x.pat: ")
+    assert message in str(exc.value)
 
 
 def test_match_longest_plus_run():

@@ -19,11 +19,12 @@ from hybridmt.featstruct import (
     graft_plan,
     parse_equation,
     parse_equations,
-    parse_featstruct,
     subsumes,
     unify,
 )
 from hybridmt.sexpr import parse_all
+
+from oracles import parse_featstruct
 
 EMPTY = FeatStruct.empty()
 

@@ -15,22 +15,19 @@ from hybridmt.lattice_lm import (
     TrigramModel,
     WordLattice,
     all_paths,
-    alternate,
     alternate_all,
     best_path,
-    concat,
     concat_all,
     dump_lattice,
     from_phrase,
-    from_word,
     parse_lattice,
     score_sequence,
     top_n,
-    topological_order,
     train_trigram,
 )
 
 from conftest import fixture_path
+from oracles import alternate, concat, from_word, topological_order
 
 
 def _read(name):
@@ -655,6 +652,11 @@ def test_all_paths_stops_at_its_cap():
     assert truncated
     assert len(paths) == 3
     assert set(paths) < set(all_paths(lattice)[0])
+
+
+def test_parse_lattice_rejects_text_without_a_node_count():
+    with pytest.raises(LatticeError, match="^missing N header$"):
+        parse_lattice("E 0 1 a\n")
 
 
 def test_parse_lattice_skips_blank_and_comment_lines():

@@ -21,6 +21,7 @@ from hybridmt.lattice_lm import (
     TrigramModel,
     train_trigram,
 )
+from hybridmt.pipeline import Pipeline, load_config
 
 from conftest import FIXTURES, fixture_path
 
@@ -46,7 +47,7 @@ def test_load_bad_line_names_its_line_number(line, message):
     text = "#k\t5\n1\ta\t3\n%s\n1\tb\t2\n" % line
     with pytest.raises(LatticeError) as exc:
         TrigramModel.load(text)
-    assert str(exc.value).startswith("model line 3: ")
+    assert str(exc.value).startswith("<string>:3: ")
     assert message in str(exc.value)
 
 
@@ -71,7 +72,17 @@ def test_cli_bad_model_file_exits_1(tmp_path, capsys):
     )
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: model line 3: ")
+    assert err.startswith("error: %s:3: " % (fixtures / "lm.model"))
+
+
+def test_pipeline_error_for_a_bad_model_names_the_file(tmp_path):
+    model = tmp_path / "bad.model"
+    model.write_text("#k\t5\n1\ta\tx\n")
+    config = tmp_path / "lm.cfg"
+    config.write_text("lm_model = bad.model\n")
+    with pytest.raises(LatticeError) as exc:
+        Pipeline(load_config(str(config)))
+    assert str(exc.value) == "%s:2: count 'x' is not an integer" % model
 
 
 # -- reference backoff by whole-table scan ---------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path
+from oracles import enumerate_trees, parse_featstruct
 from hybridmt import parser
 from hybridmt.chunker import Token, parse_token_line
 from hybridmt.parser import (
@@ -16,7 +17,6 @@ from hybridmt.parser import (
     barrier_regions,
     count_trees,
     dump_forest,
-    enumerate_trees,
     fragment_cover,
     lexical_entries,
     parse,
@@ -27,7 +27,6 @@ from hybridmt.featstruct import (
     apply_equations,
     canonical,
     parse_equations,
-    parse_featstruct,
     subsumes,
 )
 from hybridmt.rulebase import EquationSet, LexiconEntry, RuleKey, load_rulebase, parse_rule_file
@@ -174,7 +173,7 @@ def test_fragment_cover_greedy_leftmost_longest():
     grammar = parse_rule_file("((S -> A B))", "syntax")
     forest = parse(_tokens("ABX"), grammar)
     cover = fragment_cover(forest, category_order=("S",))
-    pieces = [(forest[i].category, forest[i].span) for i in cover]
+    pieces = [(forest[i].category, (forest[i].start, forest[i].end)) for i in cover]
     assert pieces == [("S", (0, 2)), ("X", (2, 3))]
 
 

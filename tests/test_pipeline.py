@@ -39,7 +39,7 @@ def _read(name):
 
 def test_config_defaults():
     cfg = PipelineConfig()
-    assert cfg.get("path") == "gloss"
+    assert cfg.values["path"] == "gloss"
     assert cfg.root_categories == ("S",)
     assert cfg.verbal_categories == frozenset(["V"])
 
@@ -57,10 +57,10 @@ def test_config_type_validation():
 def test_config_path_must_name_a_path(tmp_path):
     cfg = PipelineConfig()
     cfg.set("path", "interlingua")
-    assert cfg.get("path") == "interlingua"
+    assert cfg.values["path"] == "interlingua"
     with pytest.raises(ResourceError):
         cfg.set("path", "interlingual")
-    assert cfg.get("path") == "interlingua"
+    assert cfg.values["path"] == "interlingua"
     typo = tmp_path / "typo.cfg"
     typo.write_text("# a misspelt path\npath = interlingual\n")
     with pytest.raises(ResourceError, match=re.escape("%s:2: config key path" % typo)):
@@ -442,6 +442,34 @@ def test_train_lm_matches_committed_model(gloss_pipeline):
 def test_train_postedit_matches_committed_tree(gloss_pipeline):
     tree = gloss_pipeline.train_postedit()
     assert posteditor.dump_tree(tree) == _read("article.tree")
+
+
+@pytest.mark.parametrize(
+    "lines, command, message",
+    [
+        ([], "train_lm", "train-lm requires the lm_corpus resource"),
+        ([], "train_postedit", "train-postedit requires the article_corpus resource"),
+        (
+            ["article_corpus = corpus.txt"],
+            "train_postedit",
+            "train-postedit requires the nouns resource",
+        ),
+        (
+            ["article_corpus = corpus.txt", "nouns = nouns.txt"],
+            "train_postedit",
+            "article corpus yielded no training instances",
+        ),
+    ],
+)
+def test_training_without_its_resources_is_a_resource_error(tmp_path, lines, command, message):
+    # the corpus has no noun from the noun list, so it yields no instance
+    (tmp_path / "corpus.txt").write_text("it runs .\n")
+    (tmp_path / "nouns.txt").write_text("moon\n")
+    config = tmp_path / "train.cfg"
+    config.write_text("".join(line + "\n" for line in lines))
+    pipe = Pipeline(load_config(str(config)))
+    with pytest.raises(ResourceError, match="^%s$" % message):
+        getattr(pipe, command)()
 
 
 # -- command-line interface -----------------------------------------------

@@ -154,6 +154,9 @@ def test_parse_tree_rejects_malformed():
         "(leaf (the 1) (null 3) (the 5))",
         "(test (f) v (leaf (the 1)) (leaf (null 1)))",
         "(test f (v) (leaf (the 1)) (leaf (null 1)))",
+        # a subtree that is not a list, and text that is no expression
+        "(test f v x (leaf (null 1)))",
+        "(leaf (the 1)",
     ):
         with pytest.raises(PosteditError, match="^article.tree: "):
             parse_tree(text, "article.tree")

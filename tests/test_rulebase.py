@@ -6,10 +6,10 @@ from hybridmt.rulebase import (
     RuleKey,
     load_rulebase,
     parse_rule_file,
-    validate_rulebase,
 )
 
 from conftest import fixture_path
+from oracles import validate_rulebase
 
 SIMPLE = """
 ((S -> NP VP)
@@ -65,6 +65,35 @@ def test_parse_rejects_malformed():
         parse_rule_file("((S NP VP))", "syntax")
     with pytest.raises(RuleBaseError):
         parse_rule_file("(42)", "syntax")
+
+
+@pytest.mark.parametrize(
+    "equation, message",
+    [
+        # equations
+        ("()", "malformed equation: []"),
+        ("(X0 a b)", "malformed equation: ['X0', 'a', 'b']"),
+        ("(foo = X1)", "expected a variable or path, got 'foo'"),
+        ("((foo bar) = X1)", "path must start with a rule variable"),
+        ("((X0 (a)) = X1)", "path steps must be atoms"),
+        ("(is (X1 a) (X1 b))", "existence test takes one path"),
+        ("(*OR* x)", "block group must be a list of equations"),
+        ("(*OR*)", "empty *OR* block"),
+        # feature structures on the right of an equation
+        ("((X0 a) = (*OR*))", "*OR* leaf must list atoms"),
+        ("((X0 a) = (*NOT* (a)))", "*NOT* must list atoms"),
+        ("((X0 a) = (b))", "expected (feature value) pair, got 'b'"),
+        ("((X0 a) = (((f) v)))", "feature name must be an atom"),
+        ("((X0 a) = ((f v w)))", "feature f has 2 values"),
+        ("((X0 a) = ((f v) (f w)))", "duplicate feature f"),
+        ("((X0 a) = ((f #1#)))", "undefined reentrancy tag #1#"),
+    ],
+)
+def test_rule_file_rejects_malformed_equation_syntax(equation, message):
+    with pytest.raises(RuleBaseError) as exc:
+        parse_rule_file("((S -> A) %s)" % equation, "syntax", filename="g.rules")
+    assert str(exc.value).startswith("g.rules: rule (S -> A): ")
+    assert message in str(exc.value)
 
 
 def test_load_rulebase_fixture_files():

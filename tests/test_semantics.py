@@ -20,9 +20,7 @@ from hybridmt.semantics import (
     Taxonomy,
     TaxonomyError,
     analyze,
-    graph_signature,
     infer,
-    isomorphic,
     parse_spl,
     rank_candidates,
     root_candidates,
@@ -32,6 +30,7 @@ from hybridmt.semantics import (
 )
 
 from conftest import fixture_path
+from oracles import graph_signature, isomorphic
 
 SPL_SAMPLE = """
 (|h-709| / |have as a goal|
@@ -93,6 +92,24 @@ def test_taxonomy_relation_levels(taxonomy):
 def test_taxonomy_rejects_undeclared_relation_concepts():
     with pytest.raises(TaxonomyError):
         Taxonomy.parse("concept a\nrelation r domain a range missing\n")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("concept |a", "unterminated |atom|"),
+        ("concept (a)", "expected words and |multi word| names"),
+        ("disjoint a", "expected 'disjoint A B'"),
+        ("thing a", "unknown directive 'thing'"),
+        ("relation r domain a", "expected 'relation R domain D range G"),
+        ("relation r domain a range a color 1", "bad relation option 'color'"),
+    ],
+)
+def test_taxonomy_rejects_a_malformed_line(line, message):
+    with pytest.raises(TaxonomyError) as exc:
+        Taxonomy.parse("concept a\n" + line + "\n", "t.txt")
+    assert str(exc.value).startswith("t.txt:2: ")
+    assert message in str(exc.value)
 
 
 def test_taxonomy_rejects_isa_cycle():
@@ -249,6 +266,21 @@ def test_spl_rejects_duplicates():
         parse_spl("(|a| / |c| :X (|a| / |c|))")
     with pytest.raises(SplError):
         parse_spl("(|a| / |c| :X 1 :X 2)")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(a b)", "expected (|id| / |concept| ...), got ['a', 'b']"),
+        ("((a) / b)", "instance id and concept must be atoms"),
+        ("(a / b :agent)", "instance 'a' has a role without a filler"),
+        ("(a / b agent c)", "expected :ROLE in instance 'a', got 'agent'"),
+    ],
+)
+def test_spl_rejects_a_malformed_instance(text, message):
+    with pytest.raises(SplError) as exc:
+        parse_spl(text)
+    assert message in str(exc.value)
 
 
 def test_spl_bare_atom_is_attribute_unless_defined():
