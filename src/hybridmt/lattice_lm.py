@@ -16,7 +16,7 @@ undecodable as any other cyclic one.
 
 import math
 from collections import Counter
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 EPS = None
 BOS = "<s>"
@@ -231,38 +231,25 @@ def parse_lattice(text):
 # Trigram model
 # ---------------------------------------------------------------------
 
-def _index_contexts(table, width):
-    """Context -> summed count, and context -> its followers' table keys.
-    A bigram context is the bare word, a trigram context the word
-    pair."""
-    ctx_counts, followers = {}, {}
-    for key, c in table.items():
-        ctx = key[0] if width == 1 else key[:width]
-        seen = followers.get(ctx)
-        if seen is None:
-            followers[ctx] = [key]
-            ctx_counts[ctx] = c
-        else:
-            seen.append(key)
-            ctx_counts[ctx] += c
-    return ctx_counts, followers
-
-
 class TrigramModel:
     """Counts plus Good-Turing discounts and Katz backoff weights.
 
-    Probabilities are derived deterministically from the count tables,
-    and every floating-point sum over a table runs in sorted key order
-    whatever order the table was filled in, so persisting and reloading
-    the counts reproduces the model bit for bit.  Katz backoff weights
-    are computed lazily, once per context, from an index of each
-    context's followers built with the model.
+    ``unigrams`` maps a word to its count; ``bigram_rows`` maps a word v
+    to its row {w: count of (v, w)} and ``trigram_rows`` a pair (u, v) to
+    its row {w: count of (u, v, w)}, which is how every query and every
+    backoff weight reads them.  The model keeps the mappings it is
+    given, so they must not change afterwards.  Probabilities are
+    derived deterministically from the counts, and every floating-point
+    sum over them runs in sorted order whatever order the rows were
+    filled in, so persisting and reloading the counts reproduces the
+    model bit for bit.  Katz backoff weights are computed lazily, once
+    per context, from that context's row alone.
     """
 
-    def __init__(self, unigrams, bigrams, trigrams, k=5):
-        self.unigrams = Counter(unigrams)
-        self.bigrams = Counter(bigrams)
-        self.trigrams = Counter(trigrams)
+    def __init__(self, unigrams, bigram_rows, trigram_rows, k=5):
+        self.unigrams = unigrams
+        self.bigram_rows = bigram_rows
+        self.trigram_rows = trigram_rows
         self.k = k
         self.warnings = []
         self._build()
@@ -273,31 +260,32 @@ class TrigramModel:
         self.total = sum(
             c for w, c in self.unigrams.items() if w != BOS
         )
-        # per order, every count its table holds -> that count's r*
+        # per order, every count the model holds -> that count's r*
         self._adjusted = (None,) + tuple(
-            self._gt_discounts(table, order)
-            for order, table in ((1, self.unigrams), (2, self.bigrams), (3, self.trigrams))
+            self._gt_discounts(self._counts(order), order) for order in (1, 2, 3)
         )
         # a counted word stands for itself, any other word for <unk>
         self._symbols = {w: w for w in (*self.unigrams, EOS, OOV)}
-        # context sums are the backoff denominators; the followers index
-        # lets a backoff weight visit only its own context's n-grams
-        self.bigram_ctx, self._bigram_followers = _index_contexts(
-            self.bigrams, 1
-        )
-        self.trigram_ctx, self._trigram_followers = _index_contexts(
-            self.trigrams, 2
-        )
+        # a row's sum is its context's backoff denominator
+        self.bigram_ctx = {v: sum(row.values()) for v, row in self.bigram_rows.items()}
+        self.trigram_ctx = {ctx: sum(row.values()) for ctx, row in self.trigram_rows.items()}
         self._unigram_dist = None
         self._alpha_bi = {}
         self._alpha_tri = {}
 
-    def _gt_discounts(self, table, order):
-        """Map each raw count r in the table to its adjusted count r*:
+    def _counts(self, order):
+        """Every count of one order, row by row."""
+        if order == 1:
+            return self.unigrams.values()
+        rows = self.bigram_rows if order == 2 else self.trigram_rows
+        return chain.from_iterable(row.values() for row in rows.values())
+
+    def _gt_discounts(self, counts, order):
+        """Map each raw count r among ``counts`` to its adjusted count r*:
         (r+1) * N_{r+1} / N_r for 1 <= r < k where that lies in (0, r),
         else r.  A discount never raises a count, so no context's seen
         mass exceeds one and Katz backoff can normalize (Katz 1987)."""
-        n_r = Counter(table.values())
+        n_r = Counter(counts)
         adjusted = {r: float(r) for r in n_r}
         for r in range(1, self.k):
             if n_r.get(r, 0) == 0:
@@ -325,16 +313,11 @@ class TrigramModel:
 
     def reserved_mass(self, order):
         """Count mass set aside for unseen events of one order."""
-        table = (None, self.unigrams, self.bigrams, self.trigrams)[order]
-        total = sum(table.values())
         if order == 1:
-            total -= self.unigrams.get(BOS, 0)
-        kept = sum(
-            self.adjusted_count(order, c)
-            for key, c in table.items()
-            if not (order == 1 and key == BOS)
-        )
-        return total - kept
+            counts = [c for w, c in self.unigrams.items() if w != BOS]
+        else:
+            counts = list(self._counts(order))
+        return sum(counts) - sum(self.adjusted_count(order, c) for c in counts)
 
     # -- probability levels --------------------------------------------
 
@@ -378,7 +361,7 @@ class TrigramModel:
         ctx = self.trigram_ctx.get(context, 0)
         if ctx == 0:
             return self._bigram(w, v)
-        c = self.trigrams.get((u, v, w), 0)
+        c = self.trigram_rows[context].get(w, 0)
         if c > 0:
             return self._adjusted[3][c] / ctx
         alpha = self._alpha_tri.get(context)
@@ -387,24 +370,25 @@ class TrigramModel:
         return alpha * self._bigram(w, v)
 
     # The cores take symbols that ``_map`` has already mapped.  Their
-    # sums run in sorted key order, not fill order, so a reloaded model
-    # sums alike, and as plain loops: left to right from 0.
+    # sums run over a row in sorted word order, not fill order, so a
+    # reloaded model sums alike, and as plain loops: left to right from 0.
 
     def _bigram(self, w, v):
         dist = self._unigram_dist or self._unigram()
         ctx = self.bigram_ctx.get(v, 0)
         if ctx == 0:
             return dist.get(w, dist[OOV])
-        c = self.bigrams.get((v, w), 0)
+        row = self.bigram_rows[v]
+        c = row.get(w, 0)
         if c > 0:
             return self._adjusted[2][c] / ctx
         alpha = self._alpha_bi.get(v)
         if alpha is None:
-            adjusted, bigrams, oov = self._adjusted[2], self.bigrams, dist[OOV]
+            adjusted, oov = self._adjusted[2], dist[OOV]
             seen_mass = seen_lower = 0
-            for key in sorted(self._bigram_followers[v]):
-                seen_mass += adjusted[bigrams[key]] / ctx
-                seen_lower += dist.get(key[1], oov)
+            for x in sorted(row):
+                seen_mass += adjusted[row[x]] / ctx
+                seen_lower += dist.get(x, oov)
             alpha = max(1.0 - seen_mass, 1e-12) / max(1.0 - seen_lower, 1e-12)
             self._alpha_bi[v] = alpha
         return alpha * dist.get(w, dist[OOV])
@@ -413,16 +397,16 @@ class TrigramModel:
         """The Katz weight of a counted trigram context, with ``ctx``
         its summed count; computed once per context."""
         v = context[1]
-        adjusted, trigrams, symbols = self._adjusted[3], self.trigrams, self._symbols
-        adjusted_bi, bigrams = self._adjusted[2], self.bigrams
+        row, adjusted, symbols = self.trigram_rows[context], self._adjusted[3], self._symbols
+        adjusted_bi, bi_row = self._adjusted[2], self.bigram_rows.get(v, {})
         ctx_bi = self.bigram_ctx.get(v, 0)
         seen_mass = seen_lower = 0
-        for key in sorted(self._trigram_followers[context]):
-            seen_mass += adjusted[trigrams[key]] / ctx
+        for x in sorted(row):
+            seen_mass += adjusted[row[x]] / ctx
             # a count table need not list a trigram's event as a
             # unigram, so the event is mapped like a queried word
-            w = symbols.get(key[2], OOV)
-            c = bigrams.get((v, w), 0) if ctx_bi else 0
+            w = symbols.get(x, OOV)
+            c = bi_row.get(w, 0)
             # a counted bigram is read as ``_bigram`` would read it
             seen_lower += adjusted_bi[c] / ctx_bi if c > 0 else self._bigram(w, v)
         alpha = max(1.0 - seen_mass, 1e-12) / max(1.0 - seen_lower, 1e-12)
@@ -435,19 +419,26 @@ class TrigramModel:
         lines = ["#k\t%d" % self.k, "#vocab\t%d" % len(self.vocabulary)]
         for w in sorted(self.unigrams):
             lines.append("1\t%s\t%d" % (w, self.unigrams[w]))
-        for (u, v) in sorted(self.bigrams):
-            lines.append("2\t%s\t%s\t%d" % (u, v, self.bigrams[(u, v)]))
-        for (u, v, w) in sorted(self.trigrams):
-            lines.append("3\t%s\t%s\t%s\t%d" % (u, v, w, self.trigrams[(u, v, w)]))
+        # sorted contexts, then sorted words: the order of the sorted
+        # n-grams
+        for v in sorted(self.bigram_rows):
+            row = self.bigram_rows[v]
+            for w in sorted(row):
+                lines.append("2\t%s\t%s\t%d" % (v, w, row[w]))
+        for (u, v) in sorted(self.trigram_rows):
+            row = self.trigram_rows[(u, v)]
+            for w in sorted(row):
+                lines.append("3\t%s\t%s\t%s\t%d" % (u, v, w, row[w]))
         return "\n".join(lines) + "\n"
 
     @staticmethod
     def load(text, filename="<string>"):
-        """Parse ``dump`` output in one pass.  Lines whose first column
-        is not ``#k``, ``1``, ``2`` or ``3`` are ignored; such a line
-        with the wrong column count, a non-integer count or an n-gram
-        count below 1 raises LatticeError naming ``filename`` and its
-        line number."""
+        """Parse ``dump`` output in one pass, straight into rows.  Lines
+        whose first column is not ``#k``, ``1``, ``2`` or ``3`` are
+        ignored; such a line with the wrong column count, a non-integer
+        count, a count below 1 or an n-gram an earlier line already
+        counted raises LatticeError naming ``filename`` and its line
+        number."""
         k = 5
         uni, bi, tri = {}, {}, {}
         try:
@@ -457,22 +448,31 @@ class TrigramModel:
                 # unpacking a line of the wrong width raises ValueError
                 if tag == "3":
                     _tag, u, v, w, c = cols
-                    tri[(u, v, w)] = count = int(c)
+                    row = tri.get((u, v))
+                    if row is None:
+                        row = tri[(u, v)] = {}
                 elif tag == "2":
-                    _tag, u, v, c = cols
-                    bi[(u, v)] = count = int(c)
+                    _tag, v, w, c = cols
+                    row = bi.get(v)
+                    if row is None:
+                        row = bi[v] = {}
                 elif tag == "1":
-                    _tag, u, c = cols
-                    uni[u] = count = int(c)
+                    _tag, w, c = cols
+                    row = uni
                 elif tag == "#k":
                     _tag, c = cols
                     k = int(c)
+                    if k < 1:
+                        raise ValueError
                     continue
                 else:
                     continue
-                if count < 1:
-                    # it would give probabilities outside [0, 1]
+                count = int(c)
+                # a count below 1 would give probabilities outside
+                # [0, 1]; a repeat would silently replace a count
+                if count < 1 or w in row:
                     raise ValueError
+                row[w] = count
         except ValueError:
             raise _bad_model_line("%s:%d" % (filename, lineno), cols) from None
         return TrigramModel(uni, bi, tri, k=k)
@@ -483,23 +483,30 @@ _MODEL_LINE_WIDTH = {"#k": 2, "1": 3, "2": 4, "3": 5}
 
 
 def _bad_model_line(where, cols):
-    width = _MODEL_LINE_WIDTH[cols[0]]
+    """The error for a model line that ``load`` rejected."""
+    tag = cols[0]
+    width = _MODEL_LINE_WIDTH[tag]
     if len(cols) != width:
         return LatticeError(
-            "%s: %r needs %d tab-separated columns, got %d" % (where, cols[0], width, len(cols))
+            "%s: %r needs %d tab-separated columns, got %d" % (where, tag, width, len(cols))
         )
     try:
-        int(cols[-1])
+        count = int(cols[-1])
     except ValueError:
         return LatticeError("%s: count %r is not an integer" % (where, cols[-1]))
-    return LatticeError("%s: count %r is below 1" % (where, cols[-1]))
+    if tag == "#k":
+        return LatticeError("%s: cutoff k %r is below 1" % (where, cols[-1]))
+    if count < 1:
+        return LatticeError("%s: count %r is below 1" % (where, cols[-1]))
+    # a well-formed n-gram line is rejected only for repeating one
+    return LatticeError("%s: duplicate n-gram %r" % (where, " ".join(cols[1:-1])))
 
 
 def train_trigram(sentences, k=5):
     """Count a tokenized corpus (iterable of token lists or strings)."""
     if k < 1:
         raise ValueError("cutoff k must be >= 1")
-    uni, bi, tri = Counter(), Counter(), Counter()
+    uni, bi, tri = Counter(), {}, {}
     for sent in sentences:
         toks = sent.split() if isinstance(sent, str) else list(sent)
         if not toks:
@@ -508,9 +515,12 @@ def train_trigram(sentences, k=5):
         # n-grams predicting the start symbol are never counted; BOS is
         # context only, or backoff mass would leak onto it
         for i in range(2, len(padded)):
-            uni[padded[i]] += 1
-            bi[(padded[i - 1], padded[i])] += 1
-            tri[(padded[i - 2], padded[i - 1], padded[i])] += 1
+            u, v, w = padded[i - 2], padded[i - 1], padded[i]
+            uni[w] += 1
+            row = bi.setdefault(v, {})
+            row[w] = row.get(w, 0) + 1
+            row = tri.setdefault((u, v), {})
+            row[w] = row.get(w, 0) + 1
         uni[BOS] += 2
     return TrigramModel(uni, bi, tri, k=k)
 

@@ -146,9 +146,11 @@ def test_criterion_03_good_turing_arithmetic():
     model = wl.train_trigram(corpus)
     # every adjusted count matches the defining formula
     verified = 0
-    for order, table in ((1, model.unigrams), (2, model.bigrams), (3, model.trigrams)):
+    bigram_counts = [c for row in model.bigram_rows.values() for c in row.values()]
+    trigram_counts = [c for row in model.trigram_rows.values() for c in row.values()]
+    for order, counts in ((1, model.unigrams.values()), (2, bigram_counts), (3, trigram_counts)):
         n_r = {}
-        for c in table.values():
+        for c in counts:
             n_r[c] = n_r.get(c, 0) + 1
         for r in range(1, model.k):
             if n_r.get(r, 0) and n_r.get(r + 1, 0):

@@ -26,7 +26,7 @@ from hybridmt.lattice_lm import (
     train_trigram,
 )
 
-from conftest import fixture_path
+from conftest import fixture_path, ngram_rows
 from oracles import alternate, concat, from_word, topological_order
 
 
@@ -477,7 +477,7 @@ def direct_models(draw):
     uni = draw(st.dictionaries(st.sampled_from(SEEN_WORDS + [EOS, OOV]), counts, max_size=6))
     bi = draw(st.dictionaries(st.tuples(context, event), counts, max_size=20))
     tri = draw(st.dictionaries(st.tuples(context, context, event), counts, max_size=40))
-    return TrigramModel(uni, bi, tri, k=draw(st.sampled_from([1, 3, 5])))
+    return TrigramModel(uni, ngram_rows(bi), ngram_rows(tri), k=draw(st.sampled_from([1, 3, 5])))
 
 
 NBEST = settings(max_examples=300, deadline=None)

@@ -1,11 +1,15 @@
-"""The trigram model's file format and its per-context backoff index.
+"""The trigram model's file format and its per-context count rows.
 
-The property tests compare the model against a reference that computes
-each Katz backoff weight by scanning the whole count table in sorted key
-order, the way the model did before it indexed followers by context; the
-two must agree bit for bit, not approximately.
+The property tests compare the model against a reference that flattens
+the rows into whole n-gram tables and computes each Katz backoff weight
+by scanning a whole table in sorted key order, the way the model did
+before it read one context's row; the two must agree bit for bit, not
+approximately.  A model loaded from its own dump with the n-gram lines
+shuffled must also agree bit for bit, since rows fill in file order but
+sum in sorted order.
 """
 
+import random
 import shutil
 
 import pytest
@@ -23,7 +27,7 @@ from hybridmt.lattice_lm import (
 )
 from hybridmt.pipeline import Pipeline, load_config
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, fixture_path, ngram_rows
 
 
 # -- model file errors ---------------------------------------------------
@@ -41,13 +45,19 @@ from conftest import FIXTURES, fixture_path
         ("1\tc\t-3", "count '-3' is below 1"),
         ("2\ta\tb\t0", "count '0' is below 1"),
         ("3\t<s>\t<s>\ta\t-3", "count '-3' is below 1"),
+        ("#k\t0", "cutoff k '0' is below 1"),
+        ("#k\t-2", "cutoff k '-2' is below 1"),
+        # a repeat would silently replace the earlier count
+        ("1\ta\t5", "duplicate n-gram 'a'"),
+        ("2\tb\ta\t4", "duplicate n-gram 'b a'"),
+        ("3\tb\ta\tb\t2", "duplicate n-gram 'b a b'"),
     ],
 )
 def test_load_bad_line_names_its_line_number(line, message):
-    text = "#k\t5\n1\ta\t3\n%s\n1\tb\t2\n" % line
+    text = "#k\t5\n1\ta\t3\n2\tb\ta\t1\n3\tb\ta\tb\t1\n%s\n1\tb\t2\n" % line
     with pytest.raises(LatticeError) as exc:
         TrigramModel.load(text)
-    assert str(exc.value).startswith("<string>:3: ")
+    assert str(exc.value).startswith("<string>:5: ")
     assert message in str(exc.value)
 
 
@@ -87,38 +97,47 @@ def test_pipeline_error_for_a_bad_model_names_the_file(tmp_path):
 
 # -- reference backoff by whole-table scan ---------------------------------
 
+def _flat_tables(model):
+    """The model's rows as flat tables {(v, w): count} and {(u, v, w): count}."""
+    bigrams = {(v, w): c for v, row in model.bigram_rows.items() for w, c in row.items()}
+    trigrams = {(*ctx, w): c for ctx, row in model.trigram_rows.items() for w, c in row.items()}
+    return bigrams, trigrams
+
+
 def _scan_prob_bigram(model, w, v):
+    bigrams, _trigrams = _flat_tables(model)
     v, w = model._map(v), model._map(w)
     ctx = model.bigram_ctx.get(v, 0)
     if ctx == 0:
         return model.prob_unigram(w)
-    c = model.bigrams.get((v, w), 0)
+    c = bigrams.get((v, w), 0)
     if c > 0:
         return model.adjusted_count(2, c) / ctx
     seen_mass = sum(
         model.adjusted_count(2, c2) / ctx
-        for (u2, _w2), c2 in sorted(model.bigrams.items())
+        for (u2, _w2), c2 in sorted(bigrams.items())
         if u2 == v
     )
     seen_lower = sum(
-        model.prob_unigram(w2) for (u2, w2) in sorted(model.bigrams) if u2 == v
+        model.prob_unigram(w2) for (u2, w2) in sorted(bigrams) if u2 == v
     )
     alpha = max(1.0 - seen_mass, 1e-12) / max(1.0 - seen_lower, 1e-12)
     return alpha * model.prob_unigram(w)
 
 
 def _scan_prob(model, w, history):
+    _bigrams, trigrams = _flat_tables(model)
     u, v = model._map(history[0]), model._map(history[1])
     w = model._map(w)
     ctx = model.trigram_ctx.get((u, v), 0)
     if ctx == 0:
         return _scan_prob_bigram(model, w, v)
-    c = model.trigrams.get((u, v, w), 0)
+    c = trigrams.get((u, v, w), 0)
     if c > 0:
         return model.adjusted_count(3, c) / ctx
     followers = [
         (w3, c3)
-        for (u3, v3, w3), c3 in sorted(model.trigrams.items())
+        for (u3, v3, w3), c3 in sorted(trigrams.items())
         if (u3, v3) == (u, v)
     ]
     seen_mass = sum(model.adjusted_count(3, c3) / ctx for _w3, c3 in followers)
@@ -135,7 +154,7 @@ alphabets = st.integers(4, 6).map(lambda n: "abcdef"[:n])
 @st.composite
 def count_tables(draw):
     """Independent random unigram/bigram/trigram tables: no consistency
-    between orders is promised, so the index sees arbitrary contexts."""
+    between orders is promised, so the rows hold arbitrary contexts."""
     words = list(draw(alphabets))
     context = st.sampled_from(words + [BOS])
     event = st.sampled_from(words + [EOS])
@@ -143,7 +162,7 @@ def count_tables(draw):
     uni = draw(st.dictionaries(st.sampled_from(words + [BOS, EOS]), counts, max_size=8))
     bi = draw(st.dictionaries(st.tuples(context, event), counts, max_size=20))
     tri = draw(st.dictionaries(st.tuples(context, context, event), counts, max_size=40))
-    return TrigramModel(uni, bi, tri, k=draw(st.integers(1, 5)))
+    return TrigramModel(uni, ngram_rows(bi), ngram_rows(tri), k=draw(st.integers(1, 5)))
 
 
 @st.composite
@@ -203,8 +222,30 @@ def test_dump_load_roundtrip(model, data):
     back = TrigramModel.load(model.dump())
     assert back.k == model.k
     assert back.unigrams == model.unigrams
-    assert back.bigrams == model.bigrams
-    assert back.trigrams == model.trigrams
+    assert back.bigram_rows == model.bigram_rows
+    assert back.trigram_rows == model.trigram_rows
     for hist in _histories(model, data.draw):
         for w in _symbols(model):
             assert back.prob(w, hist) == model.prob(w, hist)
+
+
+@PROPERTY
+@given(st.one_of(count_tables(), trained_models()), st.integers(0, 2**32 - 1), st.data())
+def test_rows_filled_in_any_line_order_give_the_same_model(model, seed, data):
+    text = model.dump()
+    lines = text.splitlines(keepends=True)
+    # the #k and #vocab lines, then the n-gram lines in a seeded order
+    ngrams = lines[2:]
+    random.Random(seed).shuffle(ngrams)
+    back = TrigramModel.load("".join(lines[:2] + ngrams))
+    assert back.dump() == text
+    for hist in _histories(model, data.draw):
+        for w in _symbols(model):
+            assert back.prob(w, hist) == model.prob(w, hist)
+            assert back.prob_bigram(w, hist[1]) == model.prob_bigram(w, hist[1])
+    for m in (model, back):
+        for ctx_sums, rows in ((m.bigram_ctx, m.bigram_rows), (m.trigram_ctx, m.trigram_rows)):
+            assert ctx_sums.keys() == rows.keys()
+            for c, row in rows.items():
+                assert row
+                assert ctx_sums[c] == sum(row.values())
