@@ -237,34 +237,38 @@ def _tmp_flags(node):
 
 def flatten_gloss(gloss, irregulars=None):
     """Expand a gloss structure into a word lattice."""
+    return _flatten(gloss, set(), irregulars)
 
-    def build(node, tmp):
-        if node.is_atomic:
-            return wl.from_groups([[str(a) for a in node.allowed]])
-        if node.is_empty:
-            return wl.WordLattice(2, [(0, 1, wl.EPS)])
-        feats = node.features
-        if "base" in feats:
-            spec = VerbGroupSpec(
-                (str(a) for a in feats["base"].allowed),
-                _tmp_flags(node) | tmp,
-            )
-            return wl.from_groups(realize_verbgroup(spec, irregulars))
-        ops = sorted(
-            ((int(m.group(1)), f) for f in feats if (m := _OP_RE.match(f))),
-        )
-        if ops:
-            numbers = [n for n, _ in ops]
-            if numbers != list(range(1, len(numbers) + 1)):
-                raise GlossError("op features must be consecutive from op1")
-            return wl.concat_all([build(feats[f], tmp) for _, f in ops])
-        alts = sorted(
-            ((int(m.group(1)), f) for f in feats if (m := _ALT_RE.match(f))),
-        )
-        if alts:
-            return wl.alternate_all([build(feats[f], tmp) for _, f in alts])
-        if "gloss" in feats:
-            return build(feats["gloss"], tmp | _tmp_flags(feats.get("tmp", FeatStruct.empty())))
-        raise GlossError("cannot flatten node: %s" % canonical(node))
 
-    return build(gloss, set())
+def _flatten(node, tmp, irregulars):
+    """``flatten_gloss`` below ``node`` under the inherited tense flags
+    ``tmp``; a module-level function, so the recursion makes no
+    reference cycle."""
+    if node.is_atomic:
+        return wl.from_groups([[str(a) for a in node.allowed]])
+    if node.is_empty:
+        return wl.WordLattice(2, [(0, 1, wl.EPS)])
+    feats = node.features
+    if "base" in feats:
+        spec = VerbGroupSpec(
+            (str(a) for a in feats["base"].allowed),
+            _tmp_flags(node) | tmp,
+        )
+        return wl.from_groups(realize_verbgroup(spec, irregulars))
+    ops = sorted(
+        ((int(m.group(1)), f) for f in feats if (m := _OP_RE.match(f))),
+    )
+    if ops:
+        numbers = [n for n, _ in ops]
+        if numbers != list(range(1, len(numbers) + 1)):
+            raise GlossError("op features must be consecutive from op1")
+        return wl.concat_all([_flatten(feats[f], tmp, irregulars) for _, f in ops])
+    alts = sorted(
+        ((int(m.group(1)), f) for f in feats if (m := _ALT_RE.match(f))),
+    )
+    if alts:
+        return wl.alternate_all([_flatten(feats[f], tmp, irregulars) for _, f in alts])
+    if "gloss" in feats:
+        tmp = tmp | _tmp_flags(feats.get("tmp", FeatStruct.empty()))
+        return _flatten(feats["gloss"], tmp, irregulars)
+    raise GlossError("cannot flatten node: %s" % canonical(node))

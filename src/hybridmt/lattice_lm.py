@@ -434,12 +434,15 @@ class TrigramModel:
     @staticmethod
     def load(text, filename="<string>"):
         """Parse ``dump`` output in one pass, straight into rows.  Lines
-        whose first column is not ``#k``, ``1``, ``2`` or ``3`` are
-        ignored; such a line with the wrong column count, a non-integer
-        count, a count below 1 or an n-gram an earlier line already
-        counted raises LatticeError naming ``filename`` and its line
-        number."""
-        k = 5
+        whose first column is not ``#k``, ``#vocab``, ``1``, ``2`` or
+        ``3`` are ignored, and so is a bare ``#vocab``; such a line with
+        the wrong column count, a non-integer count, a count below 1, a
+        second ``#k`` or an n-gram an earlier line already counted
+        raises LatticeError naming ``filename`` and its line number, as
+        does a ``#vocab`` that is not the number of words the unigram
+        lines give (``<s>`` aside)."""
+        k, k_line = 5, None
+        vocab_line = vocab = None
         uni, bi, tri = {}, {}, {}
         try:
             for lineno, line in enumerate(text.splitlines(), 1):
@@ -462,8 +465,13 @@ class TrigramModel:
                 elif tag == "#k":
                     _tag, c = cols
                     k = int(c)
-                    if k < 1:
+                    if k < 1 or k_line:
                         raise ValueError
+                    k_line = lineno
+                    continue
+                elif tag == "#vocab" and len(cols) > 1:
+                    _tag, c = cols
+                    vocab, vocab_line = int(c), lineno
                     continue
                 else:
                     continue
@@ -475,11 +483,17 @@ class TrigramModel:
                 row[w] = count
         except ValueError:
             raise _bad_model_line("%s:%d" % (filename, lineno), cols) from None
-        return TrigramModel(uni, bi, tri, k=k)
+        model = TrigramModel(uni, bi, tri, k=k)
+        if vocab_line and vocab != len(model.vocabulary):
+            raise LatticeError(
+                "%s:%d: #vocab %d differs from the %d words of the unigram lines"
+                % (filename, vocab_line, vocab, len(model.vocabulary))
+            )
+        return model
 
 
 # first column of a model line -> its column count
-_MODEL_LINE_WIDTH = {"#k": 2, "1": 3, "2": 4, "3": 5}
+_MODEL_LINE_WIDTH = {"#k": 2, "#vocab": 2, "1": 3, "2": 4, "3": 5}
 
 
 def _bad_model_line(where, cols):
@@ -495,6 +509,8 @@ def _bad_model_line(where, cols):
     except ValueError:
         return LatticeError("%s: count %r is not an integer" % (where, cols[-1]))
     if tag == "#k":
+        if count >= 1:
+            return LatticeError("%s: repeated #k" % where)
         return LatticeError("%s: cutoff k %r is below 1" % (where, cols[-1]))
     if count < 1:
         return LatticeError("%s: count %r is below 1" % (where, cols[-1]))

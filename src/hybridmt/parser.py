@@ -28,13 +28,15 @@ class ParseError(ValueError):
 class Constituent:
     __slots__ = ("id", "category", "start", "end", "fs", "derivations", "lexical", "token")
 
-    def __init__(self, cid, category, start, end, fs, lexical=False, token=None):
+    def __init__(self, cid, category, start, end, fs, derivations, lexical=False, token=None):
         self.id = cid
         self.category = category
         self.start = start
         self.end = end
         self.fs = fs
-        self.derivations = []  # [(RuleKey, (child ids...))]
+        # [(RuleKey, child id, ...)], the list ``parse`` handed over: one
+        # flat tuple per derivation is one tracked container, not two
+        self.derivations = derivations
         self.lexical = lexical
         self.token = token
 
@@ -152,6 +154,12 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
     An equation-free rule fills a cell in one step: its derivations all
     have the empty X0, so they pack into one constituent (a shared
     forest keeps one node per category and span, Billot & Lang 1989).
+
+    A derivation is the flat tuple ``(rule key, child id, ...)``, so the
+    forest holds one tracked container per derivation and the cyclic
+    collector has half as many to count and scan.  A list of them is
+    handed over, not copied: a new constituent keeps the list it was
+    installed with.
     """
     if not tokens:
         raise ParseError("empty input")
@@ -172,32 +180,34 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
     edges_left = max(edge_cap, 0)
     empty = FeatStruct.empty()  # the X0 of every equation-free rule
 
-    def install(category, start, end, fs, derivation=None, lexical=False, token=None):
-        """Pack or add; returns the constituent that holds the
-        derivation, or None when a barrier forbids the constituent."""
+    def install(category, start, end, fs, derivations, lexical=False, token=None):
+        """Pack ``derivations`` into a constituent or add one with
+        them, unless a barrier forbids it.  A new constituent keeps the
+        list itself, so the caller must not keep or hand on the list."""
         nonlocal next_id
         if barriers and crosses_barrier(barriers, category, start, end):
-            return None
+            return
         ending = by_end.get((end, category))
         for existing in ending.get(start, ()) if ending else ():
             # subsumption is reflexive, so one shared structure packs at once
             if existing.fs is fs or (subsumes(existing.fs, fs) and subsumes(fs, existing.fs)):
                 # an application happens once and installs its solutions
                 # back to back, so only the last entry can be this one
-                last = existing.derivations[-1] if existing.derivations else None
-                if derivation is not None and derivation is not last:
-                    existing.derivations.append(derivation)
-                return existing
-        const = Constituent(next_id, category, start, end, fs, lexical, token)
+                held = existing.derivations
+                if held and derivations and derivations[0] is held[-1]:
+                    held += derivations[1:]
+                else:
+                    held += derivations
+                return
+        const = Constituent(next_id, category, start, end, fs, derivations, lexical, token)
         next_id += 1
-        if derivation is not None:
-            const.derivations.append(derivation)
         constituents[const.id] = const
         by_start.setdefault((start, category), []).append(const)
         if ending is None:
             ending = by_end[(end, category)] = {}
         ending.setdefault(start, []).append(const)
-        by_length[end - start].append(const)
+        if category in unary_rules:
+            by_length[end - start].append(const)
         # constituents come shortest first, so this is the longest yet,
         # and a right-hand side reaches as much further per occurrence of
         # the category
@@ -211,13 +221,14 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
     def apply(start, end, rules, derivations):
         """Install what ``rules``, one right-hand side's (rule,
         equation-free) pairs, derive over [start, end); ``derivations``
-        are the first rule's (key, child ids), one per child sequence.
+        are the first rule's (key, child id, ...), one per child
+        sequence, in a list this call may hand over.
 
         The edge cap is charged once, and rule j keeps the first
         ``q + (j < e)`` sequences.  The rules take sequence 0 in order:
-        an equation-free rule installs its first derivation and appends
-        the rest it keeps to the constituent that took it; a rule with
-        equations solves sequence 0 at once.  Only if a rule has
+        an equation-free rule installs every derivation it keeps at
+        once, as they all have the empty X0 and pack together; a rule
+        with equations solves sequence 0 at once.  Only if a rule has
         equations are sequences 1.. solved after, in (sequence, rule)
         order.  Each (sequence, rule) edge hands all its solutions one
         derivation tuple, which ``install`` records once."""
@@ -236,44 +247,41 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
             kept = q + (j < e)
             if not kept:
                 break
-            own = [(rule.key, ids) for _key, ids in derivations[:kept]] if j else derivations
+            own = [(rule.key,) + d[1:] for d in derivations[:kept]] if j else derivations
             if free:
                 # each equation set is empty and solves to the empty X0,
-                # and no other rule here has this left-hand side, so the
-                # rest pack where the first went, in sequence order
-                const = None
-                for _set in rule.syntax_sets:
-                    const = install(rule.key.lhs, start, end, empty, own[0])
-                if const is not None:
-                    const.derivations += own[1:kept]
+                # and no other rule here has this left-hand side, so all
+                # pack into one constituent, in sequence order; a second
+                # set would only pack the same derivations again
+                if rule.syntax_sets:
+                    install(rule.key.lhs, start, end, empty, own[:kept] if kept < len(own) else own)
                 continue
             if child_structures is None:
-                child_structures = [constituents[c].fs for c in own[0][1]]
+                child_structures = [constituents[c].fs for c in own[0][1:]]
             for fs in _solve_rule(rule.syntax_sets, child_structures):
-                install(rule.key.lhs, start, end, fs, own[0])
+                install(rule.key.lhs, start, end, fs, [own[0]])
             solving += ((rule, own, kept),)
         if solving:
             # kept shrinks with j, so the first rule here keeps the most
             for i in range(1, solving[0][2]):
-                child_structures = [constituents[c].fs for c in derivations[i][1]]
+                child_structures = [constituents[c].fs for c in derivations[i][1:]]
                 for rule, own, kept in solving:
                     if i == kept:
                         break
                     for fs in _solve_rule(rule.syntax_sets, child_structures):
-                        install(rule.key.lhs, start, end, fs, own[i])
+                        install(rule.key.lhs, start, end, fs, [own[i]])
 
     def close_unary(agenda):
         """Apply the unary rules to the constituents of one length,
         taking up what they install too."""
         while agenda:
             child = agenda.pop()
-            rules = unary_rules.get(child.category)
-            if rules:
-                apply(child.start, child.end, rules, [(rules[0][0].key, (child.id,))])
+            rules = unary_rules[child.category]
+            apply(child.start, child.end, rules, [(rules[0][0].key, child.id)])
 
     for token_pos, token in enumerate(words):
         for category, fs in lexical_entries(token, rb):
-            install(category, token_pos, token_pos + 1, fs, lexical=True, token=token)
+            install(category, token_pos, token_pos + 1, fs, [], lexical=True, token=token)
 
     close_unary(by_length[1])
     for length in range(2, n + 1):
@@ -296,9 +304,7 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
                     continue
                 key = rules[0][0].key
                 if len(rhs) == 2:
-                    derivations = [
-                        (key, (a.id, b.id)) for a in firsts for b in lasts.get(a.end, ())
-                    ]
+                    derivations = [(key, a.id, b.id) for a in firsts for b in lasts.get(a.end, ())]
                 else:
                     derivations = _derivations(by_start, rhs, key, firsts, lasts, end)
                 if derivations:
@@ -313,11 +319,11 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
 
 
 def _derivations(by_start, rhs, key, firsts, lasts, end):
-    """(key, child ids) of every way to cover a span with adjacent
+    """(key, child id, ...) of every way to cover a span with adjacent
     ``rhs`` constituents, three or more, the leftmost child varying
     slowest: ``firsts`` start the span and ``lasts`` (start ->
     constituents) end at ``end``."""
-    partial = [((c.id,), c.end) for c in firsts if c.end < end]
+    partial = [((key, c.id), c.end) for c in firsts if c.end < end]
     for category in rhs[1:-1]:
         partial = [
             (ids + (c.id,), c.end)
@@ -325,7 +331,7 @@ def _derivations(by_start, rhs, key, firsts, lasts, end):
             for c in by_start.get((pos, category), ())
             if c.end < end
         ]
-    return [(key, ids + (c.id,)) for ids, pos in partial for c in lasts.get(pos, ())]
+    return [ids + (c.id,) for ids, pos in partial for c in lasts.get(pos, ())]
 
 
 def count_trees(forest, cid):
@@ -340,9 +346,9 @@ def count_trees(forest, cid):
             memo[i] = 1
             return 1
         total = 0
-        for _rule, child_ids in const.derivations:
+        for derivation in const.derivations:
             product = 1
-            for child_id in child_ids:
+            for child_id in derivation[1:]:
                 product *= count(child_id)
             total += product
         memo[i] = total
@@ -379,30 +385,46 @@ def _solve_rule(equation_sets, child_structures):
 def compose(forest, leaf, equation_sets, cap):
     """Bottom-up feature-structure composition over the packed forest.
 
-    Returns a memoised ``compute(cid)`` giving the first ``cap`` distinct
-    X0 solutions in derivation order.  A leaf or underived constituent
-    takes ``leaf(const)``; a derivation contributes the solutions of
-    each set in ``equation_sets(rule_key)`` over the capped cross
-    product of its children's options, and is skipped when that is
-    empty or a child has no option.
+    Returns a memoised callable giving, for a constituent id, the first
+    ``cap`` distinct X0 solutions in derivation order.  A leaf or
+    underived constituent takes ``leaf(const)``; a derivation
+    contributes the solutions of each set in ``equation_sets(rule_key)``
+    over the capped cross product of its children's options, and is
+    skipped when that is empty or a child has no option.
     """
-    memo = {}
+    return _Composition(forest, leaf, equation_sets, cap)
 
-    def compute(cid):
+
+class _Composition:
+    """``compose``'s memoised callable.  It recurses through ``self``,
+    so unlike a closure that calls itself it is no reference cycle and
+    is freed with its last reference."""
+
+    __slots__ = ("forest", "leaf", "equation_sets", "cap", "memo")
+
+    def __init__(self, forest, leaf, equation_sets, cap):
+        self.forest = forest
+        self.leaf = leaf
+        self.equation_sets = equation_sets
+        self.cap = cap
+        self.memo = {}
+
+    def __call__(self, cid):
+        memo, cap = self.memo, self.cap
         if cid in memo:
             return memo[cid]
-        const = forest[cid]
+        const = self.forest[cid]
         if const.lexical or not const.derivations:
-            memo[cid] = leaf(const)[:cap]
+            memo[cid] = self.leaf(const)[:cap]
             return memo[cid]
         # dedup keys start with a second candidate: one has nothing to
         # be a duplicate of
         results, seen = [], None
-        for rule_key, child_ids in const.derivations:
-            sets = equation_sets(rule_key)
+        for derivation in const.derivations:
+            sets = self.equation_sets(derivation[0])
             if not sets:
                 continue
-            child_options = [compute(child_id) for child_id in child_ids]
+            child_options = [self(child_id) for child_id in derivation[1:]]
             if not all(child_options):
                 continue
             combos = [()]
@@ -422,8 +444,6 @@ def compose(forest, leaf, equation_sets, cap):
                 break
         memo[cid] = results[:cap]
         return memo[cid]
-
-    return compute
 
 
 def fragment_cover(forest, category_order=()):
@@ -458,8 +478,8 @@ def dump_forest(forest):
     for cid in sorted(forest.constituents):
         c = forest[cid]
         derivs = ";".join(
-            "%s:%s" % (sexpr.dump([key.lhs, "->", *key.rhs]), ",".join(map(str, kids)))
-            for key, kids in c.derivations
+            "%s:%s" % (sexpr.dump([d[0].lhs, "->", *d[0].rhs]), ",".join(map(str, d[1:])))
+            for d in c.derivations
         )
         lines.append(
             "\t".join(

@@ -93,46 +93,6 @@ def realize(g, lex, irregulars=None):
 
     realized = set()
     groups = []  # each group is a list of alternative word strings
-
-    def pp_groups(head_entry, role, child):
-        prep = head_entry.preps.get(role)
-        groups.append([prep] if prep else list(DEFAULT_PREPOSITIONS))
-        np_groups(child)
-
-    def np_groups(node):
-        realized.add(id(node))
-        entry = lex[node.concept]
-        if "month-index" in node.attributes:
-            try:
-                index = int(node.attributes["month-index"])
-            except ValueError:
-                raise RealizeError(
-                    "month index %r is not an integer" % node.attributes["month-index"]
-                ) from None
-            if not 1 <= index <= 12:
-                raise RealizeError("month index %d out of range" % index)
-            groups.append([MONTH_NAMES[index - 1]])
-        elif entry.category == "verb":
-            # clausal realization of an event argument
-            groups.append(["to"])
-            groups.append([entry.lemma])
-        else:
-            if node.attributes.get("definiteness") == "indefinite":
-                groups.append(["a"])
-            else:
-                groups.append(["the"])
-            for role, child in node.roles.items():
-                if lex[child.concept].category == "adjective":
-                    realized.add(id(child))
-                    groups.append([lex[child.concept].lemma])
-            groups.append([entry.lemma])
-        for role, child in node.roles.items():
-            if id(child) in realized:
-                continue
-            if lex[child.concept].category == "adjective":
-                continue
-            pp_groups(entry, role, child)
-
     root = g.root
     entry = lex[root.concept]
     if entry.category == "verb":
@@ -143,7 +103,7 @@ def realize(g, lex, irregulars=None):
                 subject = root.roles[role]
                 break
         if subject is not None:
-            np_groups(subject)
+            _np_groups(subject, lex, groups, realized)
         groups.extend(_verb_groups(root, entry, irregulars))
         obj = None
         for role in OBJECT_ROLES:
@@ -152,13 +112,13 @@ def realize(g, lex, irregulars=None):
                 obj = child
                 break
         if obj is not None:
-            np_groups(obj)
+            _np_groups(obj, lex, groups, realized)
         for role, child in root.roles.items():
             if id(child) in realized:
                 continue
-            pp_groups(entry, role, child)
+            _pp_groups(entry, role, child, lex, groups, realized)
     elif entry.category == "noun":
-        np_groups(root)
+        _np_groups(root, lex, groups, realized)
     else:
         raise RealizeError(
             "graph root %r (%s) is not an event or entity" % (root.concept, entry.category)
@@ -167,3 +127,48 @@ def realize(g, lex, irregulars=None):
     groups.append(["."])
     groups[0] = sorted({alt[:1].upper() + alt[1:] for alt in groups[0]})
     return wl.from_groups(groups)
+
+
+# The two phrase builders are module-level functions that take the
+# lexicon, the groups so far and the ids of the instances realized: a
+# pair of closures that call each other is a reference cycle.
+
+def _pp_groups(head_entry, role, child, lex, groups, realized):
+    prep = head_entry.preps.get(role)
+    groups.append([prep] if prep else list(DEFAULT_PREPOSITIONS))
+    _np_groups(child, lex, groups, realized)
+
+
+def _np_groups(node, lex, groups, realized):
+    realized.add(id(node))
+    entry = lex[node.concept]
+    if "month-index" in node.attributes:
+        try:
+            index = int(node.attributes["month-index"])
+        except ValueError:
+            raise RealizeError(
+                "month index %r is not an integer" % node.attributes["month-index"]
+            ) from None
+        if not 1 <= index <= 12:
+            raise RealizeError("month index %d out of range" % index)
+        groups.append([MONTH_NAMES[index - 1]])
+    elif entry.category == "verb":
+        # clausal realization of an event argument
+        groups.append(["to"])
+        groups.append([entry.lemma])
+    else:
+        if node.attributes.get("definiteness") == "indefinite":
+            groups.append(["a"])
+        else:
+            groups.append(["the"])
+        for role, child in node.roles.items():
+            if lex[child.concept].category == "adjective":
+                realized.add(id(child))
+                groups.append([lex[child.concept].lemma])
+        groups.append([entry.lemma])
+    for role, child in node.roles.items():
+        if id(child) in realized:
+            continue
+        if lex[child.concept].category == "adjective":
+            continue
+        _pp_groups(entry, role, child, lex, groups, realized)

@@ -209,18 +209,22 @@ class MeaningGraph:
 
     def nodes(self):
         """Deterministic first-visit preorder, roles in sorted order."""
-        out, seen = [], set()
-
-        def visit(node):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            out.append(node)
-            for role in sorted(node.roles):
-                visit(node.roles[role])
-
-        visit(self.root)
+        out = []
+        _preorder(self.root, set(), out)
         return out
+
+
+# Each recursive graph walk in this module is a module-level function
+# that takes what it needs: a closure that calls itself is a reference
+# cycle, left for the cyclic collector on every call.
+
+def _preorder(node, seen, out):
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    out.append(node)
+    for role in sorted(node.roles):
+        _preorder(node.roles[role], seen, out)
 
 
 class SemCandidate:
@@ -275,36 +279,35 @@ def graph_from_featstruct(sem):
     feature types a node, other atomic features become attributes and
     complex features become role edges.
     """
-    counter = [0]
-    mapping = {}
-
-    def convert(node):
-        known = mapping.get(id(node))
-        if known is not None:
-            return known
-        typed = node.features.get("instance")
-        if typed is None or typed.atom_value is None:
-            raise SemanticsError(
-                "meaning node lacks a unique instance type: %s" % canonical(node)
-            )
-        concept = str(typed.atom_value)
-        counter[0] += 1
-        initial = next((ch for ch in concept if ch.isalnum()), "x")
-        inst = Instance("%s-%d" % (initial.lower(), counter[0]), concept)
-        mapping[id(node)] = inst
-        for feat in sorted(node.features):
-            if feat == "instance":
-                continue
-            child = node.features[feat]
-            if child.is_complex:
-                inst.roles[feat] = convert(child)
-            elif child.is_atomic:
-                inst.attributes[feat] = str(child.atom_value or sorted(child.allowed)[0])
-        return inst
-
     if not sem.is_complex:
         raise SemanticsError("meaning must be a complex structure")
-    return MeaningGraph(convert(sem))
+    return MeaningGraph(_instance_of(sem, {}))
+
+
+def _instance_of(node, mapping):
+    """The instance of one feature node; ``mapping`` takes the id of
+    each node converted so far to its instance, and numbers them."""
+    known = mapping.get(id(node))
+    if known is not None:
+        return known
+    typed = node.features.get("instance")
+    if typed is None or typed.atom_value is None:
+        raise SemanticsError(
+            "meaning node lacks a unique instance type: %s" % canonical(node)
+        )
+    concept = str(typed.atom_value)
+    initial = next((ch for ch in concept if ch.isalnum()), "x")
+    inst = Instance("%s-%d" % (initial.lower(), len(mapping) + 1), concept)
+    mapping[id(node)] = inst
+    for feat in sorted(node.features):
+        if feat == "instance":
+            continue
+        child = node.features[feat]
+        if child.is_complex:
+            inst.roles[feat] = _instance_of(child, mapping)
+        elif child.is_atomic:
+            inst.attributes[feat] = str(child.atom_value or sorted(child.allowed)[0])
+    return inst
 
 
 def root_candidates(forest, analyses, category_order=()):
@@ -330,21 +333,37 @@ def root_candidates(forest, analyses, category_order=()):
 # Inference
 # ---------------------------------------------------------------------
 
-def _copy_graph(g):
-    mapping = {}
+def _copy_instance(node, mapping):
+    """A copy of ``node`` and what it reaches; ``mapping`` takes the id
+    of each instance copied so far to its copy."""
+    known = mapping.get(id(node))
+    if known is not None:
+        return known
+    dup = Instance(node.id, node.concept)
+    mapping[id(node)] = dup
+    for role, child in node.roles.items():
+        dup.roles[role] = _copy_instance(child, mapping)
+    dup.attributes = dict(node.attributes)
+    return dup
 
-    def convert(node):
-        known = mapping.get(id(node))
-        if known is not None:
-            return known
-        dup = Instance(node.id, node.concept)
-        mapping[id(node)] = dup
-        for role, child in node.roles.items():
-            dup.roles[role] = convert(child)
-        dup.attributes = dict(node.attributes)
-        return dup
 
-    return MeaningGraph(convert(g.root))
+def _rewrite(node, seen):
+    """``infer``'s relative-clause step below ``node``; ``seen`` holds
+    the ids of the instances visited."""
+    if id(node) in seen:
+        return node
+    seen.add(id(node))
+    for role in list(node.roles):
+        node.roles[role] = _rewrite(node.roles[role], seen)
+    if "head" in node.roles and "rel-mod" in node.roles:
+        head = node.roles["head"]
+        clause = node.roles["rel-mod"]
+        gap = clause.attributes.pop("gap", None)
+        if gap and gap not in clause.roles:
+            clause.roles[gap] = head
+        head.roles.setdefault("rel-mod", clause)
+        return head
+    return node
 
 
 def infer(g):
@@ -357,25 +376,7 @@ def infer(g):
     in the priority order agent, theme, senser.  Untouched graphs come
     back unchanged; the operation is idempotent.
     """
-    g = _copy_graph(g)
-
-    def rewrite(node, seen):
-        if id(node) in seen:
-            return node
-        seen.add(id(node))
-        for role in list(node.roles):
-            node.roles[role] = rewrite(node.roles[role], seen)
-        if "head" in node.roles and "rel-mod" in node.roles:
-            head = node.roles["head"]
-            clause = node.roles["rel-mod"]
-            gap = clause.attributes.pop("gap", None)
-            if gap and gap not in clause.roles:
-                clause.roles[gap] = head
-            head.roles.setdefault("rel-mod", clause)
-            return head
-        return node
-
-    root = rewrite(g.root, set())
+    root = _rewrite(_copy_instance(g.root, {}), set())
 
     topic = None
     for node in MeaningGraph(root).nodes():

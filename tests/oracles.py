@@ -52,7 +52,7 @@ def enumerate_trees(forest, cid, cap=1000):
         if const.lexical or not const.derivations:
             return [(const.category, span, None, ())]
         trees = []
-        for rule_key, child_ids in const.derivations:
+        for rule_key, *child_ids in const.derivations:
             partial = [()]
             for child_id in child_ids:
                 child_trees = expand(forest[child_id], budget)

@@ -51,6 +51,13 @@ from conftest import FIXTURES, fixture_path, ngram_rows
         ("1\ta\t5", "duplicate n-gram 'a'"),
         ("2\tb\ta\t4", "duplicate n-gram 'b a'"),
         ("3\tb\ta\tb\t2", "duplicate n-gram 'b a b'"),
+        # a second #k would silently override the first
+        ("#k\t4", "repeated #k"),
+        # #vocab must count the words of the unigram lines, a and b,
+        # which are checked once all of them are read
+        ("#vocab\tmany", "count 'many' is not an integer"),
+        ("#vocab\t2\t2", "needs 2 tab-separated columns, got 3"),
+        ("#vocab\t9", "#vocab 9 differs from the 2 words of the unigram lines"),
     ],
 )
 def test_load_bad_line_names_its_line_number(line, message):

@@ -29,6 +29,7 @@ from hybridmt.featstruct import (
     parse_equations,
     subsumes,
 )
+from hybridmt.realizer import RealizeError
 from hybridmt.rulebase import EquationSet, LexiconEntry, RuleKey, load_rulebase, parse_rule_file
 from hybridmt.sexpr import parse_all
 
@@ -777,7 +778,7 @@ def test_packed_solutions_of_one_application_record_it_once():
     assert len(parser._solve_rule(rule.syntax_sets, [empty, empty])) == 2
     forest = parse(_tokens("AB"), grammar)
     (root,) = forest.roots
-    assert forest[root].derivations == [(rule.key, (0, 1))]
+    assert forest[root].derivations == [(rule.key, 0, 1)]
 
 
 def _cyclic_garbage(run):
@@ -813,6 +814,49 @@ def test_parses_with_equations_leave_no_reference_cycles():
         assert garbage == 0, seed
 
 
+def _batch_forests(pipe):
+    """The forest of each ``batch50.txt`` line under ``pipe``, chunked
+    and parsed before any garbage is counted."""
+    with open(fixture_path("batch50.txt"), encoding="utf-8") as fh:
+        return [pipe.parse(pipe.chunk(line)) for line in fh if line.strip()]
+
+
+def test_glossing_the_batch_leaves_no_reference_cycles(gloss_pipeline):
+    # composition memoises through itself and flattening recurses
+    forests = _batch_forests(gloss_pipeline)
+    assert _cyclic_garbage(lambda: [gloss_pipeline.gloss(f) for f in forests]) == 0
+
+
+def test_analyzing_the_batch_leaves_no_reference_cycles(interlingua_pipeline):
+    forests = _batch_forests(interlingua_pipeline)
+    assert _cyclic_garbage(lambda: [interlingua_pipeline.analyze(f) for f in forests]) == 0
+
+
+def _batch_candidates(pipe):
+    """The candidates of each ``batch50.txt`` line that has one."""
+    candidates = [pipe.analyze(f) for f in _batch_forests(pipe)]
+    return [c for c in candidates if c]
+
+
+def test_ranking_the_batch_leaves_no_reference_cycles(interlingua_pipeline):
+    candidates = _batch_candidates(interlingua_pipeline)
+    assert candidates
+    assert _cyclic_garbage(lambda: [interlingua_pipeline.rank(c) for c in candidates]) == 0
+
+
+def test_realizing_the_batch_leaves_no_reference_cycles(interlingua_pipeline):
+    best = [interlingua_pipeline.rank(c)[0].graph for c in _batch_candidates(interlingua_pipeline)]
+
+    def realize_all():
+        for graph in best:
+            try:
+                interlingua_pipeline.realize(graph)
+            except RealizeError:
+                pass
+
+    assert _cyclic_garbage(realize_all) == 0
+
+
 def test_random_forests_list_roots_in_order_and_derive_every_phrase():
     several = 0
     for seed in range(len(FOREST_DIGESTS)):
@@ -829,6 +873,77 @@ def test_random_forests_list_roots_in_order_and_derive_every_phrase():
             assert (c.token is not None) == c.lexical
             assert c.lexical or c.derivations
     assert several > 10
+
+
+# the FOREST_EQUATIONS entry whose two solutions stay apart: the two
+# constituents it makes of one derivation are one tree to enumerate_trees
+APART = "(*OR* (((X0 f) = v1)) (((X0 f) = v2)))"
+
+
+@st.composite
+def _tiling_grammars(draw):
+    """A grammar with S and T on the left, and whether it uses APART: a
+    unary rule over each lexical category and at most one between S and
+    T, binary and ternary rules, some right-hand sides given both
+    left-hand sides, and each backbone one entry of FOREST_EQUATIONS,
+    equation-free or not."""
+    phrase = st.sampled_from(("S", "T"))
+    backbones = set(draw(st.sampled_from([[], [("S", ("T",))], [("T", ("S",))]])))
+    category = st.sampled_from(("S", "S", "T") + FOREST_LEXICAL)
+    sides = [(cat,) for cat in FOREST_LEXICAL]
+    sides += draw(st.lists(st.tuples(category, category), min_size=1, max_size=5))
+    sides += draw(st.lists(st.tuples(category, category, category), max_size=2))
+    for rhs in sides:
+        backbones.update((lhs, rhs) for lhs in draw(st.sets(phrase, min_size=1)))
+    text = []
+    for lhs, rhs in sorted(backbones):
+        eqs = [e for top, e in FOREST_EQUATIONS if top <= len(rhs)]
+        text.append("((%s -> %s) %s)" % (lhs, " ".join(rhs), draw(st.sampled_from(eqs))))
+    grammar = parse_rule_file(" ".join(text), "syntax")
+    for cat in FOREST_LEXICAL:
+        for suffix, features in (("1", "((f v1))"), ("2", "((f v2) (h v2))")):
+            word = cat.lower() + suffix
+            grammar.syn_lexicon[word] = [LexiconEntry(word, cat, parse_featstruct(features))]
+    return grammar, any(APART in rule for rule in text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _tiling_grammars(),
+    st.lists(
+        st.tuples(st.sampled_from(FOREST_LEXICAL), st.sampled_from("12")), min_size=1, max_size=6
+    ),
+    st.sampled_from(FOREST_EDGE_CAPS),
+    st.data(),
+)
+def test_every_derivation_is_one_flat_tuple_whose_children_tile_its_span(
+    grammar_apart, words, edge_cap, data
+):
+    grammar, apart = grammar_apart
+    tokens = [Token(cat.lower() + suffix, cat) for cat, suffix in words]
+    if data.draw(st.booleans(), label="barrier"):
+        lo = data.draw(st.integers(0, len(words) - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, len(words)), label="hi")
+        category = data.draw(st.sampled_from(FOREST_CATEGORIES), label="category")
+        tokens.insert(hi, Token.end(category))
+        tokens.insert(lo, Token.begin(category))
+    forest = parse(tokens, grammar, root_categories=("S", "T"), edge_cap=edge_cap)
+    for c in forest:
+        for derivation in c.derivations:
+            key, ids = derivation[0], derivation[1:]
+            assert isinstance(key, RuleKey) and key.lhs == c.category
+            assert len(ids) == len(key.rhs)
+            children = [forest[i] for i in ids]
+            assert [child.category for child in children] == list(key.rhs)
+            ends = [c.start] + [child.end for child in children]
+            assert [child.start for child in children] == ends[:-1]
+            assert ends[-1] == c.end
+    # parse hands each new constituent a list of its own
+    assert len({id(c.derivations) for c in forest}) == len(forest.constituents)
+    # a derivation recorded twice counts twice but is one tree
+    for root in forest.roots if not apart else ():
+        count = count_trees(forest, root)
+        assert len(enumerate_trees(forest, root, cap=1000)) == min(count, 1000)
 
 
 def test_enumerate_trees_stops_at_its_cap():
