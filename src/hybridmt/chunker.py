@@ -208,7 +208,8 @@ class CompoundDictionary(dict):
 
     def __init__(self, *args, **kwargs):
         super().__init__()
-        self.update(*args, **kwargs)
+        if args or kwargs:
+            self.update(*args, **kwargs)
 
     def __setitem__(self, surface, pos):
         super().__setitem__(surface, pos)

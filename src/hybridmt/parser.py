@@ -336,25 +336,24 @@ def _derivations(by_start, rhs, key, firsts, lasts, end):
 
 def count_trees(forest, cid):
     """Product-sum recurrence over the packed forest."""
-    memo = {}
+    return _count_trees(forest, cid, {})
 
-    def count(i):
-        if i in memo:
-            return memo[i]
-        const = forest[i]
-        if const.lexical or not const.derivations:
-            memo[i] = 1
-            return 1
-        total = 0
-        for derivation in const.derivations:
-            product = 1
-            for child_id in derivation[1:]:
-                product *= count(child_id)
-            total += product
-        memo[i] = total
-        return total
 
-    return count(cid)
+def _count_trees(forest, i, memo):
+    if i in memo:
+        return memo[i]
+    const = forest[i]
+    if const.lexical or not const.derivations:
+        memo[i] = 1
+        return 1
+    total = 0
+    for derivation in const.derivations:
+        product = 1
+        for child_id in derivation[1:]:
+            product *= _count_trees(forest, child_id, memo)
+        total += product
+    memo[i] = total
+    return total
 
 
 def _solve_rule(equation_sets, child_structures):

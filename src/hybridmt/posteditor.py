@@ -171,48 +171,50 @@ def train_tree(instances, max_depth=10, min_leaf=5):
     """
     if not instances:
         raise PosteditError("cannot train a tree on zero instances")
+    return _grow(list(instances), max_depth, min_leaf, frozenset())
 
-    def build(items, depth, used):
-        dist = _distribution(items)
-        if (
-            depth >= max_depth
-            or len(items) < min_leaf
-            or len(dist) == 1
-        ):
-            return DecisionTree(dist=dist)
-        parent_h = _entropy(dist)
-        candidates = sorted(
-            {
-                (feat, inst.features[feat])
-                for inst in items
-                for feat in inst.features
-            }
-            - used
-        )
-        best = None
-        for feat, value in candidates:
-            yes = [i for i in items if i.features.get(feat) == value]
-            no = [i for i in items if i.features.get(feat) != value]
-            if not yes or not no:
-                continue
-            gain = parent_h - (
-                len(yes) / len(items) * _entropy(_distribution(yes))
-                + len(no) / len(items) * _entropy(_distribution(no))
-            )
-            if best is None or gain > best[0] + 1e-12:
-                best = (gain, feat, value, yes, no)
-        if best is None or best[0] <= 1e-12:
-            return DecisionTree(dist=dist)
-        _gain, feat, value, yes, no = best
-        used = used | {(feat, value)}
-        return DecisionTree(
-            feature=feat,
-            value=value,
-            yes=build(yes, depth + 1, used),
-            no=build(no, depth + 1, used),
-        )
 
-    return build(list(instances), 0, frozenset())
+def _grow(items, depth_left, min_leaf, used):
+    """The subtree over ``items``, at most ``depth_left`` tests deep,
+    testing no (feature, value) pair in ``used``."""
+    dist = _distribution(items)
+    if (
+        depth_left <= 0
+        or len(items) < min_leaf
+        or len(dist) == 1
+    ):
+        return DecisionTree(dist=dist)
+    parent_h = _entropy(dist)
+    candidates = sorted(
+        {
+            (feat, inst.features[feat])
+            for inst in items
+            for feat in inst.features
+        }
+        - used
+    )
+    best = None
+    for feat, value in candidates:
+        yes = [i for i in items if i.features.get(feat) == value]
+        no = [i for i in items if i.features.get(feat) != value]
+        if not yes or not no:
+            continue
+        gain = parent_h - (
+            len(yes) / len(items) * _entropy(_distribution(yes))
+            + len(no) / len(items) * _entropy(_distribution(no))
+        )
+        if best is None or gain > best[0] + 1e-12:
+            best = (gain, feat, value, yes, no)
+    if best is None or best[0] <= 1e-12:
+        return DecisionTree(dist=dist)
+    _gain, feat, value, yes, no = best
+    used = used | {(feat, value)}
+    return DecisionTree(
+        feature=feat,
+        value=value,
+        yes=_grow(yes, depth_left - 1, min_leaf, used),
+        no=_grow(no, depth_left - 1, min_leaf, used),
+    )
 
 
 def classify(tree, features):
@@ -224,48 +226,47 @@ def classify(tree, features):
 
 
 def dump_tree(tree):
-    def emit(node):
-        if node.is_leaf:
-            return ["leaf"] + [[label, str(node.dist[label])] for label in sorted(node.dist)]
-        return ["test", node.feature, node.value, emit(node.yes), emit(node.no)]
+    return sexpr.dump(_tree_expr(tree)) + "\n"
 
-    return sexpr.dump(emit(tree)) + "\n"
+
+def _tree_expr(node):
+    if node.is_leaf:
+        return ["leaf"] + [[label, str(node.dist[label])] for label in sorted(node.dist)]
+    return ["test", node.feature, node.value, _tree_expr(node.yes), _tree_expr(node.no)]
 
 
 def parse_tree(text, filename="<string>"):
     """The tree ``dump_tree`` wrote; anything else is a PosteditError
     that names ``filename``."""
-
-    def fail(message):
-        raise PosteditError("%s: %s" % (filename, message))
-
-    def build(expr):
-        if not isinstance(expr, list) or not expr:
-            fail("malformed tree node %r" % (expr,))
-        if expr[0] == "leaf":
-            if len(expr) == 1:
-                fail("leaf with no label counts")
-            dist = {}
-            for pair in expr[1:]:
-                if not isinstance(pair, list) or len(pair) != 2 or list in map(type, pair):
-                    fail("malformed leaf entry %r" % (pair,))
-                if pair[0] not in LABELS or pair[0] in dist:
-                    fail("unknown or repeated article label %r" % (pair[0],))
-                count = int(pair[1]) if pair[1].isdecimal() else 0
-                if count < 1:
-                    fail("leaf count %r is not a positive integer" % (pair[1],))
-                dist[pair[0]] = count
-            return DecisionTree(dist=dist)
-        if expr[0] == "test" and len(expr) == 5 and list not in map(type, expr[1:3]):
-            return DecisionTree(
-                feature=expr[1], value=expr[2], yes=build(expr[3]), no=build(expr[4])
-            )
-        fail("malformed tree node %r" % (expr,))
-
     try:
-        return build(sexpr.parse_one(text))
-    except sexpr.SexprError as err:
+        return _tree_node(sexpr.parse_one(text))
+    except (sexpr.SexprError, PosteditError) as err:
         raise PosteditError("%s: %s" % (filename, err))
+
+
+def _tree_node(expr):
+    """The tree of one node expression of a dump; an error names no file."""
+    if not isinstance(expr, list) or not expr:
+        raise PosteditError("malformed tree node %r" % (expr,))
+    if expr[0] == "leaf":
+        if len(expr) == 1:
+            raise PosteditError("leaf with no label counts")
+        dist = {}
+        for pair in expr[1:]:
+            if not isinstance(pair, list) or len(pair) != 2 or list in map(type, pair):
+                raise PosteditError("malformed leaf entry %r" % (pair,))
+            if pair[0] not in LABELS or pair[0] in dist:
+                raise PosteditError("unknown or repeated article label %r" % (pair[0],))
+            count = int(pair[1]) if pair[1].isdecimal() else 0
+            if count < 1:
+                raise PosteditError("leaf count %r is not a positive integer" % (pair[1],))
+            dist[pair[0]] = count
+        return DecisionTree(dist=dist)
+    if expr[0] == "test" and len(expr) == 5 and list not in map(type, expr[1:3]):
+        return DecisionTree(
+            feature=expr[1], value=expr[2], yes=_tree_node(expr[3]), no=_tree_node(expr[4])
+        )
+    raise PosteditError("malformed tree node %r" % (expr,))
 
 
 # ---------------------------------------------------------------------

@@ -74,12 +74,10 @@ class SynchronizedRule:
         self.semantic_sets = []
         self.gloss_sets = []
 
+    _KIND_SETS = {"syntax": "syntax_sets", "semantics": "semantic_sets", "gloss": "gloss_sets"}
+
     def sets(self, kind):
-        return {
-            "syntax": self.syntax_sets,
-            "semantics": self.semantic_sets,
-            "gloss": self.gloss_sets,
-        }[kind]
+        return getattr(self, self._KIND_SETS[kind])
 
 
 class LexiconEntry:

@@ -168,19 +168,22 @@ class Taxonomy:
         # the is-a graph must be acyclic; the same walk records each
         # concept's ancestors (None while the concept is on the path)
         closure = {}
-
-        def visit(c):
-            if c in closure:
-                if closure[c] is None:
-                    raise TaxonomyError("is-a cycle through %r" % c)
-                return closure[c]
-            closure[c] = None
-            closure[c] = frozenset((c,)).union(*map(visit, self.parents.get(c, ())))
-            return closure[c]
-
         for c in list(self.parents):
-            visit(c)
+            _ancestors(c, self.parents, closure)
         self.closure = closure
+
+
+def _ancestors(c, parents, closure):
+    """``c`` and its ancestors, recorded in ``closure`` for every concept
+    the walk reaches; an is-a cycle through ``c`` is an error."""
+    if c in closure:
+        if closure[c] is None:
+            raise TaxonomyError("is-a cycle through %r" % c)
+        return closure[c]
+    closure[c] = None
+    above = [_ancestors(p, parents, closure) for p in parents.get(c, ())]
+    closure[c] = frozenset((c,)).union(*above)
+    return closure[c]
 
 
 # ---------------------------------------------------------------------
@@ -481,17 +484,17 @@ def _parse_instance(expr, instances):
 
 
 def serialize_spl(g):
-    seen = set()
+    return _serialize_instance(g.root, set())
 
-    def emit(node):
-        if node.id in seen:
-            return "|%s|" % node.id
-        seen.add(node.id)
-        parts = ["|%s| / |%s|" % (node.id, node.concept)]
-        for name, value in node.attributes.items():
-            parts.append(":%s %s" % (name.upper(), value))
-        for role, child in node.roles.items():
-            parts.append(":%s %s" % (role.upper(), emit(child)))
-        return "(%s)" % " ".join(parts)
 
-    return emit(g.root)
+def _serialize_instance(node, seen):
+    """``node`` in full the first time, and as its |id| once ``seen``."""
+    if node.id in seen:
+        return "|%s|" % node.id
+    seen.add(node.id)
+    parts = ["|%s| / |%s|" % (node.id, node.concept)]
+    for name, value in node.attributes.items():
+        parts.append(":%s %s" % (name.upper(), value))
+    for role, child in node.roles.items():
+        parts.append(":%s %s" % (role.upper(), _serialize_instance(child, seen)))
+    return "(%s)" % " ".join(parts)

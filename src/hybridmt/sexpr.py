@@ -12,6 +12,12 @@ Quoted strings are kept distinct from symbols via the ``QuotedString``
 subclass so downstream code can tell target-language text apart from
 grammar symbols.  Lines may carry ``;`` comments.
 
+``parse_all`` takes every token of a text from one pass of one regular
+expression and sorts each by its text alone.  Only when it is about to
+raise does it walk the tokens again, with their offsets, to the one at
+fault: an error names the line of the offending character, counting
+every newline before it, newlines inside a quoted atom included.
+
 The line-oriented knowledge files (lexicons, taxonomy, generation
 lexicon, irregular verbs, word lists, config) are read here too:
 ``read_text`` opens one and ``records`` yields its record lines, each
@@ -33,14 +39,15 @@ class QuotedString(str):
 
 # an atom holding whitespace or a delimiter prints pipe-quoted
 _PIPED_CHAR = re.compile(r'[\s()"|;]')
-# Space and ``;`` comments, then one token: a parenthesis, a "string" in
-# which a backslash escapes the next character, a |symbol|, a bare symbol,
-# or the opening quote of an unterminated string or |symbol|.  At the end
-# of the text ``\Z`` stands in for the token, so the skip never gives back
-# part of a comment to be read as a symbol.
+# Space and ``;`` comments, then one token in the one group: a
+# parenthesis, a "string" in which a backslash escapes the next character,
+# a |symbol|, a bare symbol, or the lone opening quote of an unterminated
+# string or |symbol|.  At the end of the text the empty ``\Z`` stands in
+# for the token, so the skip never gives back part of a comment to be read
+# as a symbol.
 _TOKEN = re.compile(
     r'\s*(?:;[^\n]*\s*)*'
-    r'(?:(\()|(\))|"([^"\\]*(?:\\.[^"\\]*)*)"|\|([^|]*)\||([^\s()"|;]+)|(["|])|\Z)',
+    r'(\(|\)|"[^"\\]*(?:\\.[^"\\]*)*"|\|[^|]*\||[^\s()"|;]+|["|]|\Z)',
     re.S,
 )
 _ESCAPED = re.compile(r"\\(.)", re.S)
@@ -50,31 +57,53 @@ def _line_of(text, pos):
     return text.count("\n", 0, pos) + 1
 
 
+def _raise_at_first_bad_token(text):
+    """Walk the tokens again, with their offsets, to the first one that
+    ``parse_all`` cannot take, and raise its error."""
+    depth = 0
+    for match in _TOKEN.finditer(text):
+        token = match.group(1)
+        if token == "(":
+            depth += 1
+        elif token == ")":
+            if not depth:
+                raise SexprError("unbalanced ')' at line %d" % _line_of(text, match.start(1)))
+            depth -= 1
+        elif token == '"' or token == "|":
+            raise SexprError(
+                "unterminated %s at line %d"
+                % ("string" if token == '"' else "|atom|", _line_of(text, match.start(1)))
+            )
+
+
 def parse_all(text):
     """Parse every top-level expression in ``text`` into nested lists."""
     # ``top`` is the list being filled; ``stack`` holds the ones it is in
     stack = []
     top = []
-    for match in _TOKEN.finditer(text):
-        kind = match.lastindex
-        if kind == 1:
+    for token in _TOKEN.findall(text):
+        if token == "(":
             stack.append(top)
             top = []
-        elif kind == 2:
+        elif token == ")":
             if not stack:
-                raise SexprError("unbalanced ')' at line %d" % _line_of(text, match.start(2)))
+                _raise_at_first_bad_token(text)
             done = top
             top = stack.pop()
             top.append(done)
-        elif kind == 3:
-            top.append(QuotedString(_ESCAPED.sub(r"\1", match.group(3))))
-        elif kind == 6:
-            raise SexprError(
-                "unterminated %s at line %d"
-                % ("string" if match.group(6) == '"' else "|atom|", _line_of(text, match.start(6)))
-            )
-        elif kind:  # a bare or piped symbol; None is the space after the last token
-            top.append(match.group(kind))
+        elif token:  # "" is the end of the text
+            first = token[0]
+            if first == '"':
+                if len(token) == 1:
+                    _raise_at_first_bad_token(text)
+                token = token[1:-1]
+                top.append(QuotedString(_ESCAPED.sub(r"\1", token) if "\\" in token else token))
+            elif first == "|":
+                if len(token) == 1:
+                    _raise_at_first_bad_token(text)
+                top.append(token[1:-1])
+            else:
+                top.append(token)
     if stack:
         raise SexprError("unbalanced '(': %d open at end of input" % len(stack))
     return top

@@ -159,6 +159,7 @@ def test_load_patterns_rejects_bad_directive():
     "text, message",
     [
         ("(P (N)", "unbalanced '('"),
+        ('(P (N))\n(Q (N "wa))', "unterminated string at line 2"),
         ("(P)", "malformed pattern entry"),
         ("(P N)", "pattern P needs an element list"),
         ("(P ((N)))", "pattern P has non-atomic elements"),

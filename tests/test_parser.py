@@ -29,7 +29,10 @@ from hybridmt.featstruct import (
     parse_equations,
     subsumes,
 )
+from hybridmt.pipeline import Pipeline, load_config
+from hybridmt.posteditor import dump_tree
 from hybridmt.realizer import RealizeError
+from hybridmt.semantics import serialize_spl
 from hybridmt.rulebase import EquationSet, LexiconEntry, RuleKey, load_rulebase, parse_rule_file
 from hybridmt.sexpr import parse_all
 
@@ -855,6 +858,29 @@ def test_realizing_the_batch_leaves_no_reference_cycles(interlingua_pipeline):
                 pass
 
     assert _cyclic_garbage(realize_all) == 0
+
+
+@pytest.mark.parametrize("config", ["gloss.cfg", "interlingua.cfg"])
+def test_loading_a_pipeline_leaves_no_reference_cycles(config):
+    # the taxonomy's is-a walk and the article tree's reader recurse
+    path = fixture_path(config)
+    assert _cyclic_garbage(lambda: Pipeline(load_config(path))) == 0
+
+
+def test_dumping_and_training_the_article_tree_leave_no_reference_cycles(gloss_pipeline):
+    assert _cyclic_garbage(lambda: dump_tree(gloss_pipeline.tree)) == 0
+    assert _cyclic_garbage(gloss_pipeline.train_postedit) == 0
+
+
+def test_serializing_the_batch_candidates_leaves_no_reference_cycles(interlingua_pipeline):
+    graphs = [c.graph for cs in _batch_candidates(interlingua_pipeline) for c in cs]
+    assert graphs
+    assert _cyclic_garbage(lambda: [serialize_spl(g) for g in graphs]) == 0
+
+
+def test_counting_trees_leaves_no_reference_cycles():
+    forest = parse(_tokens("ABBABAAB"), TOY)
+    assert _cyclic_garbage(lambda: [count_trees(forest, r) for r in forest.roots]) == 0
 
 
 def test_random_forests_list_roots_in_order_and_derive_every_phrase():

@@ -162,6 +162,19 @@ def test_parse_tree_rejects_malformed():
             parse_tree(text, "article.tree")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(test f v\n (leaf (the 1))\n (leaf (null 1))))", "unbalanced ')' at line 3"),
+        ("(test f v\n (leaf (|the 1))", "unterminated |atom| at line 2"),
+    ],
+)
+def test_parse_tree_reading_error_names_the_file_and_the_line(text, message):
+    with pytest.raises(PosteditError) as exc:
+        parse_tree(text, "article.tree")
+    assert str(exc.value) == "article.tree: " + message
+
+
 # -- allomorphy and insertion -------------------------------------------
 
 def test_choose_allomorph_vowel_rule():

@@ -68,6 +68,29 @@ def test_parse_rejects_malformed():
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("((S -> A))\n((S -> B)))", "unbalanced ')' at line 2"),
+        ('((S -> A)\n ((X0 f) = "a\nb"))\n((S -> "B))', "unterminated string at line 4"),
+        ("((S -> A))\n\n((S -> |B))", "unterminated |atom| at line 3"),
+        ("((S -> A))\n((S -> B)", "unbalanced '(': 1 open at end of input"),
+    ],
+)
+def test_rule_file_reading_error_names_the_file_and_the_line(text, message):
+    with pytest.raises(RuleBaseError) as exc:
+        parse_rule_file(text, "syntax", filename="g.rules")
+    assert str(exc.value) == "g.rules: " + message
+
+
+def test_syn_lexicon_reading_error_names_the_row_and_the_line_in_its_column(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text("neko\tN\n\ninu\tN\t((syn ((num sg)))))\n", encoding="utf-8")
+    with pytest.raises(RuleBaseError) as exc:
+        load_rulebase(syn_lexicon_file=str(path))
+    assert str(exc.value) == "%s:3: unbalanced ')' at line 1" % path
+
+
+@pytest.mark.parametrize(
     "equation, message",
     [
         # equations

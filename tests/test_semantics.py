@@ -98,6 +98,7 @@ def test_taxonomy_rejects_undeclared_relation_concepts():
     "line, message",
     [
         ("concept |a", "unterminated |atom|"),
+        ('concept "a', "unterminated string at line 1"),
         ("concept (a)", "expected words and |multi word| names"),
         ("disjoint a", "expected 'disjoint A B'"),
         ("thing a", "unknown directive 'thing'"),
@@ -275,6 +276,7 @@ def test_spl_rejects_duplicates():
         ("((a) / b)", "instance id and concept must be atoms"),
         ("(a / b :agent)", "instance 'a' has a role without a filler"),
         ("(a / b agent c)", "expected :ROLE in instance 'a', got 'agent'"),
+        ("(a / b\n :agent (c / d)))", "unbalanced ')' at line 2"),
     ],
 )
 def test_spl_rejects_a_malformed_instance(text, message):
