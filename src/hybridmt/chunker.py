@@ -298,68 +298,69 @@ def match_pattern(pattern, tokens, start, pset, spans=None):
         spans = {}
     if not 0 <= start <= len(tokens):
         raise IndexError("start index out of bounds")
+    return _walk(pattern.elements, tokens, pset, spans, start, 0, None, None, None)
 
-    best = None  # (end, anchor_start, anchor_end)
 
-    def walk(pos, elem_index, anchor_start, anchor_end):
-        nonlocal best
-        if elem_index == len(pattern.elements):
-            cand = (pos, anchor_start, anchor_end)
-            if best is None or cand[0] > best[0]:
-                best = cand
-            return
-        element = pattern.elements[elem_index]
-        if element == "<":
-            walk(pos, elem_index + 1, pos, anchor_end)
-            return
-        if element == ">":
-            walk(pos, elem_index + 1, anchor_start, pos)
-            return
-        if element == "~":
-            end = pos
-            while end < len(tokens) and tokens[end].tag != "COMMA":
-                end += 1
-            walk(end, len(pattern.elements), anchor_start, anchor_end)
-            return
-        if element == "ANY1+":
-            # one or more of anything (markers included); try longest first
-            for end in range(len(tokens), pos, -1):
-                walk(end, elem_index + 1, anchor_start, anchor_end)
-            return
-        quantified = element.endswith("+")
-        base = element[:-1] if quantified else element
-        # a whole earlier span labeled with an accepted name counts as
-        # one element
-        accepted = pset.expand(base)
-        span_ends = [
-            end for (end, name) in spans.get(pos, []) if name in accepted
-        ]
-        if quantified:
-            ends = []
-            cur = pos
-            while True:
-                if cur < len(tokens) and not tokens[cur].marker and tokens[cur].tag in accepted:
-                    cur += 1
+def _walk(elements, tokens, pset, spans, pos, elem_index, anchor_start, anchor_end, best):
+    """``match_pattern``'s search from ``pos`` with ``elements[elem_index:]``
+    left: ``best``, the ``(end, anchor_start, anchor_end)`` found so far,
+    or a match found here that ends further (the first found keeps a
+    tie).  It is a module-level function, so unlike a closure that calls
+    itself it leaves no reference cycle."""
+    if elem_index == len(elements):
+        if best is None or pos > best[0]:
+            return (pos, anchor_start, anchor_end)
+        return best
+    element = elements[elem_index]
+    if element == "<":
+        return _walk(elements, tokens, pset, spans, pos, elem_index + 1, pos, anchor_end, best)
+    if element == ">":
+        return _walk(elements, tokens, pset, spans, pos, elem_index + 1, anchor_start, pos, best)
+    if element == "~":
+        end = pos
+        while end < len(tokens) and tokens[end].tag != "COMMA":
+            end += 1
+        return _walk(
+            elements, tokens, pset, spans, end, len(elements), anchor_start, anchor_end, best
+        )
+    if element == "ANY1+":
+        # one or more of anything (markers included); try longest first
+        for end in range(len(tokens), pos, -1):
+            best = _walk(
+                elements, tokens, pset, spans, end, elem_index + 1, anchor_start, anchor_end, best
+            )
+        return best
+    quantified = element.endswith("+")
+    base = element[:-1] if quantified else element
+    # a whole earlier span labeled with an accepted name counts as
+    # one element
+    accepted = pset.expand(base)
+    if quantified:
+        ends = []
+        cur = pos
+        while True:
+            if cur < len(tokens) and not tokens[cur].marker and tokens[cur].tag in accepted:
+                cur += 1
+                ends.append(cur)
+                continue
+            extended = False
+            for end, name in spans.get(cur, []):
+                if name in accepted:
+                    cur = end
                     ends.append(cur)
-                    continue
-                extended = False
-                for end, name in spans.get(cur, []):
-                    if name in accepted:
-                        cur = end
-                        ends.append(cur)
-                        extended = True
-                        break
-                if not extended:
+                    extended = True
                     break
-            for end in reversed(ends):
-                walk(end, elem_index + 1, anchor_start, anchor_end)
-        else:
-            for end in span_ends:
-                walk(end, elem_index + 1, anchor_start, anchor_end)
-            if pos < len(tokens) and not tokens[pos].marker and tokens[pos].tag in accepted:
-                walk(pos + 1, elem_index + 1, anchor_start, anchor_end)
-
-    walk(start, 0, None, None)
+            if not extended:
+                break
+        ends.reverse()
+    else:
+        ends = [end for (end, name) in spans.get(pos, []) if name in accepted]
+        if pos < len(tokens) and not tokens[pos].marker and tokens[pos].tag in accepted:
+            ends.append(pos + 1)
+    for end in ends:
+        best = _walk(
+            elements, tokens, pset, spans, end, elem_index + 1, anchor_start, anchor_end, best
+        )
     return best
 
 

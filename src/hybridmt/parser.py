@@ -52,9 +52,11 @@ class ParseForest:
         self.roots = []
         self.truncated = False
         # both indexes are filled by ``parse`` as it installs, each list
-        # in insertion order
-        self._by_start = {}  # (start, category) -> [Constituent]
-        self._by_end = {}  # (end, category) -> {start: [Constituent]}
+        # in insertion order.  They are keyed by category first, so the
+        # parse looks up a category's map once per length and probes it
+        # with an int per cell.
+        self._by_start = {}  # category -> {start: [Constituent]}
+        self._by_end = {}  # category -> {end: {start: [Constituent]}}
 
     def __getitem__(self, cid):
         return self.constituents[cid]
@@ -146,11 +148,13 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
     side, with its rules and child sequences, or one constituent and
     the unary rules over its category.  ``apply`` runs every one.  Each
     (child sequence, rule) pair is one edge, and ``edge_cap`` bounds
-    the edges.  An application is charged min(sequences x rules, edges
-    left) at once; with ``q, e = divmod(charged, rules)``, rule j takes
-    the first ``q + (j < e)`` sequences, which are the pairs a count in
-    sequence order would reach.  A cut application sets
-    ``forest.truncated``, and the parse stops after that span length.
+    the edges.  An application is charged sequences x rules at once.
+    When that fits in the edges left, every rule keeps every sequence.
+    Otherwise the application is cut: it takes the edges left, and with
+    ``q, e = divmod(edges left, rules)`` rule j keeps the first
+    ``q + (j < e)`` sequences, which are the pairs a count in sequence
+    order would reach.  A cut application sets ``forest.truncated``, and
+    the parse stops after that span length.
     An equation-free rule fills a cell in one step: its derivations all
     have the empty X0, so they pack into one constituent (a shared
     forest keeps one node per category and span, Billot & Lang 1989).
@@ -187,7 +191,12 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
         nonlocal next_id
         if barriers and crosses_barrier(barriers, category, start, end):
             return
-        ending = by_end.get((end, category))
+        ends = by_end.get(category)
+        if ends is None:
+            # a category has both maps or neither
+            ends = by_end[category] = {}
+            by_start[category] = {}
+        ending = ends.get(end)
         for existing in ending.get(start, ()) if ending else ():
             # subsumption is reflexive, so one shared structure packs at once
             if existing.fs is fs or (subsumes(existing.fs, fs) and subsumes(fs, existing.fs)):
@@ -202,9 +211,9 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
         const = Constituent(next_id, category, start, end, fs, derivations, lexical, token)
         next_id += 1
         constituents[const.id] = const
-        by_start.setdefault((start, category), []).append(const)
+        by_start[category].setdefault(start, []).append(const)
         if ending is None:
-            ending = by_end[(end, category)] = {}
+            ending = ends[end] = {}
         ending.setdefault(start, []).append(const)
         if category in unary_rules:
             by_length[end - start].append(const)
@@ -225,7 +234,8 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
         sequence, in a list this call may hand over.
 
         The edge cap is charged once, and rule j keeps the first
-        ``q + (j < e)`` sequences.  The rules take sequence 0 in order:
+        ``q + (j < e)`` sequences: all of them (``e`` is 0) unless the
+        cap cuts the application.  The rules take sequence 0 in order:
         an equation-free rule installs every derivation it keeps at
         once, as they all have the empty X0 and pack together; a rule
         with equations solves sequence 0 at once.  Only if a rule has
@@ -233,14 +243,17 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
         order.  Each (sequence, rule) edge hands all its solutions one
         derivation tuple, which ``install`` records once."""
         nonlocal edges_left
-        wanted = len(derivations) * len(rules)
-        spent = min(wanted, edges_left)
-        edges_left -= spent
-        if spent < wanted:
+        q = len(derivations)
+        wanted = q * len(rules)
+        if wanted <= edges_left:
+            edges_left -= wanted
+            e = 0
+        else:
+            # the pair (sequence i, rule j) is edge i * len(rules) + j of
+            # the application, and only the first ``edges_left`` are charged
+            q, e = divmod(edges_left, len(rules))
+            edges_left = 0
             forest.truncated = True
-        q, e = divmod(spent, len(rules))
-        # the pair (sequence i, rule j) is edge i * len(rules) + j of the
-        # application, and only the first ``spent`` were charged
         solving = ()  # (rule, its derivations, kept) of each rule with equations
         child_structures = None
         for j, (rule, free) in enumerate(rules):
@@ -292,17 +305,28 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
             # nothing of this length can be built, so no category's
             # longest grows and no longer length is reachable either
             break
+        # per reachable right-hand side: its rules, the first rule's key
+        # and the maps of its first and last categories, looked up once
+        # per length.  A map made later in the length holds only
+        # constituents of the length, and no child is that long.
+        sides = []
+        for rhs, rules in reachable:
+            starting = by_start.get(rhs[0])
+            if starting is None:
+                continue
+            ending = by_end.get(rhs[-1])
+            if ending is not None:
+                sides.append((rhs, rules, rules[0][0].key, starting, ending))
         for start in range(n - length + 1):
             end = start + length
-            for rhs, rules in reachable:
+            for rhs, rules, key, starting, ending in sides:
                 # on real grammars most have no first child here; skip them cheaply
-                firsts = by_start.get((start, rhs[0]))
+                firsts = starting.get(start)
                 if firsts is None:
                     continue
-                lasts = by_end.get((end, rhs[-1]))
+                lasts = ending.get(end)
                 if lasts is None:
                     continue
-                key = rules[0][0].key
                 if len(rhs) == 2:
                     derivations = [(key, a.id, b.id) for a in firsts for b in lasts.get(a.end, ())]
                 else:
@@ -325,10 +349,13 @@ def _derivations(by_start, rhs, key, firsts, lasts, end):
     constituents) end at ``end``."""
     partial = [((key, c.id), c.end) for c in firsts if c.end < end]
     for category in rhs[1:-1]:
+        starting = by_start.get(category)
+        if starting is None:
+            return []
         partial = [
             (ids + (c.id,), c.end)
             for ids, pos in partial
-            for c in by_start.get((pos, category), ())
+            for c in starting.get(pos, ())
             if c.end < end
         ]
     return [ids + (c.id,) for ids, pos in partial for c in lasts.get(pos, ())]

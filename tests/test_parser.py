@@ -797,6 +797,15 @@ def _cyclic_garbage(run):
             gc.enable()
 
 
+@pytest.mark.parametrize("name", ["gloss", "interlingua"])
+def test_chunking_the_batch_leaves_no_reference_cycles(name, request):
+    # pattern matching searches by recursion
+    pipe = request.getfixturevalue(name + "_pipeline")
+    with open(fixture_path("batch50.txt"), encoding="utf-8") as fh:
+        lines = [line for line in fh if line.strip()]
+    assert _cyclic_garbage(lambda: [pipe.chunk(line) for line in lines]) == 0
+
+
 def test_toy_parse_leaves_no_reference_cycles():
     tokens = _tokens("ABBAB")
     assert _cyclic_garbage(lambda: parse(tokens, TOY)) == 0
@@ -1004,6 +1013,15 @@ class _CountingDict(dict):
         return dict.__getitem__(self, key)
 
 
+class _CountingIndex(dict):
+    """A chart index whose category maps are ``_CountingDict``s: each
+    counts the lookups made in it with a start."""
+
+    def __setitem__(self, category, starting):
+        # the parser only ever installs a fresh, empty map
+        dict.__setitem__(self, category, _CountingDict())
+
+
 def _seeded_batch_line(seed, tokens):
     """``batch50.txt`` lines drawn with a seed and joined until the line
     has at least ``tokens`` tokens."""
@@ -1020,8 +1038,9 @@ def _seeded_batch_line(seed, tokens):
 
 # (start, right-hand side) probes of the chart per constituent: each
 # probe reads the constituents of the right-hand side's first category
-# at a start.  A constituent of the shipped grammar spans at most 7
-# tokens, so a bounded number of lengths can hold one.
+# at a start, from that category's map in the by-start index.  A
+# constituent of the shipped grammar spans at most 7 tokens, so a
+# bounded number of lengths can hold one.
 PROBES_PER_CONSTITUENT = 12
 
 
@@ -1031,7 +1050,7 @@ def test_chart_probes_grow_with_the_constituents_not_the_line(gloss_pipeline, mo
     class ProbedForest(parser.ParseForest):
         def __init__(self, *args):
             super().__init__(*args)
-            self._by_start = _CountingDict()
+            self._by_start = _CountingIndex()
             forests.append(self)
 
     monkeypatch.setattr(parser, "ParseForest", ProbedForest)
@@ -1039,7 +1058,7 @@ def test_chart_probes_grow_with_the_constituents_not_the_line(gloss_pipeline, mo
         forests.clear()
         forest = gloss_pipeline.parse(gloss_pipeline.chunk(_seeded_batch_line(seed, tokens)))
         assert forests == [forest]
-        probes = forest._by_start.lookups
+        probes = sum(starting.lookups for starting in forest._by_start.values())
         assert probes <= PROBES_PER_CONSTITUENT * len(forest.constituents), (tokens, probes)
 
 
