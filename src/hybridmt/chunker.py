@@ -92,15 +92,9 @@ def parse_token_line(line):
 
 
 def render_token_line(tokens):
-    out = []
-    for t in tokens:
-        if t.marker:
-            out.append(t.surface)
-        elif t.tag:
-            out.append("%s/%s" % (t.surface, t.tag))
-        else:
-            out.append(t.surface)
-    return " ".join(out)
+    return " ".join(
+        "%s/%s" % (t.surface, t.tag) if t.tag and not t.marker else t.surface for t in tokens
+    )
 
 
 # ---------------------------------------------------------------------
@@ -141,17 +135,22 @@ class PatternSet:
     def __init__(self):
         self.patterns = []
         self.aliases = {}
+        self._closures = {}
 
     def expand(self, name):
-        """Alias closure: all tags/pattern names a given element accepts."""
-        out, todo = set(), [name]
-        while todo:
-            item = todo.pop()
-            if item in out:
-                continue
-            out.add(item)
-            todo.extend(self.aliases.get(item, ()))
-        return out
+        """Alias closure: all tags/pattern names a given element accepts.
+        Each name's closure is resolved once per pattern set, on its
+        first query, so the aliases must be complete by then."""
+        closure = self._closures.get(name)
+        if closure is None:
+            out, todo = set(), [name]
+            while todo:
+                item = todo.pop()
+                if item not in out:
+                    out.add(item)
+                    todo.extend(self.aliases.get(item, ()))
+            closure = self._closures[name] = frozenset(out)
+        return closure
 
 
 def load_patterns(text, filename="<string>"):

@@ -26,8 +26,7 @@ from . import lattice_lm as wl
 FRAGMENT_SEPARATOR = "##"
 ALTERNATIVE_CAP = 64  # gloss alternatives kept per constituent
 SUPPORTED_FLAGS = frozenset(["past", "passive", "negative", "progressive"])
-_OP_RE = re.compile(r"^op([0-9]+)$")
-_ALT_RE = re.compile(r"^alt([0-9]+)$")
+_PART_RE = re.compile(r"^(op|alt)([0-9]+)$")
 
 
 class GlossError(ValueError):
@@ -173,10 +172,7 @@ def gloss_leaf(token, rb, verbal_categories=frozenset()):
 def _merge_alternatives(structures):
     if len(structures) == 1:
         return structures[0]
-    feats = {}
-    for i, fs in enumerate(structures, 1):
-        feats["alt%d" % i] = fs
-    return FeatStruct.complex(feats)
+    return FeatStruct.complex({"alt%d" % i: fs for i, fs in enumerate(structures, 1)})
 
 
 def gloss_forest(forest, rb, verbal_categories=frozenset(), category_order=()):
@@ -212,14 +208,10 @@ def gloss_forest(forest, rb, verbal_categories=frozenset(), category_order=()):
         pieces.append(_merge_alternatives(options))
     if len(pieces) == 1:
         return pieces[0]
-    feats = {}
-    opn = 0
-    for i, piece in enumerate(pieces):
-        if i:
-            opn += 1
-            feats["op%d" % opn] = FeatStruct.atom(QuotedString(FRAGMENT_SEPARATOR))
-        opn += 1
-        feats["op%d" % opn] = piece
+    parts = [pieces[0]]
+    for piece in pieces[1:]:
+        parts += [FeatStruct.atom(QuotedString(FRAGMENT_SEPARATOR)), piece]
+    feats = {"op%d" % i: part for i, part in enumerate(parts, 1)}
     return FeatStruct.complex({"gloss": FeatStruct.complex(feats)})
 
 
@@ -228,46 +220,44 @@ def gloss_forest(forest, rb, verbal_categories=frozenset(), category_order=()):
 # ---------------------------------------------------------------------
 
 def _tmp_flags(node):
-    flags = set()
-    for feat, value in node.features.items():
-        if feat in SUPPORTED_FLAGS and value.atom_value == "+":
-            flags.add(feat)
-    return flags
+    feats = node.features
+    return {f for f in SUPPORTED_FLAGS.intersection(feats) if feats[f].atom_value == "+"}
 
 
 def flatten_gloss(gloss, irregulars=None):
     """Expand a gloss structure into a word lattice."""
-    return _flatten(gloss, set(), irregulars)
+    return wl.layout(_flatten(gloss, set(), irregulars))
 
 
 def _flatten(node, tmp, irregulars):
-    """``flatten_gloss`` below ``node`` under the inherited tense flags
-    ``tmp``; a module-level function, so the recursion makes no
-    reference cycle."""
-    if node.is_atomic:
-        return wl.from_groups([[str(a) for a in node.allowed]])
+    """The ``lattice_lm.layout`` term of ``node`` under the inherited
+    tense flags ``tmp``; a module-level function, so the recursion
+    makes no reference cycle."""
+    allowed = node.allowed
+    if allowed is not None:
+        if len(allowed) == 1:
+            return str(next(iter(allowed)))
+        return sorted({str(a) for a in allowed})
     if node.is_empty:
-        return wl.WordLattice(2, [(0, 1, wl.EPS)])
+        return ""
     feats = node.features
     if "base" in feats:
-        spec = VerbGroupSpec(
-            (str(a) for a in feats["base"].allowed),
-            _tmp_flags(node) | tmp,
-        )
-        return wl.from_groups(realize_verbgroup(spec, irregulars))
-    ops = sorted(
-        ((int(m.group(1)), f) for f in feats if (m := _OP_RE.match(f))),
-    )
+        spec = VerbGroupSpec((str(a) for a in feats["base"].allowed), _tmp_flags(node) | tmp)
+        return wl.groups_term(realize_verbgroup(spec, irregulars))
+    # one scan finds both kinds; op features win over alt features
+    ops, alts = [], []
+    for f in feats:
+        m = _PART_RE.match(f)
+        if m:
+            (ops if m.group(1) == "op" else alts).append((int(m.group(2)), f))
     if ops:
-        numbers = [n for n, _ in ops]
-        if numbers != list(range(1, len(numbers) + 1)):
+        ops.sort()
+        if [n for n, _ in ops] != list(range(1, len(ops) + 1)):
             raise GlossError("op features must be consecutive from op1")
-        return wl.concat_all([_flatten(feats[f], tmp, irregulars) for _, f in ops])
-    alts = sorted(
-        ((int(m.group(1)), f) for f in feats if (m := _ALT_RE.match(f))),
-    )
+        return tuple([_flatten(feats[f], tmp, irregulars) for _, f in ops])
     if alts:
-        return wl.alternate_all([_flatten(feats[f], tmp, irregulars) for _, f in alts])
+        alts.sort()
+        return [_flatten(feats[f], tmp, irregulars) for _, f in alts]
     if "gloss" in feats:
         tmp = tmp | _tmp_flags(feats.get("tmp", FeatStruct.empty()))
         return _flatten(feats["gloss"], tmp, irregulars)

@@ -2,16 +2,20 @@
 
 A word lattice is an acyclic word graph with a unique source (node 0)
 and sink (last node); each source-to-sink path is one candidate
-sentence.  The trigram model is trained with two start symbols and one
-end symbol per sentence, Good-Turing discounting of low counts
-(r* = (r+1) * N_{r+1} / N_r below the cutoff, applied only where it
-lowers the count) and Katz-style backoff to
-bigram, unigram and finally a small out-of-vocabulary reserve, so every
-query has strictly positive probability.  Extraction is exact dynamic
-programming over (node, last-two-words) states, not a beam, run over
-the lattice's own edges: an epsilon edge carries a node's states on
-unchanged, so a lattice whose only cycle is made of epsilon edges is as
-undecodable as any other cyclic one.
+sentence.  Every lattice ``layout`` builds (every gloss and realizer
+lattice) is numbered forward, each edge from a lower node id to a
+higher one, so validation, path counting and decoding sweep the ids in
+turn; only a lattice with a backward edge, from ``parse_lattice`` or
+built by hand, gets its order from Kahn's algorithm.  The trigram model
+is trained with two start symbols and one end symbol per sentence,
+Good-Turing discounting of low counts (r* = (r+1) * N_{r+1} / N_r below
+the cutoff, applied only where it lowers the count) and Katz-style
+backoff to bigram, unigram and finally a small out-of-vocabulary
+reserve, so every query has strictly positive probability.  Extraction
+is exact dynamic programming over (node, last-two-words) states, not a
+beam, run over the lattice's own edges: an epsilon edge carries a
+node's states on unchanged, so a lattice whose only cycle is made of
+epsilon edges is as undecodable as any other cyclic one.
 """
 
 import math
@@ -30,7 +34,9 @@ class LatticeError(ValueError):
 
 class WordLattice:
     """Nodes 0..n-1; node 0 is the source, node n-1 the sink.  Edges are
-    (src, dst, label) with label None for epsilon."""
+    (src, dst, label) with label None for epsilon, and run forward
+    (src < dst) in every lattice ``layout`` builds; one with a backward
+    edge costs a topological sort."""
 
     def __init__(self, node_count, edges):
         self.node_count = node_count
@@ -82,13 +88,20 @@ def _check_shape(node_count, edges):
 
 
 def _edge_pass(lattice):
-    """Out-edge lists and in-degrees from one pass over the edges, then
-    (out-edge lists, topological node order or None on a cycle)."""
+    """(out-edge lists, topological node order or None on a cycle): the
+    node ids in turn if the pass over the edges finds them all forward,
+    else the order Kahn's algorithm gives."""
     node_count = lattice.node_count
     out = [[] for _ in range(node_count)]
-    indeg = [0] * node_count
+    forward = True
     for src, dst, label in lattice.edges:
         out[src].append((dst, label))
+        if src >= dst:
+            forward = False
+    if forward:
+        return out, range(node_count)
+    indeg = [0] * node_count
+    for src, dst, _label in lattice.edges:
         indeg[dst] += 1
     stack = [node for node in range(node_count) if indeg[node] == 0]
     order = []
@@ -106,63 +119,60 @@ def _edge_pass(lattice):
 # Lattice algebra
 # ---------------------------------------------------------------------
 
-def from_phrase(phrase):
-    """Split a multiword string on spaces into an edge sequence."""
-    words = phrase.split()
-    if not words:
-        return WordLattice(2, [(0, 1, EPS)])
-    edges = [(i, i + 1, w) for i, w in enumerate(words)]
-    return WordLattice(len(words) + 1, edges)
+def layout(term):
+    """The word lattice of a term, written as one edge list: a phrase
+    (a string split on spaces into an edge sequence, or one epsilon
+    edge if it has no words), a concatenation (a tuple of terms, each
+    sink spliced to the next source by an epsilon edge) or an
+    alternation (a list of terms, folded left as pairs that each get a
+    fresh source and sink with epsilon edges around both); a one-term
+    tuple or list is that term.  Nodes are numbered and edges ordered as
+    that pairwise algebra would, so every edge runs forward."""
+    edges = []
+    return WordLattice(_lay(term, edges, 0), edges)
+
+
+def _lay(term, edges, start):
+    """Append the edges of ``term`` with its source at node ``start``;
+    return the node after its sink."""
+    if isinstance(term, str):
+        words = term.split() or [EPS]
+        for node, word in enumerate(words, start):
+            edges.append((node, node + 1, word))
+        return start + len(words) + 1
+    if len(term) == 1:
+        return _lay(term[0], edges, start)
+    if isinstance(term, tuple):
+        end = _lay(term[0], edges, start)
+        for part in term[1:]:
+            edges.append((end - 1, end, EPS))
+            end = _lay(part, edges, end)
+        return end
+    # step i of the fold over k operands has its source at node
+    # start+k-1-i; the steps' source edges, outermost first, precede
+    # operand 0 in slots filled once step i's operand has its node ids
+    last = len(term) - 1
+    slots = len(edges)
+    edges.extend([None] * (2 * last))
+    end = _lay(term[0], edges, start + last)
+    for i in range(1, last + 1):
+        source, slot = start + last - i, slots + 2 * (last - i)
+        edges[slot] = (source, source + 1, EPS)
+        edges[slot + 1] = (source, end, EPS)
+        sink = _lay(term[i], edges, end)
+        edges.append((end - 1, sink, EPS))
+        edges.append((sink - 1, sink, EPS))
+        end = sink + 1
+    return end
+
+
+def groups_term(groups):
+    """The groups in order, each an alternation of its distinct phrases, sorted."""
+    return tuple(sorted(set(group)) for group in groups)
 
 
 def from_groups(groups):
-    """Concatenation, in order, of one alternation per group over the
-    group's distinct phrases in sorted order."""
-    return concat_all(
-        [alternate_all([from_phrase(p) for p in sorted(set(g))]) for g in groups]
-    )
-
-
-def _shift(edges, offset):
-    return [(s + offset, d + offset, w) for s, d, w in edges]
-
-
-def concat_all(lattices):
-    """The operands in sequence, each one's sink spliced to the next
-    one's source by an epsilon edge, built as one edge list with a
-    running node offset."""
-    if len(lattices) < 2:
-        return lattices[0] if lattices else None
-    edges, offset = [], 0
-    for lat in lattices:
-        if offset:
-            edges.append((offset - 1, offset, EPS))
-        edges.extend(_shift(lat.edges, offset))
-        offset += lat.node_count
-    return WordLattice(offset, edges)
-
-
-def alternate_all(lattices):
-    """A choice between the operands, folded left as pairs that each
-    get a fresh source and sink with epsilon edges around both, built
-    as one edge list.  Step i of the fold wraps the alternation so far
-    one node deeper, so with k operands its source is node k-1-i: the
-    steps' source edges come outermost first, then operand 0, then each
-    step's operand and its two sink edges."""
-    if len(lattices) < 2:
-        return lattices[0] if lattices else None
-    last = len(lattices) - 1
-    sources, rest = [], _shift(lattices[0].edges, last)
-    size = lattices[0].node_count  # nodes in the alternation so far
-    for i, lat in enumerate(lattices[1:], 1):
-        start = last - i
-        sink = start + size + lat.node_count + 1
-        sources.append(((start, start + 1, EPS), (start, start + 1 + size, EPS)))
-        rest.extend(_shift(lat.edges, start + 1 + size))
-        rest.append((start + size, sink, EPS))
-        rest.append((start + size + lat.node_count, sink, EPS))
-        size += lat.node_count + 2
-    return WordLattice(size, [edge for pair in reversed(sources) for edge in pair] + rest)
+    return layout(groups_term(groups))
 
 
 def all_paths(lattice, cap=10_000):
@@ -633,8 +643,9 @@ def _decode(lattice, model, n):
     sequences are rebuilt from the chains only at the sink, and where
     two scores tie only the words after the two chains meet are read.
     One pass over the edges gives the out-edge lists
-    and the topological order, and states move along the lattice's own
-    edges in that order: a word edge extends each entry and shifts the
+    and the topological order (the node ids themselves when every edge
+    runs forward), and states move along the lattice's own edges in
+    that order: a word edge extends each entry and shifts the
     history, an epsilon edge carries the entries to its target under
     the same history, so the empty path reaches the sink as its
     (``<s>``, ``<s>``) state.  A cycle, even one of epsilon edges only

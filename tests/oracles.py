@@ -3,11 +3,15 @@
 Nothing in ``src/hybridmt`` or ``bench/`` calls these.  Each is the
 plain or pairwise form of a job the product does in one pass, written
 without the product's private helpers, so that the two stay independent:
-``concat`` and ``alternate`` are the folds that ``concat_all`` and
-``alternate_all`` flatten, ``topological_order`` orders a lattice
-without ``lattice_lm._edge_pass``, and ``enumerate_trees`` unpacks the
-forest that ``count_trees`` only counts.
+``from_phrase``, ``concat`` and ``alternate`` are the pairwise lattice
+algebra that ``lattice_lm.layout`` writes in one pass, and
+``concat_all`` and ``alternate_all`` their left folds;
+``topological_order`` orders a lattice without
+``lattice_lm._edge_pass``, and ``enumerate_trees`` unpacks the forest
+that ``count_trees`` only counts.
 """
+
+from functools import reduce
 
 from hybridmt import sexpr
 from hybridmt.featstruct import parse_featstruct_expr
@@ -106,6 +110,14 @@ def from_word(word):
     return WordLattice(2, [(0, 1, word)])
 
 
+def from_phrase(phrase):
+    """Split a multiword string on spaces into an edge sequence."""
+    words = phrase.split()
+    if not words:
+        return WordLattice(2, [(0, 1, EPS)])
+    return WordLattice(len(words) + 1, [(i, i + 1, w) for i, w in enumerate(words)])
+
+
 def _shifted(edges, offset):
     return [(src + offset, dst + offset, label) for src, dst, label in edges]
 
@@ -127,6 +139,14 @@ def alternate(a, b):
     edges.append((a.sink + 1, sink, EPS))
     edges.append((b.sink + 1 + a.node_count, sink, EPS))
     return WordLattice(sink + 1, edges)
+
+
+def concat_all(lattices):
+    return reduce(concat, lattices)
+
+
+def alternate_all(lattices):
+    return reduce(alternate, lattices)
 
 
 def topological_order(lattice):

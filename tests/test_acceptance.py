@@ -20,7 +20,7 @@ from hybridmt.realizer import realize
 from hybridmt.rulebase import LexiconEntry, parse_rule_file
 
 from conftest import fixture_path
-from oracles import alternate, concat, enumerate_trees, from_word, isomorphic
+from oracles import alternate, concat, enumerate_trees, from_phrase, from_word, isomorphic
 
 GLOSS_DEMO = "john/N wa/HA ima/ADV tabetai/V"
 INTERLINGUA_DEMO = "kaisha/N wa/HA nigatsu/DATE ni/NI hossoku/VN wo/WO keikaku/V"
@@ -206,7 +206,7 @@ def _random_lattice(rng, depth=0):
             w = rng.choice(words)
             return from_word(w), {(w,)}
         phrase = " ".join(rng.choice(words) for _ in range(rng.randint(0, 3)))
-        return wl.from_phrase(phrase), {tuple(phrase.split())}
+        return from_phrase(phrase), {tuple(phrase.split())}
     left, lp = _random_lattice(rng, depth + 1)
     right, rp = _random_lattice(rng, depth + 1)
     if rng.random() < 0.5:

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -22,6 +23,7 @@ from hybridmt.parser import count_trees, parse
 from hybridmt.rulebase import parse_rule_file, load_rulebase
 
 from conftest import fixture_path
+from oracles import alternate_all, concat_all, from_phrase
 
 
 @pytest.fixture(scope="module")
@@ -326,14 +328,23 @@ def test_cover_options_stop_at_the_alternative_cap():
 
 # -- flattening starts at the top node -----------------------------------
 
+_OP_RE = re.compile(r"^op([0-9]+)$")
+_ALT_RE = re.compile(r"^alt([0-9]+)$")
+
+
+def _from_groups(groups):
+    return concat_all([alternate_all([from_phrase(p) for p in sorted(set(g))]) for g in groups])
+
+
 def _flatten_unwrapping_the_top(gloss, irregulars=None):
     """``flatten_gloss`` as it was when it unwrapped the top node's
-    ``gloss`` and ``tmp`` features before building: the reference that
-    starting at the top node must equal."""
+    ``gloss`` and ``tmp`` features before building, on the pairwise
+    lattice algebra: the reference that starting at the top node and
+    building in one pass must equal."""
 
     def build(node, tmp):
         if node.is_atomic:
-            return wl.from_groups([[str(a) for a in node.allowed]])
+            return _from_groups([[str(a) for a in node.allowed]])
         if node.is_empty:
             return wl.WordLattice(2, [(0, 1, wl.EPS)])
         feats = node.features
@@ -342,20 +353,20 @@ def _flatten_unwrapping_the_top(gloss, irregulars=None):
                 (str(a) for a in feats["base"].allowed),
                 glosser._tmp_flags(node) | tmp,
             )
-            return wl.from_groups(realize_verbgroup(spec, irregulars))
+            return _from_groups(realize_verbgroup(spec, irregulars))
         ops = sorted(
-            ((int(m.group(1)), f) for f in feats if (m := glosser._OP_RE.match(f))),
+            ((int(m.group(1)), f) for f in feats if (m := _OP_RE.match(f))),
         )
         if ops:
             numbers = [n for n, _ in ops]
             if numbers != list(range(1, len(numbers) + 1)):
                 raise GlossError("op features must be consecutive from op1")
-            return wl.concat_all([build(feats[f], tmp) for _, f in ops])
+            return concat_all([build(feats[f], tmp) for _, f in ops])
         alts = sorted(
-            ((int(m.group(1)), f) for f in feats if (m := glosser._ALT_RE.match(f))),
+            ((int(m.group(1)), f) for f in feats if (m := _ALT_RE.match(f))),
         )
         if alts:
-            return wl.alternate_all([build(feats[f], tmp) for _, f in alts])
+            return alternate_all([build(feats[f], tmp) for _, f in alts])
         if "gloss" in feats:
             tmp_node = feats.get("tmp", FeatStruct.empty())
             return build(feats["gloss"], tmp | glosser._tmp_flags(tmp_node))

@@ -15,11 +15,9 @@ from hybridmt.lattice_lm import (
     TrigramModel,
     WordLattice,
     all_paths,
-    alternate_all,
     best_path,
-    concat_all,
     dump_lattice,
-    from_phrase,
+    layout,
     parse_lattice,
     score_sequence,
     top_n,
@@ -27,7 +25,15 @@ from hybridmt.lattice_lm import (
 )
 
 from conftest import fixture_path, ngram_rows
-from oracles import alternate, concat, from_word, topological_order
+from oracles import (
+    alternate,
+    alternate_all,
+    concat,
+    concat_all,
+    from_phrase,
+    from_word,
+    topological_order,
+)
 
 
 def _read(name):
@@ -621,18 +627,31 @@ def test_epsilon_targets_do_not_share_the_entries_they_carry(head_start):
     assert top_n(lattice, model, 8) == [(list(p), score) for score, p in ranked]
 
 
-def _fold(pairwise, lattices):
-    out = lattices[0]
-    for lat in lattices[1:]:
-        out = pairwise(out, lat)
-    return out
+# a phrase, a concatenation (tuple) or an alternation (list) of terms
+layout_terms = st.recursive(
+    st.sampled_from(["", "a", "b c", "x y d"]),
+    lambda parts: st.one_of(
+        st.lists(parts, min_size=1, max_size=4).map(tuple),
+        st.lists(parts, min_size=1, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def _fold_term(term):
+    """The pairwise algebra's lattice of a ``layout`` term."""
+    if isinstance(term, str):
+        return from_phrase(term)
+    parts = [_fold_term(part) for part in term]
+    return concat_all(parts) if isinstance(term, tuple) else alternate_all(parts)
 
 
 @NBEST
-@given(st.lists(st.one_of(small_lattices(), epsilon_lattices()), min_size=1, max_size=6))
-def test_n_ary_algebra_dumps_what_the_pairwise_fold_dumps(lattices):
-    assert dump_lattice(concat_all(lattices)) == dump_lattice(_fold(concat, lattices))
-    assert dump_lattice(alternate_all(lattices)) == dump_lattice(_fold(alternate, lattices))
+@given(layout_terms)
+def test_n_ary_algebra_dumps_what_the_pairwise_fold_dumps(term):
+    lattice = layout(term)
+    assert dump_lattice(lattice) == dump_lattice(_fold_term(term))
+    assert all(src < dst for src, dst, _label in lattice.edges)
 
 
 def test_top_n_lists_parallel_and_epsilon_routes_once():

@@ -18,6 +18,7 @@ from hybridmt.pipeline import (
     PipelineConfig,
     ResourceError,
     SentenceTrace,
+    _path_count,
     format_trace,
     load_config,
     parse_trace,
@@ -1011,6 +1012,42 @@ def test_cli_decode_takes_a_lattice_without_a_header(tmp_path, capsys, gloss_pip
     out = _cli_output(capsys, "gloss.cfg", "decode", inp)
     words, _score = gloss_pipeline.decode(lattice)
     assert out == " ".join(words) + "\n"
+
+
+def _reverse_interior(lattice):
+    """The lattice with its interior node ids in reverse order, so that
+    every edge between two interior nodes runs backward."""
+    sink = lattice.sink
+    new_id = [0, *range(sink - 1, 0, -1), sink]
+    edges = [(new_id[src], new_id[dst], label) for src, dst, label in lattice.edges]
+    return lattice_lm.WordLattice(lattice.node_count, edges)
+
+
+def test_batch_lattices_numbered_backward_decode_alike(gloss_pipeline):
+    # the gloss lattices run forward, so they decode by sweeping node
+    # ids; renumbered, they take the topological sort instead
+    pipe = gloss_pipeline
+    backward = 0
+    for line in _read("batch50.txt").splitlines():
+        lattice = pipe.gloss(pipe.parse(pipe.chunk(line)))
+        renumbered = _reverse_interior(lattice)
+        backward += any(src > dst for src, dst, _label in renumbered.edges)
+        assert lattice_lm.top_n(renumbered, pipe.lm, 5) == lattice_lm.top_n(lattice, pipe.lm, 5)
+        assert _path_count(renumbered) == _path_count(lattice)
+    # the other 13 lines gloss to a single word edge
+    assert backward == 37
+
+
+@pytest.mark.parametrize("renumber", [lambda lattice: lattice, _reverse_interior])
+def test_decoding_leaves_the_lattice_as_it_was(gloss_pipeline, renumber):
+    lattice = renumber(lattice_lm.from_groups([["John"], ["wants", "want"], ["to"], ["eat", "ate"]]))
+    edges = lattice.edges
+    before = (dict(vars(lattice)), list(edges))
+    lattice_lm.best_path(lattice, gloss_pipeline.lm)
+    lattice_lm.top_n(lattice, gloss_pipeline.lm, 3)
+    _path_count(lattice)
+    assert (dict(vars(lattice)), list(edges)) == before
+    assert lattice.edges is edges
 
 
 def test_cli_train_postedit_reproduces_committed_tree(capsys):
