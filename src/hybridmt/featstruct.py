@@ -16,12 +16,14 @@ equation list against variable bindings, expanding ``*OR*`` blocks into
 alternative solutions and checking ``*XOR*`` blocks, existence tests and
 ``=c`` constraint equations.  An equation list that only collects child
 values into X0 is solved by ``graft`` instead, which builds X0 around
-the children's own nodes.
+the children's own nodes; where a longer left-hand path adds to a
+child's node, X0 holds a copy of that node, which still shares the
+node's children, and the longer path writes into the copy.
 
 Sharing nodes between structures is sound only because nothing changes
 a ``FeatStruct`` once it is built: unification works on mutable
 ``_MNode`` copies and freezes the result into new nodes, and ``graft``
-fills in only the fresh X0 nodes it is building.
+fills in only the fresh X0 nodes and copies it is building.
 """
 
 import re
@@ -724,10 +726,13 @@ def graft_plan(eqs):
     ``apply_equations`` can solve it.
 
     A list is graftable when every equation is ``(X0 p) = (Xi q)`` with
-    i >= 1, or ``(X0 p) = leaf`` with an atom or ``*OR*`` leaf, and no
-    left-hand path p is empty, equal to another or a prefix of one.
-    The plan is the highest child index named and ``(p, i, q)`` per
-    equation, with i None and q the leaf's atoms for a leaf.
+    i >= 1, or ``(X0 p) = leaf`` with an atom or ``*OR*`` leaf, no
+    left-hand path p is empty or equal to another, and a p that is a
+    prefix of another has a child path on its right.  The plan is the
+    highest child index named and ``(p, i, q, adds)`` per equation, in
+    path order so that a prefix comes before the paths it prefixes:
+    i None and q the leaf's atoms for a leaf, and ``adds`` the features
+    the longer paths add under p, or None when p prefixes none.
     """
     entries = []
     arity = 0
@@ -745,12 +750,21 @@ def graft_plan(eqs):
             entries.append((eq.lhs.path, None, rhs.allowed))
         else:
             return None
-    # in sorted order a path sorts straight before the paths it prefixes
-    paths = sorted([lhs for lhs, _, _ in entries])
-    for shorter, longer in zip(paths, paths[1:]):
-        if longer[: len(shorter)] == shorter:
+    entries.sort(key=lambda entry: entry[0])
+    plan = []
+    for k, (lhs, index, rhs) in enumerate(entries):
+        # in sorted order the paths that lhs prefixes follow it straight
+        adds = set()
+        for longer, _, _ in entries[k + 1 :]:
+            if longer[: len(lhs)] != lhs:
+                break
+            if len(longer) == len(lhs):
+                return None
+            adds.add(longer[len(lhs)])
+        if adds and index is None:
             return None
-    return arity, entries
+        plan.append((lhs, index, rhs, frozenset(adds) if adds else None))
+    return arity, plan
 
 
 def graft(plan, children):
@@ -760,10 +774,17 @@ def graft(plan, children):
     X0 is fresh nodes along the left-hand paths.  A leaf is the child's
     own node at q, a fresh atom node, or, where q is missing in the
     child, a fresh empty node (one per missing path and child node).
-    Returns ``[X0]``, ``[]`` when q descends into an atom, or None when
-    ``apply_equations`` must decide: it copies each variable apart, so
-    a node shared through two variables is not reentrant there, and it
-    grows a child along a missing path, which X0 may share.
+    Where longer left-hand paths add to p, X0 holds a copy of the
+    child's node at q instead, whose features are the child's own
+    nodes, and the longer paths write into the copy: no child node
+    ever changes.  Returns ``[X0]``, ``[]`` when q descends into an
+    atom, or None when ``apply_equations`` must decide.  The solver
+    copies each variable apart, so a node shared through two variables
+    is not reentrant there; it grows a child along a missing path,
+    which X0 may share; and it adds to the child's node itself, which
+    fails on an atom or a ``*NOT*`` residue, unifies a feature already
+    there, shows wherever else X0 holds that node, and may close a
+    cycle through a grown one.
     """
     arity, entries = plan
     if arity > len(children):
@@ -771,18 +792,28 @@ def graft(plan, children):
     x0 = FeatStruct()
     shared = {}  # child index -> the child's nodes X0 shares
     grown = {}  # (child index, id of the last node found, missing steps) -> leaf
-    for lhs, index, rhs in entries:
+    copied = set()  # ids of the child nodes X0 holds a copy of
+    for lhs, index, rhs, adds in entries:
         if index is None:
             leaf = FeatStruct(allowed=rhs)
         else:
             node, depth = _follow(children[index - 1], rhs)
             if node is None:
                 return []
-            if depth == len(rhs):
+            if depth < len(rhs):
+                if adds is not None:
+                    return None
+                leaf = grown.setdefault((index, id(node), rhs[depth:]), FeatStruct())
+            elif adds is None:
                 leaf = node
                 shared.setdefault(index, []).append(node)
             else:
-                leaf = grown.setdefault((index, id(node), rhs[depth:]), FeatStruct())
+                if node.allowed is not None or node.forbidden or id(node) in copied \
+                        or not adds.isdisjoint(node.features):
+                    return None
+                copied.add(id(node))
+                leaf = FeatStruct(node.features)
+                shared.setdefault(index, []).extend(node.features.values())
         parent = x0
         for feat in lhs[:-1]:
             child = parent.features.get(feat)
@@ -790,7 +821,7 @@ def graft(plan, children):
                 child = parent.features[feat] = FeatStruct()
             parent = child
         parent.features[lhs[-1]] = leaf
-    if (len(shared) > 1 or grown) and not _graft_agrees(shared, grown):
+    if (len(shared) > 1 or grown or copied) and not _graft_agrees(shared, grown, copied):
         return None
     return [x0]
 
@@ -808,12 +839,14 @@ def _follow(node, path):
     return node, len(path)
 
 
-def _graft_agrees(shared, grown):
+def _graft_agrees(shared, grown, copied):
     """True iff the grafted X0 is the one ``apply_equations`` builds: no
-    node is shared through two variables, no missing path stops inside
-    a subgraph its own variable shares, and no missing path extends
+    node is shared through two variables, no child node X0 holds a copy
+    of is also shared, no missing path stops inside a subgraph its own
+    variable shares or at a copied node, and no missing path extends
     another one stopping at the same node."""
-    owner = {}  # node id -> index of the variable sharing it
+    # node id -> index of the variable sharing it, 0 for a copied node
+    owner = dict.fromkeys(copied, 0)
     for index, nodes in shared.items():
         stack = list(nodes)
         while stack:
@@ -825,7 +858,7 @@ def _graft_agrees(shared, grown):
             elif held != index:
                 return False
     for index, stop, steps in grown:
-        if owner.get(stop) == index:
+        if owner.get(stop) in (index, 0):
             return False
         for k in range(1, len(steps)):
             if (index, stop, steps[:k]) in grown:

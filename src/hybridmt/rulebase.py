@@ -56,7 +56,8 @@ class RuleKey(tuple):
 
 class EquationSet:
     """One parsed equation list and its ``featstruct.graft_plan``
-    (None: the full solver solves it)."""
+    (None: the full solver solves it, as it does a set ``graft`` turns
+    down for the children at hand)."""
 
     __slots__ = ("equations", "plan")
 

@@ -505,6 +505,7 @@ def test_constraint_on_cyclic_structure_fails_the_solution():
         "((X0 a) = X1)",
         "((X0 a b) = (X2 c)) ((X0 a c) = v1) ((X0 d) = (*OR* v1 v2))",
         "((X0 a) = (X1 b)) ((X0 c) = (X1 b))",
+        "((X0 a) = (X1 b)) ((X0 a b) = v1)",  # X0 extends a copy of X1's b
     ],
 )
 def test_sets_that_only_collect_child_values_are_graftable(text):
@@ -515,7 +516,7 @@ def test_sets_that_only_collect_child_values_are_graftable(text):
     "text",
     [
         "((X0 a) = (X1 b)) ((X0 a) = (X2 b))",  # one left-hand path twice
-        "((X0 a) = (X1 b)) ((X0 a b) = v1)",  # one a prefix of another
+        "((X0 a) = v1) ((X0 a b) = v2)",  # a prefix whose right side is a leaf
         "(X0 = X1)",  # no left-hand path
         "((X1 a) = (X2 a))",  # a left-hand side on a child
         "((X0 a) = (X0 b))",  # X0 on the right

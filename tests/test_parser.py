@@ -349,8 +349,9 @@ def test_solve_rule_matches_apply_equations_per_set(case):
 def _graftable_cases(draw):
     """Children drawn from a small shared pool, some wrapped so that one
     pooled subgraph recurs under another variable, and a graftable set
-    over them: X0 left-hand paths none of which is a prefix of another,
-    child paths present, missing or through an atom, and atom leaves."""
+    over them: distinct X0 left-hand paths, some nested, where a path
+    that others extend takes a child path; child paths present, missing
+    or through an atom, and atom leaves."""
     arity = draw(st.integers(1, 3))
     structures = st.one_of(_feat_structs(), st.just(FeatStruct.empty()))
     pool = draw(st.lists(structures, min_size=1, max_size=3))
@@ -362,18 +363,37 @@ def _graftable_cases(draw):
             wrap = draw(st.lists(feats, min_size=1, max_size=2, unique=True))
             fs = FeatStruct.complex({f: fs for f in wrap})
         children.append(fs)
+    # X0 features include two that no child has, which a copy can take
+    lhs_steps = st.lists(st.sampled_from(FS_FEATS + ("d", "e")), min_size=1, max_size=2)
     kept = []
-    lhs_paths = st.lists(feats, min_size=1, max_size=2).map(tuple)
-    for lhs in draw(st.lists(lhs_paths, min_size=1, max_size=5)):
-        if not any(lhs[: len(k)] == k or k[: len(lhs)] == lhs for k in kept):
+    for _ in range(draw(st.integers(1, 5))):
+        lhs = tuple(draw(lhs_steps))
+        if kept and draw(st.booleans()):
+            lhs = draw(st.sampled_from(kept)) + lhs
+        if lhs not in kept:
             kept.append(lhs)
     # a few child paths per set, so that some recur and some nest
     children_vars = st.sampled_from(["X%d" % i for i in range(1, arity + 1)])
     child_paths = st.builds(_path, children_vars, st.lists(feats, max_size=3))
-    sources = draw(st.lists(child_paths, min_size=1, max_size=3))
-    values = st.one_of(st.sampled_from(sources), st.sampled_from(FS_ATOMS + ("(*OR* v1 v2)",)))
-    text = " ".join("(%s = %s)" % (_path("X0", lhs), draw(values)) for lhs in kept)
-    return children, _equation_set(text)
+    sources = st.sampled_from(draw(st.lists(child_paths, min_size=1, max_size=3)))
+    values = st.one_of(sources, st.sampled_from(FS_ATOMS + ("(*OR* v1 v2)",)))
+    equations = []
+    for lhs in kept:
+        extended = any(len(k) > len(lhs) and k[: len(lhs)] == lhs for k in kept)
+        if not extended:
+            value = draw(values)
+        elif draw(st.booleans()):
+            value = draw(sources)
+        else:
+            # a path the child has, so that more extended nodes get copied
+            index = draw(st.integers(1, arity))
+            node, steps = children[index - 1], []
+            while node.features and draw(st.booleans()):
+                steps.append(draw(st.sampled_from(sorted(node.features))))
+                node = node.features[steps[-1]]
+            value = _path("X%d" % index, steps)
+        equations.append("(%s = %s)" % (_path("X0", lhs), value))
+    return children, _equation_set(" ".join(equations))
 
 
 def _equation_set(text):
@@ -447,6 +467,73 @@ def test_a_path_through_an_atom_has_no_solution():
     assert _grafted("((X0 a) = (X1 syn n x))", parse_featstruct(SG)) == []
     atom = FeatStruct.atom("v1")
     assert _grafted("((X0 a) = (X1 syn)) ((X0 b) = (X2 n))", parse_featstruct(SG), atom) == []
+
+
+def test_a_longer_left_hand_path_extends_a_copy_of_the_childs_node():
+    child = parse_featstruct("((syn ((n sg) (p ((q v1))))))")
+    before = canonical(child)
+    eqset = _equation_set("((X0 syn) = (X1 syn)) ((X0 syn topic) = plus)")
+    assert eqset.plan is not None
+    (x0,) = parser._solve_rule([eqset], [child])
+    assert canonical(x0) == "((syn ((n sg) (p ((q v1))) (topic plus))))"
+    assert x0["syn"] is not child["syn"]
+    assert x0["syn"]["p"] is child["syn"]["p"]
+    assert canonical(child) == before
+    # two levels: the copy of X2's node holds a copy of X1's
+    eqset = _equation_set("((X0 s) = (X2 syn)) ((X0 s m) = (X1 syn)) ((X0 s m k) = v2)")
+    (x0,) = parser._solve_rule([eqset], [child, parse_featstruct("((syn ((n pl))))")])
+    assert canonical(x0) == "((s ((m ((k v2) (n sg) (p ((q v1))))) (n pl))))"
+    assert x0["s"]["m"]["p"] is child["syn"]["p"]
+    assert canonical(child) == before
+
+
+def test_an_extended_atom_or_residue_goes_to_the_solver():
+    text = "((X0 a) = (X1 syn)) ((X0 a x) = v1)"
+    assert _grafted(text, parse_featstruct("((syn v2))")) == []
+    # the solver walks into the residue's node without unifying it, and
+    # the residue stays on the node, where canonical does not show it
+    residue = parse_featstruct("((syn (*NOT* v1)))")
+    assert _grafted(text, residue) == ["((a ((x v1))))"]
+    (x0,) = parser._solve_rule([_equation_set(text)], [residue])
+    assert x0["a"].forbidden == {"v1"}
+
+
+def test_a_longer_path_to_a_feature_the_child_has_goes_to_the_solver():
+    got = _grafted("((X0 a) = (X1 syn)) ((X0 a n) = (*OR* sg pl))", parse_featstruct(SG))
+    assert got == ["((a ((n sg))))"]
+
+
+def test_an_extended_node_held_twice_in_x0_goes_to_the_solver():
+    child = parse_featstruct(SG)
+    # through another left-hand path
+    got = _grafted("((X0 a) = (X1 syn)) ((X0 b) = (X1 syn)) ((X0 a x) = v1)", child)
+    assert got == ["((a #1=((n sg) (x v1))) (b #1#))"]
+    # through another left-hand path, which a longer path extends too
+    text = "((X0 a) = (X1 syn)) ((X0 b) = (X1 syn)) ((X0 a x) = v1) ((X0 b y) = v2)"
+    assert _grafted(text, child) == ["((a #1=((n sg) (x v1) (y v2))) (b #1#))"]
+    # inside another subgraph X0 shares
+    got = _grafted("((X0 a) = (X1 syn)) ((X0 b) = X1) ((X0 a x) = v1)", child)
+    assert got == ["((a #1=((n sg) (x v1))) (b ((syn #1#))))"]
+    # inside a subgraph of another variable bound to the same structure
+    got = _grafted("((X0 a) = (X1 syn)) ((X0 b) = (X2 syn)) ((X0 a x) = v1)", child, child)
+    assert got == ["((a ((n sg) (x v1))) (b ((n sg))))"]
+    # through reentrancy in the child
+    reentrant = parse_featstruct("((f #1=((g v1))) (h ((k #1#))))")
+    got = _grafted("((X0 a) = (X1 f)) ((X0 b) = (X1 h)) ((X0 a x) = v1)", reentrant)
+    assert got == ["((a #1=((g v1) (x v1))) (b ((k #1#))))"]
+
+
+def test_extending_a_node_grown_for_a_missing_path_goes_to_the_solver():
+    # the solver grows X1 at (syn num) and then closes a cycle through it
+    text = "((X0 a) = (X1 syn num)) ((X0 a x) = (X1 syn num))"
+    assert _grafted(text, parse_featstruct(SG)) == []
+
+
+def test_a_missing_path_stopping_at_a_copied_node_goes_to_the_solver():
+    got = _grafted(
+        "((X0 a) = (X1 syn)) ((X0 a x) = v1) ((X0 b) = (X1 syn num))", parse_featstruct(SG)
+    )
+    assert got == ["((a ((n sg) (num #1=()) (x v1))) (b #1#))"]
 
 
 def test_a_graft_naming_an_unbound_variable_is_an_error():
@@ -768,6 +855,79 @@ def _cap_sweep(grammar, tokens):
 def test_forests_at_every_edge_cap_equal_recorded_digests():
     got = {name: _cap_sweep(*case) for name, case in CAP_SWEEP_CASES.items()}
     assert got == CAP_SWEEP_DIGESTS
+
+
+# equation sets whose left-hand paths nest, each with the highest child
+# variable it names: X0 extends a copy of a child's f, two levels deep,
+# over a feature the child may have, through a node X0 holds twice,
+# over a missing child path, or next to a missing path under the copy
+NESTED_EQUATIONS = (
+    (0, ""),
+    (1, "((X0 f) = (X1 f))"),
+    (1, "((X0 f) = (X1 f)) ((X0 f k) = v1)"),
+    (2, "((X0 f) = (X1 f)) ((X0 f h) = (X2 h))"),
+    (2, "((X0 f) = (X2 f)) ((X0 f g) = (X1 f g))"),
+    (2, "((X0 f) = (X1 f)) ((X0 f m) = (X2 f)) ((X0 f m n) = v2)"),
+    (1, "((X0 f) = (X1 f)) ((X0 h) = (X1 f)) ((X0 f k) = v1)"),
+    (1, "((X0 f) = (X1 h)) ((X0 f k) = v2)"),
+    (2, "((X0 f) = (X1 f)) ((X0 f k) = v1) ((X0 h) = (X2 f m))"),
+)
+# lexicon structures with f complex, reentrant, atomic, a residue or missing
+NESTED_LEXICON = (
+    "((f ((g v1))) (h v2))",
+    "((f ((g v2) (k v2))) (h ((g v1))))",
+    "((f #1=((g v1))) (h #1#))",
+    "((f (*NOT* v1)))",
+    "((f v1))",
+    "((h v1))",
+)
+
+
+def _nested_forest_case(seed):
+    """A seeded grammar whose rules carry NESTED_EQUATIONS, a lexicon
+    whose words draw from one pool of structures (so some words share
+    one), and a token line with one word repeated."""
+    rng = random.Random(seed)
+    order = list(FOREST_CATEGORIES)
+    rng.shuffle(order)
+    rules = [
+        (x, (y,))
+        for i, x in enumerate(order)
+        for y in order[i + 1 :]
+        if rng.random() < 0.3
+    ]
+    for arity, count in ((2, rng.randint(2, 6)), (3, rng.randint(0, 2))):
+        for _ in range(count):
+            lhs = rng.choice(("S", "S", "T") + FOREST_CATEGORIES)
+            rhs = tuple(rng.choice(("S",) + FOREST_CATEGORIES) for _ in range(arity))
+            rules.append((lhs, rhs))
+    text = []
+    for lhs, rhs in rules:
+        eqs = [e for top, e in NESTED_EQUATIONS if top <= len(rhs)]
+        text.append("((%s -> %s) %s)" % (lhs, " ".join(rhs), rng.choice(eqs)))
+    grammar = parse_rule_file(" ".join(text), "syntax")
+    pool = [parse_featstruct(fs) for fs in NESTED_LEXICON]
+    words = []
+    for cat in FOREST_LEXICAL:
+        for suffix in "12":
+            word = cat.lower() + suffix
+            grammar.syn_lexicon[word] = [LexiconEntry(word, cat, rng.choice(pool))]
+            words.append(Token(word, cat))
+    line = [rng.choice(words) for _ in range(rng.randint(1, 6))]
+    line.insert(rng.randint(0, len(line)), rng.choice(line))
+    return grammar, line
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_forests_with_nested_left_hand_paths_equal_the_full_solvers(seed):
+    grammar, tokens = _nested_forest_case(seed)
+    forest = parse(tokens, grammar, root_categories=("S", "T"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parser, "graft", lambda plan, children: None)
+        solved = parse(tokens, grammar, root_categories=("S", "T"))
+    assert dump_forest(forest) == dump_forest(solved)
+    assert (forest.roots, forest.truncated) == (solved.roots, solved.truncated)
 
 
 def test_packed_solutions_of_one_application_record_it_once():

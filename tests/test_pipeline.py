@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import os
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridmt
-from hybridmt import glosser, lattice_lm, posteditor, realizer, rulebase, semantics
+from hybridmt import glosser, lattice_lm, parser, posteditor, realizer, rulebase, semantics
 from hybridmt.featstruct import canonical
 from hybridmt.cli import main
 from hybridmt.pipeline import (
@@ -815,6 +816,27 @@ def test_cli_rank_reproduces_analyze(tmp_path, capsys):
     spl = tmp_path / "candidates.spl"
     spl.write_text(analyzed)
     assert _cli_output(capsys, "interlingua.cfg", "rank", spl) == analyzed
+
+
+def test_cli_analyze_reproduces_the_golden_meaning_graphs(capsys):
+    # no golden file covers analyze, and its reentrant senser and theme
+    # graphs come from the sem sets whose left-hand paths nest
+    analyzed = _cli_output(capsys, "interlingua.cfg", "analyze", fixture_path("batch50.txt"))
+    assert len(analyzed.splitlines()) == 79
+    digest = hashlib.sha256(analyzed.encode("utf-8")).hexdigest()
+    assert digest == "1b8b822d7c60b6dc4d8064cba22f8cc62d26557cc522f3a2eddf82ffd9849e43"
+
+
+@pytest.mark.parametrize("name", ["gloss_pipeline", "interlingua_pipeline"])
+def test_translating_the_batch_never_calls_the_full_solver(name, request, monkeypatch):
+    # every shipped equation set grafts on these lines
+    calls = []
+    solve = parser.apply_equations
+    monkeypatch.setattr(
+        parser, "apply_equations", lambda *args: calls.append(args) or solve(*args)
+    )
+    request.getfixturevalue(name).translate_batch(_read("batch50.txt").splitlines())
+    assert calls == []
 
 
 def test_cli_rank_and_realize_accept_a_cyclic_graph(tmp_path, capsys, interlingua_pipeline):
