@@ -17,10 +17,13 @@ the tail symbol ``~`` (skip to the next comma or the end of the
 sentence).  ``:left``/``:right`` directives insert begin/end markers at
 the match edges, or around the anchor region when anchors are present.
 ``chunk`` tries the patterns in file order at each position and keeps
-the first match.  ``match_pattern`` lets an element accept a whole
-span claimed under a name the element accepts, but ``chunk`` records
-each claim at its start, which its left-to-right scan has already
-passed, so a pattern cannot yet use another pattern's span.
+the first match.  A pattern is a flat sequence of elements, so one
+``match_table`` per pattern and line holds its longest match from
+every start, at one step per element per token: nothing backtracks.
+``match_pattern`` lets an element accept a whole span claimed under a
+name the element accepts, but ``chunk`` keeps no claims: each would
+start where its left-to-right scan has already been, so a pattern
+cannot yet use another pattern's span.
 """
 
 from . import sexpr
@@ -286,122 +289,116 @@ def resegment(tokens, compounds=None):
 # Matching
 # ---------------------------------------------------------------------
 
-def match_pattern(pattern, tokens, start, pset, spans=None):
-    """Longest span accepted by the pattern starting at ``start``.
+def _longer(a, b):
+    """The match that ends further; ``a`` keeps a tie."""
+    return b if b is not None and (a is None or b[0] > a[0]) else a
 
-    Returns ``(end, anchor_start, anchor_end)`` or None.  ``spans`` maps
-    a start index to earlier ``(end, name)`` matches usable as single
-    elements.
+
+def match_table(pattern, tokens, pset, spans=None):
+    """The longest match of ``pattern`` from every start: a list, indexed
+    by start, of ``(end, anchor_start, anchor_end)`` or None.
+
+    ``spans`` maps a start to earlier ``(end, name)`` claims, each one
+    step for an element that accepts ``name``: a single element tries
+    the claims before the token, a ``+`` element the token before the
+    first claim.  Of the matches that tie on their end, the one whose
+    elements step furthest, first to last, keeps its anchors.
+
+    One row per element, last element first, holds the longest match of
+    the elements from it on, filled in one right-to-left sweep from the
+    row after it.  A ``+`` element's run from a position is one step,
+    then its run from where that step ends.  So no element costs more
+    than one step per token, and ``PatternSet.expand`` is read once per
+    element.
     """
-    if spans is None:
-        spans = {}
+    spans = spans or {}
+    n = len(tokens)
+    best = [(pos, None, None) for pos in range(n + 1)]
+    for element in reversed(pattern.elements):
+        row = [None] * (n + 1)
+        if element in ("<", ">"):
+            for pos, got in enumerate(best):
+                if got is not None:
+                    row[pos] = (got[0], pos, got[2]) if element == "<" else (got[0], None, pos)
+        elif element == "~":
+            stop = n
+            for pos in range(n, -1, -1):
+                if pos < n and tokens[pos].tag == "COMMA":
+                    stop = pos
+                row[pos] = best[stop]
+        elif element == "ANY1+":
+            # one or more of anything, markers included
+            run = None
+            for pos in range(n, -1, -1):
+                row[pos] = run
+                run = _longer(run, best[pos])
+        else:
+            quantified = element.endswith("+")
+            accepted = pset.expand(element[:-1] if quantified else element)
+            for pos in range(n - 1, -1, -1):
+                token = tokens[pos]
+                fits = not token.marker and token.tag in accepted
+                claims = ()
+                if pos in spans:
+                    claims = [end for end, name in spans[pos] if name in accepted]
+                if quantified:
+                    step = pos + 1 if fits else (claims[0] if claims else None)
+                    if step is not None:
+                        row[pos] = _longer(row[step], best[step])
+                    continue
+                got = None
+                for end in claims:
+                    got = _longer(got, best[end])
+                if fits:
+                    got = _longer(got, best[pos + 1])
+                row[pos] = got
+        best = row
+    return best
+
+
+def match_pattern(pattern, tokens, start, pset, spans=None):
+    """The ``match_table`` entry of ``start``: the longest span the
+    pattern accepts from there, as ``(end, anchor_start, anchor_end)``,
+    or None."""
     if not 0 <= start <= len(tokens):
         raise IndexError("start index out of bounds")
-    return _walk(pattern.elements, tokens, pset, spans, start, 0, None, None, None)
-
-
-def _walk(elements, tokens, pset, spans, pos, elem_index, anchor_start, anchor_end, best):
-    """``match_pattern``'s search from ``pos`` with ``elements[elem_index:]``
-    left: ``best``, the ``(end, anchor_start, anchor_end)`` found so far,
-    or a match found here that ends further (the first found keeps a
-    tie).  It is a module-level function, so unlike a closure that calls
-    itself it leaves no reference cycle."""
-    if elem_index == len(elements):
-        if best is None or pos > best[0]:
-            return (pos, anchor_start, anchor_end)
-        return best
-    element = elements[elem_index]
-    if element == "<":
-        return _walk(elements, tokens, pset, spans, pos, elem_index + 1, pos, anchor_end, best)
-    if element == ">":
-        return _walk(elements, tokens, pset, spans, pos, elem_index + 1, anchor_start, pos, best)
-    if element == "~":
-        end = pos
-        while end < len(tokens) and tokens[end].tag != "COMMA":
-            end += 1
-        return _walk(
-            elements, tokens, pset, spans, end, len(elements), anchor_start, anchor_end, best
-        )
-    if element == "ANY1+":
-        # one or more of anything (markers included); try longest first
-        for end in range(len(tokens), pos, -1):
-            best = _walk(
-                elements, tokens, pset, spans, end, elem_index + 1, anchor_start, anchor_end, best
-            )
-        return best
-    quantified = element.endswith("+")
-    base = element[:-1] if quantified else element
-    # a whole earlier span labeled with an accepted name counts as
-    # one element
-    accepted = pset.expand(base)
-    if quantified:
-        ends = []
-        cur = pos
-        while True:
-            if cur < len(tokens) and not tokens[cur].marker and tokens[cur].tag in accepted:
-                cur += 1
-                ends.append(cur)
-                continue
-            extended = False
-            for end, name in spans.get(cur, []):
-                if name in accepted:
-                    cur = end
-                    ends.append(cur)
-                    extended = True
-                    break
-            if not extended:
-                break
-        ends.reverse()
-    else:
-        ends = [end for (end, name) in spans.get(pos, []) if name in accepted]
-        if pos < len(tokens) and not tokens[pos].marker and tokens[pos].tag in accepted:
-            ends.append(pos + 1)
-    for end in ends:
-        best = _walk(
-            elements, tokens, pset, spans, end, elem_index + 1, anchor_start, anchor_end, best
-        )
-    return best
+    return match_table(pattern, tokens, pset, spans)[start]
 
 
 def chunk(tokens, pset):
     """Apply patterns left to right, first match wins, non-overlapping.
 
+    Each pattern's ``match_table`` is built once per line; the scan then
+    takes, at each start, the first pattern in file order whose match
+    ends past it, and goes on from that end.  A claim would only ever
+    start where the scan has already been, so none is kept.
+
     Barrier directives insert marker tokens at the match edges (or
     around the anchor region).  Non-marker tokens pass through unchanged
     and in order.
     """
-    matches = []  # (start, end, pattern, anchor_start, anchor_end)
-    spans = {}  # start -> [(end, name)]
+    tables = [(pattern, match_table(pattern, tokens, pset)) for pattern in pset.patterns]
+    inserts = {}  # index -> [marker tokens]
     pos = 0
     while pos < len(tokens):
-        hit = None
-        for pattern in pset.patterns:
-            got = match_pattern(pattern, tokens, pos, pset, spans)
+        for pattern, table in tables:
+            got = table[pos]
             if got is not None and got[0] > pos:
-                hit = (pattern, got)
+                end, astart, aend = got
+                if pattern.left_label:
+                    left_at = astart if astart is not None else pos
+                    inserts.setdefault(left_at, []).append(Token.begin(pattern.left_label))
+                if pattern.right_label:
+                    right_at = aend if aend is not None else end
+                    inserts.setdefault(right_at, []).insert(0, Token.end(pattern.right_label))
+                pos = end
                 break
-        if hit is None:
+        else:
             pos += 1
-            continue
-        pattern, (end, astart, aend) = hit
-        matches.append((pos, end, pattern, astart, aend))
-        spans.setdefault(pos, []).append((end, pattern.name))
-        pos = end
-
-    inserts = {}  # index -> [marker tokens]
-    for start, end, pattern, astart, aend in matches:
-        left_at = astart if astart is not None else start
-        right_at = aend if aend is not None else end
-        if pattern.left_label:
-            inserts.setdefault(left_at, []).append(Token.begin(pattern.left_label))
-        if pattern.right_label:
-            inserts.setdefault(right_at, []).insert(0, Token.end(pattern.right_label))
 
     out = []
     for i, token in enumerate(tokens):
-        for marker in inserts.get(i, ()):
-            out.append(marker)
+        out.extend(inserts.get(i, ()))
         out.append(token)
-    for marker in inserts.get(len(tokens), ()):
-        out.append(marker)
+    out.extend(inserts.get(len(tokens), ()))
     return out

@@ -220,6 +220,8 @@ def parse_lattice(text):
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        if parts[0] == "N" and node_count is not None:
+            raise LatticeError("line %d: repeated N header" % lineno)
         try:
             if parts[0] == "N" and len(parts) == 2:
                 node_count = int(parts[1])

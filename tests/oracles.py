@@ -7,13 +7,16 @@ without the product's private helpers, so that the two stay independent:
 algebra that ``lattice_lm.layout`` writes in one pass, and
 ``concat_all`` and ``alternate_all`` their left folds;
 ``topological_order`` orders a lattice without
-``lattice_lm._edge_pass``, and ``enumerate_trees`` unpacks the forest
-that ``count_trees`` only counts.
+``lattice_lm._edge_pass``, ``enumerate_trees`` unpacks the forest
+that ``count_trees`` only counts, and ``match_pattern`` and ``chunk``
+search each start of a chunk pattern by backtracking where
+``chunker.match_table`` fills one table for every start.
 """
 
 from functools import reduce
 
 from hybridmt import sexpr
+from hybridmt.chunker import Token
 from hybridmt.featstruct import parse_featstruct_expr
 from hybridmt.lattice_lm import EPS, WordLattice
 from hybridmt.rulebase import arity_errors
@@ -164,3 +167,126 @@ def topological_order(lattice):
             if indegree[dst] == 0:
                 order.append(dst)
     return order if len(order) == lattice.node_count else None
+
+
+# -- chunk patterns ---------------------------------------------------------
+
+def match_pattern(pattern, tokens, start, pset, spans=None):
+    """Longest span accepted by the pattern starting at ``start``.
+
+    Returns ``(end, anchor_start, anchor_end)`` or None.  ``spans`` maps
+    a start index to earlier ``(end, name)`` matches usable as single
+    elements.
+    """
+    if spans is None:
+        spans = {}
+    if not 0 <= start <= len(tokens):
+        raise IndexError("start index out of bounds")
+    return _walk(pattern.elements, tokens, pset, spans, start, 0, None, None, None)
+
+
+def _walk(elements, tokens, pset, spans, pos, elem_index, anchor_start, anchor_end, best):
+    """``match_pattern``'s search from ``pos`` with ``elements[elem_index:]``
+    left: ``best``, the ``(end, anchor_start, anchor_end)`` found so far,
+    or a match found here that ends further (the first found keeps a
+    tie).  It is a module-level function, so unlike a closure that calls
+    itself it leaves no reference cycle."""
+    if elem_index == len(elements):
+        if best is None or pos > best[0]:
+            return (pos, anchor_start, anchor_end)
+        return best
+    element = elements[elem_index]
+    if element == "<":
+        return _walk(elements, tokens, pset, spans, pos, elem_index + 1, pos, anchor_end, best)
+    if element == ">":
+        return _walk(elements, tokens, pset, spans, pos, elem_index + 1, anchor_start, pos, best)
+    if element == "~":
+        end = pos
+        while end < len(tokens) and tokens[end].tag != "COMMA":
+            end += 1
+        return _walk(
+            elements, tokens, pset, spans, end, len(elements), anchor_start, anchor_end, best
+        )
+    if element == "ANY1+":
+        # one or more of anything (markers included); try longest first
+        for end in range(len(tokens), pos, -1):
+            best = _walk(
+                elements, tokens, pset, spans, end, elem_index + 1, anchor_start, anchor_end, best
+            )
+        return best
+    quantified = element.endswith("+")
+    base = element[:-1] if quantified else element
+    # a whole earlier span labeled with an accepted name counts as
+    # one element
+    accepted = pset.expand(base)
+    if quantified:
+        ends = []
+        cur = pos
+        while True:
+            if cur < len(tokens) and not tokens[cur].marker and tokens[cur].tag in accepted:
+                cur += 1
+                ends.append(cur)
+                continue
+            extended = False
+            for end, name in spans.get(cur, []):
+                if name in accepted:
+                    cur = end
+                    ends.append(cur)
+                    extended = True
+                    break
+            if not extended:
+                break
+        ends.reverse()
+    else:
+        ends = [end for (end, name) in spans.get(pos, []) if name in accepted]
+        if pos < len(tokens) and not tokens[pos].marker and tokens[pos].tag in accepted:
+            ends.append(pos + 1)
+    for end in ends:
+        best = _walk(
+            elements, tokens, pset, spans, end, elem_index + 1, anchor_start, anchor_end, best
+        )
+    return best
+
+
+def chunk(tokens, pset):
+    """Apply patterns left to right, first match wins, non-overlapping.
+
+    Barrier directives insert marker tokens at the match edges (or
+    around the anchor region).  Non-marker tokens pass through unchanged
+    and in order.
+    """
+    matches = []  # (start, end, pattern, anchor_start, anchor_end)
+    spans = {}  # start -> [(end, name)]
+    pos = 0
+    while pos < len(tokens):
+        hit = None
+        for pattern in pset.patterns:
+            got = match_pattern(pattern, tokens, pos, pset, spans)
+            if got is not None and got[0] > pos:
+                hit = (pattern, got)
+                break
+        if hit is None:
+            pos += 1
+            continue
+        pattern, (end, astart, aend) = hit
+        matches.append((pos, end, pattern, astart, aend))
+        spans.setdefault(pos, []).append((end, pattern.name))
+        pos = end
+
+    inserts = {}  # index -> [marker tokens]
+    for start, end, pattern, astart, aend in matches:
+        left_at = astart if astart is not None else start
+        right_at = aend if aend is not None else end
+        if pattern.left_label:
+            inserts.setdefault(left_at, []).append(Token.begin(pattern.left_label))
+        if pattern.right_label:
+            inserts.setdefault(right_at, []).insert(0, Token.end(pattern.right_label))
+
+    out = []
+    for i, token in enumerate(tokens):
+        for marker in inserts.get(i, ()):
+            out.append(marker)
+        out.append(token)
+    for marker in inserts.get(len(tokens), ()):
+        out.append(marker)
+    return out

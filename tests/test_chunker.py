@@ -3,9 +3,10 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
+import oracles
 from conftest import fixture_path
 from hybridmt import rulebase
 from hybridmt.chunker import (
@@ -321,3 +322,136 @@ def test_tokens_compare_by_every_field():
     assert Token("neko", "N") != Token("neko", "V")
     assert Token.begin("NP") != Token.end("NP")
     assert Token("neko", "N") != "neko/N"
+
+
+# -- the table against the backtracking oracle -------------------------
+
+# AB accepts A and B, C accepts all three, and only claims carry P0
+_ALIASES = "(AB == (is A)) (AB == (is B)) (C == (is AB))"
+_NAMES = ["A", "B", "AB", "C", "P0"]
+_KINDS = ["A", "B", "C", "COMMA", "BEGIN", "END"]
+
+
+@st.composite
+def _elements(draw, names):
+    name = st.sampled_from(names)
+    element = st.one_of(name, name.map(lambda n: n + "+"), st.just("ANY1+"))
+    body = draw(st.lists(element, max_size=4))
+    if draw(st.booleans()):
+        left = draw(st.integers(0, len(body)))
+        right = draw(st.integers(left, len(body)))
+        body = body[:left] + ["<"] + body[left:right] + [">"] + body[right:]
+    if draw(st.booleans()):
+        body.append("~")
+    return body
+
+
+@st.composite
+def _claimed_line(draw):
+    """Tokens, and claims ``start -> [(end, name)]`` that each cover at
+    least one token."""
+    kinds = draw(st.lists(st.sampled_from(_KINDS), max_size=8))
+    spans = {}
+    for _ in range(draw(st.integers(0, 4)) if kinds else 0):
+        start = draw(st.integers(0, len(kinds) - 1))
+        end = draw(st.integers(start + 1, len(kinds)))
+        spans.setdefault(start, []).append((end, draw(st.sampled_from(_NAMES + ["Z"]))))
+    return [_token(kind, i) for i, kind in enumerate(kinds)], spans
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_elements(_NAMES), _claimed_line())
+def test_match_pattern_equals_the_backtracking_oracle(elements, line):
+    tokens, spans = line
+    pset = load_patterns("%s (P0 (%s))" % (_ALIASES, " ".join(elements)))
+    (pattern,) = pset.patterns
+    for start in range(len(tokens) + 1):
+        want = oracles.match_pattern(pattern, tokens, start, pset, spans)
+        assert match_pattern(pattern, tokens, start, pset, spans) == want, start
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_elements(_NAMES + ["P1"]), st.booleans(), st.booleans()), min_size=2, max_size=4
+    ),
+    st.lists(st.sampled_from(_KINDS), max_size=10),
+)
+def test_chunk_equals_the_backtracking_oracle(patterns, kinds):
+    text = _ALIASES
+    for i, (elements, left, right) in enumerate(patterns):
+        text += " (P%d (%s)" % (i, " ".join(elements))
+        text += " :left <<L%d" % i * left + " :right R%d>>" % i * right + ")"
+    pset = load_patterns(text)
+    tokens = [_token(kind, i) for i, kind in enumerate(kinds)]
+    assert chunk(tokens, pset) == oracles.chunk(tokens, pset)
+
+
+def test_an_anchor_tie_goes_to_the_match_that_steps_furthest_first():
+    # every split of four A tokens over the three A+ elements ends at 4
+    pset = load_patterns("(P (A+ < A+ > A+))")
+    tokens = parse_token_line("a/A b/A c/A d/A")
+    assert match_pattern(pset.patterns[0], tokens, 0, pset) == (4, 2, 3)
+
+
+def test_match_pattern_rejects_a_start_outside_the_line():
+    pset = load_patterns(TOPIC)
+    tokens = parse_token_line("kaisha/N wa/HA")
+    for start in (-1, len(tokens) + 1):
+        with pytest.raises(IndexError, match="^start index out of bounds$"):
+            match_pattern(pset.patterns[0], tokens, start, pset)
+
+
+# -- work per token ----------------------------------------------------
+
+def _count_work(pset, limit):
+    """Make ``pset.expand`` return alias closures that count their
+    membership tests and fail once they pass ``limit``, so a search
+    that breaks the bound fails fast instead of hanging.  Returns the
+    running count as a one-item list."""
+    work = [0]
+    expand = pset.expand
+
+    class Counting(frozenset):
+        def __contains__(self, item):
+            work[0] += 1
+            if work[0] > limit:
+                raise AssertionError("more than %d alias closure tests" % limit)
+            return frozenset.__contains__(self, item)
+
+    pset.expand = lambda name: Counting(expand(name))
+    return work
+
+
+@pytest.mark.parametrize("length", [100, 300, 1000, 3000])
+@pytest.mark.parametrize("text", [None, "(P (N+ N+ N+ HA))"])
+def test_chunk_tests_each_token_once_per_element_on_noun_runs(text, length):
+    # None is the shipped pattern file, whose (N+ HA) finds no HA here
+    if text is None:
+        with open(fixture_path("patterns.pat"), encoding="utf-8") as fh:
+            text = fh.read()
+    pset = load_patterns(text)
+    elements = sum(len(p.elements) for p in pset.patterns)
+    tokens = [Token("kaisha", "N")] * length
+    work = _count_work(pset, elements * length)
+    assert chunk(tokens, pset) == tokens
+    assert work[0] <= elements * length
+
+
+# the tags of batch50.txt
+_FIXTURE_TAGS = ["N", "V", "HA", "ADV", "WO", "NI", "DATE", "VN", "Q", "NUM"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_elements(_FIXTURE_TAGS), min_size=1, max_size=3),
+    st.lists(st.sampled_from(_FIXTURE_TAGS + ["COMMA", "BEGIN", "END"]), min_size=1, max_size=80),
+)
+def test_chunk_work_per_token_is_bounded_by_the_pattern_elements(patterns, kinds):
+    pset = load_patterns(" ".join("(P%d (%s))" % (i, " ".join(e)) for i, e in enumerate(patterns)))
+    elements = sum(len(e) for e in patterns)
+    tokens = [_token(kind, i) for i, kind in enumerate(kinds)]
+    work = _count_work(pset, elements * len(tokens))
+    chunk(tokens, pset)
+    target(work[0] / len(tokens))
+    assert work[0] <= elements * len(tokens)

@@ -678,6 +678,12 @@ def test_parse_lattice_rejects_text_without_a_node_count():
         parse_lattice("E 0 1 a\n")
 
 
+def test_parse_lattice_rejects_a_repeated_node_count():
+    # the last header used to win, joining two lattices into one
+    with pytest.raises(LatticeError, match="^line 3: repeated N header$"):
+        parse_lattice("N 2\nE 0 1 a\nN 3\nE 1 2 b\n")
+
+
 def test_parse_lattice_skips_blank_and_comment_lines():
     lat = concat(from_word("a"), from_phrase("b c"))
     text = "# a lattice\n\n" + dump_lattice(lat).replace("\n", "\n\n", 1)

@@ -635,6 +635,7 @@ def test_cli_decode_reports_bad_blocks_and_goes_on(tmp_path, capsys):
         ),
         ("# out of range", "N 2\nE 0 5 x\n", "edge endpoint out of range"),
         ("# bad count", "N two\n", "line 1: bad lattice line 'N two'"),
+        ("# two headers", "N 2\nE 0 1 a\nN 3\nE 1 2 b\n", "line 3: repeated N header"),
         ("# dead end", "N 4\nE 0 1 a\nE 2 3 b\n", "lattice has no complete path"),
         ("# one node", "N 1\n", "lattice needs distinct source and sink"),
         ("# rejected", "# error: no lexical entry\n", "no lexical entry"),

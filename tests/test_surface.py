@@ -37,6 +37,7 @@ KEPT = {
     "featstruct.unify": "tests check graft and the equation solver against plain unification",
     "featstruct.FeatStruct.get": "tests read a value by feature path",
     "chunker.CompoundDictionary.setdefault": "dict.setdefault would skip the longest surface",
+    "chunker.match_pattern": "tests query one start; `chunk` reads every start from `match_table`",
     "lattice_lm.TrigramModel.prob_unigram": "tests check the Katz backoff one order at a time",
     "lattice_lm.TrigramModel.prob_bigram": "tests check the Katz backoff one order at a time",
     "lattice_lm.TrigramModel.reserved_mass": "tests check that backed-off mass sums to one",
