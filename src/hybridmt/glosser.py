@@ -17,7 +17,7 @@ import re
 
 # apply_equations is unused here but kept: the benchmark tracer wraps it by this name
 from .featstruct import FeatStruct, apply_equations, canonical  # noqa: F401
-from .parser import compose, fragment_cover
+from .parser import Composition, fragment_cover
 from .rulebase import tagged_entries
 from . import sexpr
 from .sexpr import QuotedString
@@ -48,10 +48,10 @@ class VerbGroupSpec:
 # Morphology
 # ---------------------------------------------------------------------
 
-def load_irregulars(path):
+def parse_irregulars(text, filename="<string>"):
     """TSV rows ``base TAB past TAB participle TAB 3sg``."""
     table = {}
-    for where, line in sexpr.records(sexpr.read_text(path), path):
+    for where, line in sexpr.records(text, filename):
         cols = line.split("\t")
         if len(cols) != 4:
             raise GlossError("%s: irregular verb row needs 4 columns: %r" % (where, line))
@@ -191,7 +191,7 @@ def gloss_forest(forest, rb, verbal_categories=frozenset(), category_order=()):
             return ()
         return rule.gloss_sets
 
-    compute = compose(
+    compute = Composition(
         forest,
         lambda const: [gloss_leaf(const.token, rb, verbal_categories)],
         gloss_sets,
@@ -242,7 +242,10 @@ def _flatten(node, tmp, irregulars):
         return ""
     feats = node.features
     if "base" in feats:
-        spec = VerbGroupSpec((str(a) for a in feats["base"].allowed), _tmp_flags(node) | tmp)
+        bases = feats["base"].allowed
+        if not bases:
+            raise GlossError("verb group base is not an atom: %s" % canonical(node))
+        spec = VerbGroupSpec((str(a) for a in bases), _tmp_flags(node) | tmp)
         return wl.groups_term(realize_verbgroup(spec, irregulars))
     # one scan finds both kinds; op features win over alt features
     ops, alts = [], []

@@ -7,8 +7,8 @@ single entry carrying multiple derivations.  Chunker barrier markers of
 category C forbid any C constituent from strictly crossing the marked
 region.  When no full parse exists the forest still contains lexical
 constituents for every position, so a left-to-right fragment cover
-always exists.  ``compose`` builds feature structures bottom-up over a
-forest; the glosser and the semantic analyzer both use it.
+always exists.  ``Composition`` builds feature structures bottom-up
+over a forest; the glosser and the semantic analyzer both use it.
 """
 
 from bisect import bisect_left, bisect_right
@@ -45,10 +45,9 @@ class Constituent:
 
 
 class ParseForest:
-    def __init__(self, token_count, tokens):
+    def __init__(self, token_count):
         self.constituents = {}
         self.token_count = token_count
-        self.tokens = tokens  # non-marker tokens, by position
         self.roots = []
         self.truncated = False
         # both indexes are filled by ``parse`` as it installs, each list
@@ -172,7 +171,7 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
         raise ParseError("input contains only markers")
     n = len(words)
     barriers = barrier_index(barrier_regions(tokens))
-    forest = ParseForest(n, words)
+    forest = ParseForest(n)
     constituents, by_start, by_end = forest.constituents, forest._by_start, forest._by_end
     by_length = [[] for _ in range(n + 1)]
     longer_rules, unary_rules, uses = rb.parse_index()
@@ -408,23 +407,18 @@ def _solve_rule(equation_sets, child_structures):
     return produced
 
 
-def compose(forest, leaf, equation_sets, cap):
+class Composition:
     """Bottom-up feature-structure composition over the packed forest.
 
-    Returns a memoised callable giving, for a constituent id, the first
-    ``cap`` distinct X0 solutions in derivation order.  A leaf or
-    underived constituent takes ``leaf(const)``; a derivation
-    contributes the solutions of each set in ``equation_sets(rule_key)``
-    over the capped cross product of its children's options, and is
-    skipped when that is empty or a child has no option.
-    """
-    return _Composition(forest, leaf, equation_sets, cap)
-
-
-class _Composition:
-    """``compose``'s memoised callable.  It recurses through ``self``,
+    A memoised callable giving, for a constituent id, the first ``cap``
+    distinct X0 solutions in derivation order.  A leaf or underived
+    constituent takes ``leaf(const)``; a derivation contributes the
+    solutions of each set in ``equation_sets(rule_key)`` over the capped
+    cross product of its children's options, and is skipped when that
+    is empty or a child has no option.  It recurses through ``self``,
     so unlike a closure that calls itself it is no reference cycle and
-    is freed with its last reference."""
+    is freed with its last reference.
+    """
 
     __slots__ = ("forest", "leaf", "equation_sets", "cap", "memo")
 

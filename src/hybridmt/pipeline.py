@@ -249,25 +249,15 @@ class Pipeline:
             raise ResourceError(problems[0])
         if cfg.path_of("grammar"):
             self._check_categories()
-        self.patterns = self._load(
-            "patterns",
-            lambda path: chunker.load_patterns(sexpr.read_text(path), path),
-            chunker.PatternSet(),
-        )
-        self.taxonomy = self._load("taxonomy", semantics.Taxonomy.load, None)
-        self.lm = self._load(
-            "lm_model", lambda path: lattice_lm.TrigramModel.load(sexpr.read_text(path), path), None
-        )
-        self.tree = self._load(
-            "tree", lambda path: posteditor.parse_tree(sexpr.read_text(path), path), None
-        )
-        self.repairs = self._load("repairs", posteditor.load_repairs, [])
-        self.exceptions = self._load(
-            "exceptions", lambda path: frozenset(posteditor.load_word_list(path)), frozenset()
-        )
-        self.gen_lexicon = self._load("gen_lexicon", realizer.load_gen_lexicon, {})
-        self.irregulars = self._load("irregulars", glosser.load_irregulars, {})
-        self.nouns = self._load("nouns", posteditor.load_word_list, set())
+        self.patterns = self._load("patterns", chunker.load_patterns, chunker.PatternSet())
+        self.taxonomy = self._load("taxonomy", semantics.Taxonomy.parse, None)
+        self.lm = self._load("lm_model", lattice_lm.TrigramModel.load, None)
+        self.tree = self._load("tree", posteditor.parse_tree, None)
+        self.repairs = self._load("repairs", posteditor.parse_repairs, [])
+        self.exceptions = self._load("exceptions", posteditor.parse_word_list, set())
+        self.gen_lexicon = self._load("gen_lexicon", realizer.parse_gen_lexicon, {})
+        self.irregulars = self._load("irregulars", glosser.parse_irregulars, {})
+        self.nouns = self._load("nouns", posteditor.parse_word_list, set())
         self.countability = {
             e.lemma: e.countable
             for e in self.gen_lexicon.values()
@@ -287,10 +277,10 @@ class Pipeline:
                 if cat not in known:
                     raise ResourceError("config key %s: unknown category %r" % (key, cat))
 
-    def _load(self, key, loader, default):
-        """``loader(path)`` for a configured resource, else ``default``."""
+    def _load(self, key, parse, default):
+        """``parse(text, path)`` of a configured resource's file, else ``default``."""
         path = self.cfg.path_of(key)
-        return loader(path) if path else default
+        return parse(sexpr.read_text(path), path) if path else default
 
     # -- stages ------------------------------------------------------------
 

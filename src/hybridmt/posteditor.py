@@ -310,9 +310,9 @@ def insert_articles(text, tree, nouns, exceptions=frozenset(), countability=None
     return "\n".join(out_lines) + ("\n" if text.endswith("\n") else "")
 
 
-def load_word_list(path):
+def parse_word_list(text, filename="<string>"):
     """One lowercased word per line; blank and ``#`` lines are skipped."""
-    return {line.strip().lower() for _where, line in sexpr.records(sexpr.read_text(path), path)}
+    return {line.strip().lower() for _where, line in sexpr.records(text, filename)}
 
 
 # ---------------------------------------------------------------------
@@ -334,10 +334,6 @@ def parse_repairs(text, filename="<string>"):
             raise PosteditError("%s:%d: empty pattern" % (filename, lineno))
         rules.append((pattern, replacement))
     return rules
-
-
-def load_repairs(path):
-    return parse_repairs(sexpr.read_text(path), filename=path)
 
 
 def apply_repairs(text, rules):

@@ -69,10 +69,6 @@ def parse_gen_lexicon(text, filename="<string>"):
     return table
 
 
-def load_gen_lexicon(path):
-    return parse_gen_lexicon(sexpr.read_text(path), filename=path)
-
-
 def _verb_groups(node, entry, irregulars=None):
     tense = node.attributes.get("tense", "present")
     if tense == "past":

@@ -175,13 +175,13 @@ def parse_rule_file(text, kind, rb=None, filename="<string>"):
     return rb
 
 
-def _tsv_rows(path):
-    for where, line in sexpr.records(sexpr.read_text(path), path):
+def _tsv_rows(text, filename):
+    for where, line in sexpr.records(text, filename):
         yield where, line.split("\t")
 
 
-def load_syn_lexicon(path, rb):
-    for where, cols in _tsv_rows(path):
+def load_syn_lexicon(text, rb, filename="<string>"):
+    for where, cols in _tsv_rows(text, filename):
         if len(cols) < 2:
             raise RuleBaseError("%s: need surface TAB pos" % where)
         surface, pos = cols[0], cols[1]
@@ -196,8 +196,8 @@ def load_syn_lexicon(path, rb):
         )
 
 
-def load_bilingual(path, rb):
-    for where, cols in _tsv_rows(path):
+def load_bilingual(text, rb, filename="<string>"):
+    for where, cols in _tsv_rows(text, filename):
         if len(cols) < 3 or not cols[2].strip():
             raise RuleBaseError("%s: need surface TAB pos TAB alt1|alt2|..." % where)
         alts = [a for a in cols[2].split("|") if a]
@@ -206,8 +206,8 @@ def load_bilingual(path, rb):
         )
 
 
-def load_sem_lexicon(path, rb):
-    for where, cols in _tsv_rows(path):
+def load_sem_lexicon(text, rb, filename="<string>"):
+    for where, cols in _tsv_rows(text, filename):
         if len(cols) < 2 or not cols[1].strip():
             raise RuleBaseError("%s: need surface TAB concept1|concept2" % where)
         rb.sem_lexicon.setdefault(cols[0], []).extend(
@@ -215,8 +215,8 @@ def load_sem_lexicon(path, rb):
         )
 
 
-def load_compounds(path, rb):
-    for where, cols in _tsv_rows(path):
+def load_compounds(text, rb, filename="<string>"):
+    for where, cols in _tsv_rows(text, filename):
         if len(cols) < 2:
             raise RuleBaseError("%s: need compound TAB pos" % where)
         rb.compounds[cols[0]] = cols[1]
@@ -251,7 +251,7 @@ def load_rulebase(
         if path:
             if not os.path.exists(path):
                 raise RuleBaseError("missing lexicon file: %s" % path)
-            loader(path, rb)
+            loader(sexpr.read_text(path), rb, path)
     return rb
 
 

@@ -23,7 +23,7 @@ Reentrant instances are written once and back-referenced by bare id.
 from . import sexpr
 # apply_equations is unused here but kept: the benchmark tracer wraps it by this name
 from .featstruct import FeatStruct, apply_equations, canonical  # noqa: F401
-from .parser import compose, fragment_cover
+from .parser import Composition, fragment_cover
 
 HARD_FLOOR = 1e-6
 UNKNOWN_RELATION_SCORE = 0.5
@@ -154,10 +154,6 @@ class Taxonomy:
             )
         self.relations[name.lower()] = _Relation(name.lower(), domain, range_, level, penalty)
 
-    @staticmethod
-    def load(path):
-        return Taxonomy.parse(sexpr.read_text(path), filename=path)
-
     def validate(self):
         for name, rel in self.relations.items():
             for side, concept in (("domain", rel.domain), ("range", rel.range)):
@@ -272,7 +268,9 @@ def analyze(forest, rb):
         rule = rb.rules.get(rule_key)
         return rule.semantic_sets if rule is not None else ()
 
-    return compose(forest, lambda const: _leaf_candidates(const, rb), semantic_sets, CANDIDATE_CAP)
+    return Composition(
+        forest, lambda const: _leaf_candidates(const, rb), semantic_sets, CANDIDATE_CAP
+    )
 
 
 def graph_from_featstruct(sem):

@@ -18,10 +18,11 @@ raise does it walk the tokens again, with their offsets, to the one at
 fault: an error names the line of the offending character, counting
 every newline before it, newlines inside a quoted atom included.
 
-The line-oriented knowledge files (lexicons, taxonomy, generation
-lexicon, irregular verbs, word lists, config) are read here too:
-``read_text`` opens one and ``records`` yields its record lines, each
-with the ``file:line`` that prefixes that row's errors.
+``read_text`` opens a knowledge file; only ``pipeline`` and
+``rulebase.load_rulebase`` call it, and every resource parser takes the
+text and a filename.  ``records`` yields a line-oriented file's record
+lines (lexicons, taxonomy, generation lexicon, irregular verbs, word
+lists, config), each with the ``file:line`` that prefixes its errors.
 """
 
 import re

@@ -264,7 +264,7 @@ def test_criterion_06_interlingua_worked_example(interlingua_pipeline):
 # -- 7: semantic ranking properties ---------------------------------------
 
 def test_criterion_07_ranking_properties():
-    taxonomy = semantics.Taxonomy.load(fixture_path("taxonomy.txt"))
+    taxonomy = semantics.Taxonomy.parse(_read("taxonomy.txt"))
     clean = [
         ("ingest", "senser", "named person"),
         ("ingest", "theme", "food"),
@@ -299,8 +299,8 @@ def test_criterion_07_ranking_properties():
 # -- 8: defaults -----------------------------------------------------------
 
 def test_criterion_08_generation_defaults(gloss_pipeline):
-    lex = __import__("hybridmt.realizer", fromlist=["load_gen_lexicon"]).load_gen_lexicon(
-        fixture_path("gen_lexicon.tsv")
+    lex = __import__("hybridmt.realizer", fromlist=["parse_gen_lexicon"]).parse_gen_lexicon(
+        _read("gen_lexicon.tsv")
     )
     g = semantics.parse_spl("(|e| / ingest :AGENT (|c| / |company/business|))")
     paths, _ = wl.all_paths(realize(g, lex))

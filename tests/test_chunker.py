@@ -106,7 +106,7 @@ def test_resegment_probes_do_not_grow_with_the_compound_dictionary(tmp_path, mon
         path = tmp_path / ("compounds%d.tsv" % size)
         path.write_text("".join("%s\tN\n" % s for s in surfaces[:size]), encoding="utf-8")
         rb = rulebase.RuleBase()
-        rulebase.load_compounds(str(path), rb)
+        rulebase.load_compounds(path.read_text(encoding="utf-8"), rb, str(path))
         assert type(rb.compounds) is _CountingCompounds
         out = resegment(parse_token_line(line), rb.compounds)
         results.append(([t.surface for t in out], rb.compounds.probes))

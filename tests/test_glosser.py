@@ -3,9 +3,9 @@ import re
 
 import pytest
 
-from hybridmt import glosser, lattice_lm as wl
+from hybridmt import glosser, lattice_lm as wl, sexpr
 from hybridmt.chunker import Token, parse_token_line
-from hybridmt.featstruct import FeatStruct
+from hybridmt.featstruct import FeatStruct, canonical
 from hybridmt.glosser import (
     GlossError,
     VerbGroupSpec,
@@ -13,7 +13,7 @@ from hybridmt.glosser import (
     gloss_forest,
     gloss_leaf,
     ing_form,
-    load_irregulars,
+    parse_irregulars,
     past_form,
     participle_form,
     realize_verbgroup,
@@ -28,7 +28,7 @@ from oracles import alternate_all, concat_all, from_phrase
 
 @pytest.fixture(scope="module")
 def irregulars():
-    return load_irregulars(fixture_path("irregulars.tsv"))
+    return parse_irregulars(sexpr.read_text(fixture_path("irregulars.tsv")))
 
 
 # -- morphology --------------------------------------------------------
@@ -61,7 +61,7 @@ def test_load_irregulars_bad_row_names_file_and_line(tmp_path):
     path = tmp_path / "irregulars.tsv"
     path.write_text("# base past participle 3sg\neat\tate\teaten\teats\ngo\twent\n")
     with pytest.raises(GlossError, match=r"irregulars\.tsv:3: irregular verb row"):
-        load_irregulars(str(path))
+        parse_irregulars(path.read_text(encoding="utf-8"), str(path))
 
 
 # realize_verbgroup output for every flag set of "eat", one row per set
@@ -252,6 +252,18 @@ def test_flatten_empty_node_is_epsilon():
         }
     )
     assert _flatten_paths(flatten_gloss(fs)) == {("hi",)}
+
+
+@pytest.mark.parametrize(
+    "base",
+    [FeatStruct.empty(), FeatStruct.complex({"tense": FeatStruct.atom("eat")})],
+    ids=["empty", "complex"],
+)
+def test_flatten_rejects_a_verb_group_base_that_is_no_atom(base):
+    node = FeatStruct.complex({"base": base})
+    with pytest.raises(GlossError) as err:
+        flatten_gloss(FeatStruct.complex({"gloss": node}))
+    assert str(err.value) == "verb group base is not an atom: %s" % canonical(node)
 
 
 # -- composition reuse, duplicates and the alternative cap ------------------

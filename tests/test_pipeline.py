@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridmt
-from hybridmt import glosser, lattice_lm, parser, posteditor, realizer, rulebase, semantics
+from hybridmt import glosser, lattice_lm, parser, posteditor, realizer, rulebase, semantics, sexpr
 from hybridmt.featstruct import canonical
 from hybridmt.cli import main
 from hybridmt.pipeline import (
@@ -140,10 +140,43 @@ def test_nouns_file_skips_comment_lines(tmp_path):
     assert Pipeline(cfg).nouns == {"cat", "dog"}
 
 
+@pytest.mark.parametrize("name", ["gloss.cfg", "interlingua.cfg"])
+def test_pipeline_reads_each_configured_resource_once(monkeypatch, name):
+    cfg = load_config(fixture_path(name))
+    reads, opened = [], []
+    read_text, open_file = sexpr.read_text, open
+
+    def counting_read_text(path):
+        reads.append(path)
+        return read_text(path)
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open_file(path, *args, **kwargs)
+
+    monkeypatch.setattr(sexpr, "read_text", counting_read_text)
+    monkeypatch.setattr("builtins.open", counting_open)
+    Pipeline(cfg)
+    monkeypatch.undo()
+    # the corpora are read only by the training commands
+    want = sorted(
+        cfg.path_of(key)
+        for key in cfg.values
+        if cfg.path_of(key) and key not in ("lm_corpus", "article_corpus")
+    )
+    assert len(want) == 16
+    assert sorted(reads) == want and sorted(opened) == want
+
+
+def _on_file(parse):
+    """``parse`` of a file's text, its errors naming the file."""
+    return lambda path: parse(sexpr.read_text(path), path)
+
+
 def _rulebase_table(load, table):
     def run(path):
         rb = rulebase.RuleBase()
-        load(path, rb)
+        load(sexpr.read_text(path), rb, path)
         return {k: [(e.pos, e.translations) for e in v] for k, v in getattr(rb, table).items()}
 
     return run
@@ -152,7 +185,7 @@ def _rulebase_table(load, table):
 def _rulebase_dict(load, table):
     def run(path):
         rb = rulebase.RuleBase()
-        load(path, rb)
+        load(sexpr.read_text(path), rb, path)
         return getattr(rb, table)
 
     return run
@@ -161,12 +194,12 @@ def _rulebase_dict(load, table):
 def _gen_lexicon(path):
     return {
         k: (e.lemma, e.category, e.countable, e.preps)
-        for k, e in realizer.load_gen_lexicon(path).items()
+        for k, e in realizer.parse_gen_lexicon(sexpr.read_text(path), path).items()
     }
 
 
 def _taxonomy(path):
-    tax = semantics.Taxonomy.load(path)
+    tax = semantics.Taxonomy.parse(sexpr.read_text(path), path)
     return tax.parents, tax.disjoint_pairs
 
 
@@ -189,7 +222,7 @@ _LINE_LOADERS = {
         ["nigatsu\tDATE", "hossoku\tVN"], "nigatsu", rulebase.RuleBaseError,
     ),
     "irregulars": (
-        glosser.load_irregulars,
+        _on_file(glosser.parse_irregulars),
         ["eat\tate\teaten\teats", "go\twent\tgone\tgoes"], "be\twas", glosser.GlossError,
     ),
     "gen_lexicon": (
@@ -206,7 +239,7 @@ _LINE_LOADERS = {
         lambda path: load_config(path).values,
         ["path = interlingua", "root_categories = S,NP"], "path interlingua", ResourceError,
     ),
-    "word_list": (posteditor.load_word_list, ["cat", "Dog"], None, None),
+    "word_list": (_on_file(posteditor.parse_word_list), ["cat", "Dog"], None, None),
 }
 
 
@@ -651,6 +684,26 @@ def test_cli_decode_reports_bad_blocks_and_goes_on(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0:-2:2] == [h for h, _b, _m in blocks] and lines[1:-2:2] == errors
     assert lines[-2] == "# good" and lines[-1].endswith("\thello")
+
+
+def test_cli_reports_a_verb_group_base_that_is_no_atom_per_line(tmp_path, capsys):
+    # the gloss rule binds base to the verb's missing tense: an empty node
+    (tmp_path / "toy.rules").write_text("((VP -> V))\n")
+    (tmp_path / "toy.gloss").write_text("((VP -> V) ((X0 gloss base) = (X1 gloss tense)))\n")
+    (tmp_path / "syn.tsv").write_text("taberu\tV\n")
+    (tmp_path / "bil.tsv").write_text("taberu\tV\teat\n")
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(
+        "grammar = toy.rules\ngloss_rules = toy.gloss\nsyn_lexicon = syn.tsv\n"
+        "bilingual = bil.tsv\nroot_categories = VP\nverbal_categories = V\n"
+    )
+    inp = tmp_path / "in.txt"
+    inp.write_text("taberu/V\n")
+    error = "verb group base is not an atom: ((base ()))"
+    code, out, err = _run(capsys, ["--config", str(cfg), "gloss", "--input", str(inp)])
+    assert (code, out, err) == (0, "# taberu/V\n# error: %s\n" % error, "")
+    code, out, err = _run(capsys, ["--config", str(cfg), "translate", "--input", str(inp)])
+    assert (code, out, err) == (0, "# error: GlossError: %s\n" % error, "")
 
 
 def test_cli_decode_without_a_model_exits_1(tmp_path, capsys):

@@ -12,10 +12,9 @@ from hybridmt.posteditor import (
     dump_tree,
     extract_instances,
     insert_articles,
-    load_word_list,
-    load_repairs,
     parse_repairs,
     parse_tree,
+    parse_word_list,
     train_tree,
 )
 
@@ -190,7 +189,7 @@ def test_choose_allomorph_exceptions_invert():
 
 
 def test_exceptions_fixture_loaded():
-    exceptions = load_word_list(fixture_path("exceptions.txt"))
+    exceptions = parse_word_list(_read("exceptions.txt"))
     assert "hour" in exceptions and "university" in exceptions
 
 
@@ -295,13 +294,13 @@ def test_apply_repairs_single_pass_per_rule():
 
 
 def test_repairs_fixture_strips_fragment_separator():
-    rules = load_repairs(fixture_path("repairs.tsv"))
+    rules = parse_repairs(_read("repairs.tsv"))
     assert apply_repairs("John ## eats", rules) == "John eats"
 
 
 def test_repairs_pattern_may_start_with_hash():
     # a repairs file skips blank lines only: "## " is a rule, not a comment
-    rules = load_repairs(fixture_path("repairs.tsv"))
+    rules = parse_repairs(_read("repairs.tsv"))
     assert rules == [("## ", ""), (" ##", "")]
     assert apply_repairs("## X", rules) == "X"
     assert parse_repairs("# a\tb\n\n") == [("# a", "b")]

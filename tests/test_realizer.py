@@ -1,12 +1,11 @@
 import pytest
 
-from hybridmt import lattice_lm as wl
+from hybridmt import lattice_lm as wl, sexpr
 from hybridmt.realizer import (
     DEFAULT_PREPOSITIONS,
     MONTH_NAMES,
     GenEntry,
     RealizeError,
-    load_gen_lexicon,
     parse_gen_lexicon,
     realize,
 )
@@ -26,7 +25,7 @@ DEMO_SPL = """
 
 @pytest.fixture(scope="module")
 def lex():
-    return load_gen_lexicon(fixture_path("gen_lexicon.tsv"))
+    return parse_gen_lexicon(sexpr.read_text(fixture_path("gen_lexicon.tsv")))
 
 
 def _paths(lat):
@@ -94,9 +93,9 @@ def test_indefinite_article(lex):
 
 
 def test_past_tense(lex):
-    from hybridmt.glosser import load_irregulars
+    from hybridmt.glosser import parse_irregulars
 
-    irregulars = load_irregulars(fixture_path("irregulars.tsv"))
+    irregulars = parse_irregulars(sexpr.read_text(fixture_path("irregulars.tsv")))
     lat = realize(
         parse_spl("(|e| / ingest :TENSE past :AGENT (|p| / |named person|))"),
         lex,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridmt import semantics
+from hybridmt import semantics, sexpr
 from hybridmt.chunker import parse_token_line
 from hybridmt.featstruct import FeatStruct
 from hybridmt.parser import parse
@@ -45,7 +45,7 @@ SPL_SAMPLE = """
 
 @pytest.fixture(scope="module")
 def taxonomy():
-    return Taxonomy.load(fixture_path("taxonomy.txt"))
+    return Taxonomy.parse(sexpr.read_text(fixture_path("taxonomy.txt")))
 
 
 @pytest.fixture(scope="module")
