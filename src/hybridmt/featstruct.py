@@ -92,9 +92,6 @@ class FeatStruct:
 
     @staticmethod
     def negation(atoms):
-        atoms = frozenset(atoms)
-        if not atoms:
-            raise ValueError("*NOT* set must be non-empty")
         return FeatStruct(forbidden=atoms)
 
     @staticmethod
@@ -648,7 +645,7 @@ def _apply_seq(states, eqs, cap):
                         break
                     expanded.extend(_apply_seq([st.clone()], group, cap))
             states = expanded[:cap]
-        elif isinstance(eq, XorBlock):
+        else:  # XorBlock, the last of ``parse_equation``'s kinds
             expanded = []
             for st in states:
                 satisfiable = []
@@ -662,8 +659,6 @@ def _apply_seq(states, eqs, cap):
                     raise _XorFail(len(satisfiable))
                 expanded.extend(_apply_seq([st], eq.groups[satisfiable[0]], cap))
             states = expanded[:cap]
-        else:
-            raise TypeError("unknown equation type: %r" % (eq,))
     return states
 
 

@@ -5,8 +5,9 @@ bottom-up through the gloss equation sets of the rulebase, using ordered
 ``op1..opN`` features for concatenation and ``*or*`` leaves for word
 alternatives.  Abstract ``tmp`` flags (passive, past, negative,
 progressive) accumulated from source suffixes delay verb-group
-realization until flattening, when a ``base`` node plus its flags expand
-into auxiliary + participle sequences from a fixed morphology table.
+realization until flattening, when ``realize_verbgroup(bases, flags)``
+expands the atoms of a ``base`` node under its flags into auxiliary +
+participle sequences from a fixed morphology table.
 
 Flattening turns the structure into a word lattice: op features
 concatenate in numeric order, ``*or*`` and ``alt1..altN`` nodes become
@@ -31,17 +32,6 @@ _PART_RE = re.compile(r"^(op|alt)([0-9]+)$")
 
 class GlossError(ValueError):
     pass
-
-
-class VerbGroupSpec:
-    def __init__(self, bases, flags=()):
-        self.bases = sorted(set(bases))
-        if not self.bases:
-            raise ValueError("verb group needs at least one base form")
-        self.flags = frozenset(flags)
-        unknown = self.flags - SUPPORTED_FLAGS
-        if unknown:
-            raise ValueError("unsupported verb flags %s" % sorted(unknown))
 
 
 # ---------------------------------------------------------------------
@@ -97,13 +87,15 @@ def ing_form(base):
     return base + "ing"
 
 
-def realize_verbgroup(spec, irregulars=None):
-    """Expand a verb group into a sequence of word-alternative groups.
+def realize_verbgroup(bases, flags, irregulars=None):
+    """Expand the distinct ``bases`` under the tense ``flags`` into a
+    sequence of word-alternative groups.
 
     Returns a list of groups, each a list of single-word alternatives,
     e.g. passive+past over "eat" -> [["was", "were"], ["eaten"]].
+    ``_flatten`` hands over atomic bases and ``SUPPORTED_FLAGS`` only.
     """
-    flags = spec.flags
+    bases = sorted(set(bases))
     past = "past" in flags
     if "passive" in flags or "progressive" in flags:
         groups = [["was", "were"] if past else ["is", "are"]]
@@ -112,16 +104,16 @@ def realize_verbgroup(spec, irregulars=None):
         if "passive" in flags and "progressive" in flags:
             groups.append(["being"])
         if "passive" in flags:
-            groups.append([participle_form(b, irregulars) for b in spec.bases])
+            groups.append([participle_form(b, irregulars) for b in bases])
         else:
-            groups.append([ing_form(b) for b in spec.bases])
+            groups.append([ing_form(b) for b in bases])
         return groups
     if "negative" in flags:
         aux = ["did"] if past else ["does", "do"]
-        return [aux, ["not"], list(spec.bases)]
+        return [aux, ["not"], bases]
     if past:
-        return [[past_form(b, irregulars) for b in spec.bases]]
-    return [list(spec.bases)]
+        return [[past_form(b, irregulars) for b in bases]]
+    return [bases]
 
 
 # ---------------------------------------------------------------------
@@ -245,8 +237,8 @@ def _flatten(node, tmp, irregulars):
         bases = feats["base"].allowed
         if not bases:
             raise GlossError("verb group base is not an atom: %s" % canonical(node))
-        spec = VerbGroupSpec((str(a) for a in bases), _tmp_flags(node) | tmp)
-        return wl.groups_term(realize_verbgroup(spec, irregulars))
+        groups = realize_verbgroup(map(str, bases), _tmp_flags(node) | tmp, irregulars)
+        return wl.groups_term(groups)
     # one scan finds both kinds; op features win over alt features
     ops, alts = [], []
     for f in feats:

@@ -171,10 +171,6 @@ def groups_term(groups):
     return tuple(sorted(set(group)) for group in groups)
 
 
-def from_groups(groups):
-    return layout(groups_term(groups))
-
-
 def all_paths(lattice, cap=10_000):
     """Distinct epsilon-free word sequences of all source-sink paths.
 

@@ -46,7 +46,7 @@ class Constituent:
 
 class ParseForest:
     def __init__(self, token_count):
-        self.constituents = {}
+        self.constituents = []  # a constituent's id is its index
         self.token_count = token_count
         self.roots = []
         self.truncated = False
@@ -61,7 +61,7 @@ class ParseForest:
         return self.constituents[cid]
 
     def __iter__(self):
-        return iter(self.constituents.values())
+        return iter(self.constituents)
 
 
 def barrier_regions(tokens):
@@ -179,7 +179,6 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
     # per right-hand side of ``longer_rules``: the sum of its categories'
     # longest, the longest span it can cover so far
     reaches = [0] * len(longer_rules)
-    next_id = 0
     edges_left = max(edge_cap, 0)
     empty = FeatStruct.empty()  # the X0 of every equation-free rule
 
@@ -187,7 +186,6 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
         """Pack ``derivations`` into a constituent or add one with
         them, unless a barrier forbids it.  A new constituent keeps the
         list itself, so the caller must not keep or hand on the list."""
-        nonlocal next_id
         if barriers and crosses_barrier(barriers, category, start, end):
             return
         ends = by_end.get(category)
@@ -207,9 +205,8 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
                 else:
                     held += derivations
                 return
-        const = Constituent(next_id, category, start, end, fs, derivations, lexical, token)
-        next_id += 1
-        constituents[const.id] = const
+        const = Constituent(len(constituents), category, start, end, fs, derivations, lexical, token)
+        constituents.append(const)
         by_start[category].setdefault(start, []).append(const)
         if ending is None:
             ending = ends[end] = {}
@@ -468,7 +465,9 @@ class Composition:
 
 def fragment_cover(forest, category_order=()):
     """Root id if a full parse exists, else a greedy leftmost-longest
-    sequence of non-overlapping constituents covering every position."""
+    sequence of non-overlapping constituents covering every position.
+    Every position starts one: its lexical constituents span one token,
+    which no barrier region strictly crosses."""
     if forest.roots:
         return [forest.roots[0]]
     order = {cat: i for i, cat in enumerate(category_order)}
@@ -483,8 +482,6 @@ def fragment_cover(forest, category_order=()):
     cover = []
     pos = 0
     while pos < forest.token_count:
-        if pos not in best:
-            raise ParseError("no constituent starts at position %d" % pos)
         neg_end, _order, cid = best[pos]
         cover.append(cid)
         pos = -neg_end
@@ -495,8 +492,7 @@ def dump_forest(forest):
     """One line per constituent:
     ``id TAB category TAB start TAB end TAB derivations TAB features``."""
     lines = []
-    for cid in sorted(forest.constituents):
-        c = forest[cid]
+    for c in forest:
         derivs = ";".join(
             "%s:%s" % (sexpr.dump([d[0].lhs, "->", *d[0].rhs]), ",".join(map(str, d[1:])))
             for d in c.derivations

@@ -340,7 +340,5 @@ def apply_repairs(text, rules):
     """Each rule rewrites non-overlapping occurrences left to right in
     one pass; replacements are not rescanned by the same rule."""
     for pattern, replacement in rules:
-        if not pattern:
-            raise PosteditError("empty repair pattern")
         text = text.replace(pattern, replacement)
     return text

@@ -122,7 +122,7 @@ def realize(g, lex, irregulars=None):
 
     groups.append(["."])
     groups[0] = sorted({alt[:1].upper() + alt[1:] for alt in groups[0]})
-    return wl.from_groups(groups)
+    return wl.layout(wl.groups_term(groups))
 
 
 # The two phrase builders are module-level functions that take the

@@ -38,10 +38,7 @@ class RuleKey(tuple):
     __slots__ = ()
 
     def __new__(cls, lhs, rhs):
-        rhs = tuple(rhs)
-        if not rhs:
-            raise RuleBaseError("rule %s has an empty right-hand side" % lhs)
-        return tuple.__new__(cls, (lhs, rhs))
+        return tuple.__new__(cls, (lhs, tuple(rhs)))
 
     lhs = property(itemgetter(0))
     rhs = property(itemgetter(1))

@@ -51,7 +51,7 @@ def enumerate_trees(forest, cid, cap=1000):
     Trees are ``(category, (start, end), rule-or-None, child trees)``
     tuples, in derivation-list order, children expanded left to right.
     """
-    if cid not in forest.constituents:
+    if not 0 <= cid < len(forest.constituents):
         raise KeyError("unknown constituent id %r" % cid)
 
     def expand(const, budget):

@@ -8,7 +8,6 @@ from hybridmt.chunker import Token, parse_token_line
 from hybridmt.featstruct import FeatStruct, canonical
 from hybridmt.glosser import (
     GlossError,
-    VerbGroupSpec,
     flatten_gloss,
     gloss_forest,
     gloss_leaf,
@@ -94,19 +93,12 @@ def test_realize_analyze_roundtrip_all_flag_combos(irregulars):
     ]
     assert sorted(combos) == sorted(_EAT_GROUPS)
     for combo in combos:
-        spec = VerbGroupSpec(["eat"], combo)
-        assert realize_verbgroup(spec, irregulars) == _EAT_GROUPS[combo], combo
+        assert realize_verbgroup(["eat"], combo, irregulars) == _EAT_GROUPS[combo], combo
 
 
 def test_realize_passive_past():
-    groups = realize_verbgroup(VerbGroupSpec(["eat"], ["passive", "past"]),
-                               {"eat": ("ate", "eaten", "eats")})
+    groups = realize_verbgroup(["eat"], ["passive", "past"], {"eat": ("ate", "eaten", "eats")})
     assert groups == [["was", "were"], ["eaten"]]
-
-
-def test_realize_unsupported_flag_warns():
-    with pytest.raises(ValueError, match="future"):
-        VerbGroupSpec(["eat"], ["future"])
 
 
 # -- leaf glossing -----------------------------------------------------
@@ -361,11 +353,10 @@ def _flatten_unwrapping_the_top(gloss, irregulars=None):
             return wl.WordLattice(2, [(0, 1, wl.EPS)])
         feats = node.features
         if "base" in feats:
-            spec = VerbGroupSpec(
-                (str(a) for a in feats["base"].allowed),
-                glosser._tmp_flags(node) | tmp,
+            bases = [str(a) for a in feats["base"].allowed]
+            return _from_groups(
+                realize_verbgroup(bases, glosser._tmp_flags(node) | tmp, irregulars)
             )
-            return _from_groups(realize_verbgroup(spec, irregulars))
         ops = sorted(
             ((int(m.group(1)), f) for f in feats if (m := _OP_RE.match(f))),
         )
@@ -445,5 +436,5 @@ def test_batch_glosses_flatten_like_the_top_unwrap(request, name):
 
 
 def test_passive_of_a_regular_verb_takes_the_regular_participle(irregulars):
-    groups = realize_verbgroup(VerbGroupSpec(["walk"], ["passive"]), irregulars)
+    groups = realize_verbgroup(["walk"], ["passive"], irregulars)
     assert groups == [["is", "are"], ["walked"]]

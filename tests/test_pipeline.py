@@ -706,6 +706,27 @@ def test_cli_reports_a_verb_group_base_that_is_no_atom_per_line(tmp_path, capsys
     assert (code, out, err) == (0, "# error: GlossError: %s\n" % error, "")
 
 
+def test_cli_reports_a_gloss_node_that_cannot_flatten_per_line(tmp_path, capsys):
+    # the gloss rule puts the verb's gloss under a feature that is no
+    # op, alt, base or gloss, so flattening finds nothing to expand
+    (tmp_path / "toy.rules").write_text("((VP -> V))\n")
+    (tmp_path / "toy.gloss").write_text("((VP -> V) ((X0 gloss foo) = (X1 gloss)))\n")
+    (tmp_path / "syn.tsv").write_text("taberu\tV\n")
+    (tmp_path / "bil.tsv").write_text("taberu\tV\teat\n")
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(
+        "grammar = toy.rules\ngloss_rules = toy.gloss\nsyn_lexicon = syn.tsv\n"
+        "bilingual = bil.tsv\nroot_categories = VP\nverbal_categories =\n"
+    )
+    inp = tmp_path / "in.txt"
+    inp.write_text("taberu/V\n")
+    error = 'cannot flatten node: ((foo "eat"))'
+    code, out, err = _run(capsys, ["--config", str(cfg), "gloss", "--input", str(inp)])
+    assert (code, out, err) == (0, "# taberu/V\n# error: %s\n" % error, "")
+    code, out, err = _run(capsys, ["--config", str(cfg), "translate", "--input", str(inp)])
+    assert (code, out, err) == (0, "# error: GlossError: %s\n" % error, "")
+
+
 def test_cli_decode_without_a_model_exits_1(tmp_path, capsys):
     cfg = tmp_path / "no-model.cfg"
     cfg.write_text("path = gloss\n")
@@ -1082,7 +1103,8 @@ def test_cli_reads_standard_input_without_input_option(capsys, monkeypatch):
 
 
 def test_cli_decode_takes_a_lattice_without_a_header(tmp_path, capsys, gloss_pipeline):
-    lattice = lattice_lm.from_groups([["John"], ["wants", "want"], ["to"], ["eat"]])
+    groups = [["John"], ["wants", "want"], ["to"], ["eat"]]
+    lattice = lattice_lm.layout(lattice_lm.groups_term(groups))
     inp = tmp_path / "lattice.txt"
     inp.write_text(lattice_lm.dump_lattice(lattice))
     out = _cli_output(capsys, "gloss.cfg", "decode", inp)
@@ -1116,7 +1138,8 @@ def test_batch_lattices_numbered_backward_decode_alike(gloss_pipeline):
 
 @pytest.mark.parametrize("renumber", [lambda lattice: lattice, _reverse_interior])
 def test_decoding_leaves_the_lattice_as_it_was(gloss_pipeline, renumber):
-    lattice = renumber(lattice_lm.from_groups([["John"], ["wants", "want"], ["to"], ["eat", "ate"]]))
+    groups = [["John"], ["wants", "want"], ["to"], ["eat", "ate"]]
+    lattice = renumber(lattice_lm.layout(lattice_lm.groups_term(groups)))
     edges = lattice.edges
     before = (dict(vars(lattice)), list(edges))
     lattice_lm.best_path(lattice, gloss_pipeline.lm)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hybridmt.rulebase import (
@@ -139,6 +141,23 @@ def test_load_rulebase_fixture_files():
 def test_load_rulebase_missing_file():
     with pytest.raises(RuleBaseError):
         load_rulebase(grammar_file=fixture_path("no-such-file.rules"))
+
+
+@pytest.mark.parametrize(
+    "argument", ["syn_lexicon_file", "bilingual_file", "sem_lexicon_file", "compound_file"]
+)
+def test_load_rulebase_names_a_missing_lexicon_file(argument):
+    path = fixture_path("no-such-lexicon.tsv")
+    with pytest.raises(RuleBaseError, match="^missing lexicon file: %s$" % re.escape(path)):
+        load_rulebase(**{argument: path})
+
+
+def test_syn_lexicon_features_column_of_two_expressions_names_file_and_line(tmp_path):
+    path = tmp_path / "syn.tsv"
+    path.write_text("john\tN\nkaisha\tN\t((a b)) ((c d))\n")
+    want = "^%s:2: expected exactly one expression, got 2$" % re.escape(str(path))
+    with pytest.raises(RuleBaseError, match=want):
+        load_rulebase(syn_lexicon_file=str(path))
 
 
 def test_syn_lexicon_features_column():
