@@ -252,7 +252,3 @@ def main(argv=None):
         print("error: %s" % err, file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

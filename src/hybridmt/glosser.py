@@ -120,19 +120,13 @@ def realize_verbgroup(bases, flags, irregulars=None):
 # Leaf glossing
 # ---------------------------------------------------------------------
 
-def _string_leaf(alternatives):
-    if len(alternatives) == 1:
-        return FeatStruct.atom(QuotedString(alternatives[0]))
-    return FeatStruct.disjunction(QuotedString(a) for a in alternatives)
-
-
-def gloss_leaf(token, rb, verbal_categories=frozenset()):
+def gloss_leaf(token, rb):
     """Dictionary gloss for one token as a feature structure.
 
     Multiple translation alternatives become one ``*or*`` leaf; unknown
-    tokens pass their surface through, flagged unknown.  Entries whose
-    category is configured verbal populate base alternatives under a
-    ``base`` node so inflection can wait for the full verb complex.
+    tokens pass their surface through, flagged unknown.  A gloss rule
+    that writes the leaf's gloss to ``base`` makes it a verb group, so
+    inflection can wait for the full verb complex.
     """
     if token.marker:
         raise GlossError("marker tokens have no gloss")
@@ -144,17 +138,10 @@ def gloss_leaf(token, rb, verbal_categories=frozenset()):
                 "unknown": FeatStruct.atom("+"),
             }
         )
-    alternatives = []
-    for entry in entries:
-        alternatives.extend(entry.translations)
-    seen = set()
-    alternatives = [a for a in alternatives if not (a in seen or seen.add(a))]
-    pos = entries[0].pos
-    if pos in verbal_categories:
-        body = FeatStruct.complex({"base": _string_leaf(alternatives)})
-    else:
-        body = _string_leaf(alternatives)
-    return FeatStruct.complex({"gloss": body})
+    words = [QuotedString(w) for w in dict.fromkeys(t for e in entries for t in e.translations)]
+    if len(words) == 1:
+        return FeatStruct.complex({"gloss": FeatStruct.atom(words[0])})
+    return FeatStruct.complex({"gloss": FeatStruct.disjunction(words)})
 
 
 # ---------------------------------------------------------------------
@@ -167,25 +154,22 @@ def _merge_alternatives(structures):
     return FeatStruct.complex({"alt%d" % i: fs for i, fs in enumerate(structures, 1)})
 
 
-def gloss_forest(forest, rb, verbal_categories=frozenset(), category_order=()):
+def gloss_forest(forest, rb, category_order=()):
     """Gloss the forest's fragment cover into one gloss structure.
 
     Fragments concatenate left to right with the ``##`` separator.
-    Raises GlossError naming missing gloss backbones when a cover
-    constituent has no glossable derivation.
+    When a cover constituent has no gloss, raises GlossError naming the
+    backbones below it that have no gloss rules, and those whose gloss
+    rules solve nothing although every child has a gloss.
     """
-    missing = set()
 
     def gloss_sets(rule_key):
         rule = rb.rules.get(rule_key)
-        if rule is None or not rule.gloss_sets:
-            missing.add(rule_key)
-            return ()
-        return rule.gloss_sets
+        return rule.gloss_sets if rule is not None else ()
 
     compute = Composition(
         forest,
-        lambda const: [gloss_leaf(const.token, rb, verbal_categories)],
+        lambda const: [gloss_leaf(const.token, rb)],
         gloss_sets,
         ALTERNATIVE_CAP,
     )
@@ -193,9 +177,26 @@ def gloss_forest(forest, rb, verbal_categories=frozenset(), category_order=()):
     for cid in fragment_cover(forest, category_order):
         options = compute(cid)
         if not options:
+            no_rules, no_solution = set(), set()
+            stack, seen = [cid], {cid}
+            while stack:
+                for key, *children in forest[stack.pop()].derivations:
+                    if not gloss_sets(key):
+                        no_rules.add(key)
+                        continue
+                    empty = [c for c in children if not compute(c)]
+                    if not empty:
+                        no_solution.add(key)
+                    for c in empty:
+                        if c not in seen:
+                            seen.add(c)
+                            stack.append(c)
             raise GlossError(
-                "no gloss rules for backbones: %s"
-                % ", ".join(sorted(repr(k) for k in missing))
+                "; ".join(
+                    "%s for backbones: %s" % (what, ", ".join(sorted(map(repr, keys))))
+                    for what, keys in (("no gloss rules", no_rules), ("no gloss solution", no_solution))
+                    if keys
+                )
             )
         pieces.append(_merge_alternatives(options))
     if len(pieces) == 1:

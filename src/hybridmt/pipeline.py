@@ -27,7 +27,6 @@ _DEFAULTS = {
     "path": "gloss",
     "root_categories": "S",
     "category_order": "",
-    "verbal_categories": "V",
 }
 
 _FILE_KEYS = (
@@ -81,10 +80,6 @@ class PipelineConfig:
     @property
     def category_order(self):
         return tuple(c for c in self.values["category_order"].split(",") if c)
-
-    @property
-    def verbal_categories(self):
-        return frozenset(c for c in self.values["verbal_categories"].split(",") if c)
 
 
 def load_config(path):
@@ -293,12 +288,7 @@ class Pipeline:
         return parser.parse(tokens, self.rb, root_categories=self.cfg.root_categories)
 
     def gloss(self, forest):
-        gfs = glosser.gloss_forest(
-            forest,
-            self.rb,
-            verbal_categories=self.cfg.verbal_categories,
-            category_order=self.cfg.category_order,
-        )
+        gfs = glosser.gloss_forest(forest, self.rb, category_order=self.cfg.category_order)
         return glosser.flatten_gloss(gfs, self.irregulars)
 
     def analyze(self, forest):

@@ -19,6 +19,8 @@ from . import sexpr
 ARTICLES = ("a", "an", "the")
 BOUNDARY = "<s>"
 LABELS = ("a-an", "null", "the")
+MAX_DEPTH = 10  # tests on a trained tree's longest root-to-leaf path
+MIN_LEAF = 5  # a trained tree splits no node of fewer instances
 
 
 class PosteditError(ValueError):
@@ -163,26 +165,24 @@ def _distribution(instances):
     return dist
 
 
-def train_tree(instances, max_depth=10, min_leaf=5):
-    """Top-down induction with information-gain splits.
+def train_tree(instances):
+    """Top-down induction with information-gain splits, at most
+    ``MAX_DEPTH`` tests deep and splitting no node of fewer than
+    ``MIN_LEAF`` instances.
 
     Deterministic: ties pick the first (feature, value) pair in sorted
     order; a (feature, value) test is never repeated below itself.
     """
     if not instances:
         raise PosteditError("cannot train a tree on zero instances")
-    return _grow(list(instances), max_depth, min_leaf, frozenset())
+    return _grow(list(instances), MAX_DEPTH, frozenset())
 
 
-def _grow(items, depth_left, min_leaf, used):
+def _grow(items, depth_left, used):
     """The subtree over ``items``, at most ``depth_left`` tests deep,
     testing no (feature, value) pair in ``used``."""
     dist = _distribution(items)
-    if (
-        depth_left <= 0
-        or len(items) < min_leaf
-        or len(dist) == 1
-    ):
+    if depth_left <= 0 or len(items) < MIN_LEAF or len(dist) == 1:
         return DecisionTree(dist=dist)
     parent_h = _entropy(dist)
     candidates = sorted(
@@ -212,8 +212,8 @@ def _grow(items, depth_left, min_leaf, used):
     return DecisionTree(
         feature=feat,
         value=value,
-        yes=_grow(yes, depth_left - 1, min_leaf, used),
-        no=_grow(no, depth_left - 1, min_leaf, used),
+        yes=_grow(yes, depth_left - 1, used),
+        no=_grow(no, depth_left - 1, used),
     )
 
 

@@ -219,12 +219,7 @@ def _random_lattice(rng, depth=0):
 def test_criterion_05_gloss_worked_example(gloss_pipeline):
     pipe = gloss_pipeline
     forest = pipe.parse(pipe.chunk(GLOSS_DEMO))
-    fs = glosser.gloss_forest(
-        forest,
-        pipe.rb,
-        verbal_categories=pipe.cfg.verbal_categories,
-        category_order=pipe.cfg.category_order,
-    )
+    fs = glosser.gloss_forest(forest, pipe.rb, category_order=pipe.cfg.category_order)
     lat = glosser.flatten_gloss(fs, pipe.irregulars)
     paths, truncated = wl.all_paths(lat)
     assert not truncated

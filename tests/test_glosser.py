@@ -124,9 +124,14 @@ def test_gloss_leaf_alternatives(rb):
     assert alts == {"wants to eat", "want to eat"}
 
 
-def test_gloss_leaf_verbal_category(rb):
-    fs = gloss_leaf(Token("keikaku", "V"), rb, verbal_categories=frozenset(["V"]))
-    base = fs.get(("gloss", "base"))
+def test_gloss_rule_states_a_verb_group_base(rb):
+    # a leaf's gloss is its translations; the rule makes them a base
+    grammar = parse_rule_file("((VP -> V))", "syntax")
+    parse_rule_file("((VP -> V) ((X0 gloss base) = (X1 gloss)))", "gloss", grammar)
+    grammar.bilingual = rb.bilingual
+    assert str(gloss_leaf(Token("keikaku", "V"), grammar).get(("gloss",)).atom_value) == "plans"
+    forest = parse(parse_token_line("keikaku/V"), grammar, root_categories=("VP",))
+    base = gloss_forest(forest, grammar).get(("gloss", "base"))
     assert str(base.atom_value) == "plans"
 
 
@@ -177,6 +182,25 @@ def test_gloss_forest_missing_backbone_raises():
     with pytest.raises(GlossError) as err:
         gloss_forest(forest, grammar)
     assert "S" in str(err.value)
+
+
+def test_gloss_forest_names_the_backbones_where_glossing_failed():
+    # NP has no gloss rule and VP's rule needs a tense the verb's atom
+    # gloss lacks; S, whose children have no gloss, is neither
+    grammar = parse_rule_file("((S -> NP VP)) ((NP -> N)) ((VP -> V))", "syntax")
+    parse_rule_file(
+        "((S -> NP VP) ((X0 gloss) = (X2 gloss)))"
+        " ((VP -> V) ((X0 gloss base) = (X1 gloss tense)))",
+        "gloss",
+        grammar,
+    )
+    grammar.bilingual = {"neko": [], "taberu": []}
+    forest = parse(parse_token_line("neko/N taberu/V"), grammar)
+    with pytest.raises(GlossError) as err:
+        gloss_forest(forest, grammar)
+    assert str(err.value) == (
+        "no gloss rules for backbones: (NP -> N); no gloss solution for backbones: (VP -> V)"
+    )
 
 
 def test_flatten_ops_concatenate():
@@ -427,10 +451,7 @@ def test_batch_glosses_flatten_like_the_top_unwrap(request, name):
     assert len(lines) == 50
     for line in lines:
         fs = gloss_forest(
-            pipe.parse(pipe.chunk(line)),
-            pipe.rb,
-            verbal_categories=pipe.cfg.verbal_categories,
-            category_order=pipe.cfg.category_order,
+            pipe.parse(pipe.chunk(line)), pipe.rb, category_order=pipe.cfg.category_order
         )
         _assert_flattens_like_the_reference(fs, pipe.irregulars)
 
@@ -438,3 +459,61 @@ def test_batch_glosses_flatten_like_the_top_unwrap(request, name):
 def test_passive_of_a_regular_verb_takes_the_regular_participle(irregulars):
     groups = realize_verbgroup(["walk"], ["passive"], irregulars)
     assert groups == [["is", "are"], ["walked"]]
+
+
+# -- rule-stated verb groups through the pipeline -------------------------
+
+# the toy verb grammar of the CI verb-group step: the lexical rule makes
+# the verb's gloss a base, and each suffix rule sets one tmp flag
+VERB_SUFFIXES = {"TA": "past", "NAI": "negative", "RARE": "passive", "TEIRU": "progressive"}
+VERB_BASES = {"taberu": ["eat", "consume"], "miru": ["see", "watch", "try"]}
+VERB_STACKS = [
+    (), ("TA",), ("NAI",), ("RARE",), ("TEIRU",), ("NAI", "TA"), ("RARE", "TA"),
+    ("RARE", "NAI"), ("RARE", "NAI", "TA"), ("TEIRU", "NAI"), ("RARE", "TEIRU", "TA"),
+]
+
+
+@pytest.fixture(scope="module")
+def verb_pipeline(tmp_path_factory):
+    from hybridmt.pipeline import Pipeline, load_config
+
+    d = tmp_path_factory.mktemp("verbs")
+    rules = ["((VP -> V))", "((S -> N WO VP))"]
+    gloss = ["((VP -> V) ((X0 gloss base) = (X1 gloss)))"]
+    for suffix, flag in VERB_SUFFIXES.items():
+        rules.append("((VP -> VP %s))" % suffix)
+        gloss.append(
+            "((VP -> VP %s) ((X0 gloss) = (X1 gloss)) ((X0 tmp) = (X1 tmp)) ((X0 tmp %s) = +))"
+            % (suffix, flag)
+        )
+    gloss.append("((S -> N WO VP) ((X0 gloss op1) = (X1 gloss)) ((X0 gloss op2) = (X3)))")
+    syn = ["%s\tV" % v for v in VERB_BASES] + ["sushi\tN", "wo\tWO"]
+    syn += ["%s\t%s" % (s.lower(), s) for s in VERB_SUFFIXES]
+    bil = ["%s\tV\t%s" % (v, "|".join(b)) for v, b in VERB_BASES.items()] + ["sushi\tN\tsushi"]
+    files = {
+        "toy.rules": rules,
+        "toy.gloss": gloss,
+        "syn.tsv": syn,
+        "bil.tsv": bil,
+        "irr.tsv": ["eat\tate\teaten\teats", "see\tsaw\tseen\tsees"],
+        "toy.cfg": [
+            "grammar = toy.rules", "gloss_rules = toy.gloss", "syn_lexicon = syn.tsv",
+            "bilingual = bil.tsv", "irregulars = irr.tsv", "root_categories = S,VP",
+        ],
+    }
+    for name, lines in files.items():
+        (d / name).write_text("".join(line + "\n" for line in lines))
+    return Pipeline(load_config(str(d / "toy.cfg")))
+
+
+@pytest.mark.parametrize("stack", VERB_STACKS, ids=lambda s: "+".join(s) or "bare")
+@pytest.mark.parametrize("verb", sorted(VERB_BASES))
+def test_rule_stated_verb_groups_gloss_to_the_realized_groups(verb_pipeline, verb, stack):
+    pipe = verb_pipeline
+    flags = {VERB_SUFFIXES[s] for s in stack}
+    groups = realize_verbgroup(VERB_BASES[verb], flags, pipe.irregulars)
+    want = set(itertools.product(*groups))
+    words = " ".join(["%s/V" % verb] + ["%s/%s" % (s.lower(), s) for s in stack])
+    for prefix, line in (((), words), (("sushi",), "sushi/N wo/WO " + words)):
+        got = _flatten_paths(pipe.gloss(pipe.parse(pipe.chunk(line))))
+        assert got == {prefix + p for p in want}, line

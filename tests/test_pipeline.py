@@ -43,14 +43,13 @@ def test_config_defaults():
     cfg = PipelineConfig()
     assert cfg.values["path"] == "gloss"
     assert cfg.root_categories == ("S",)
-    assert cfg.verbal_categories == frozenset(["V"])
 
 
 def test_config_type_validation():
     cfg = PipelineConfig()
     for key in (
         "no_such_key", "top_n", "seed", "infer_before_rank", "fallback",
-        "solution_cap", "edge_cap", "candidate_cap", "gt_cutoff",
+        "solution_cap", "edge_cap", "candidate_cap", "gt_cutoff", "verbal_categories",
     ):
         with pytest.raises(ResourceError):
             cfg.set(key, "1")
@@ -85,6 +84,15 @@ def test_load_config_rejects_fallback(tmp_path):
     with pytest.raises(ResourceError) as err:
         load_config(str(old))
     assert str(err.value) == "%s:2: unknown config key 'fallback'" % old
+
+
+def test_load_config_rejects_verbal_categories(tmp_path):
+    # a grammar states a verb group by a gloss equation that writes base
+    old = tmp_path / "old.cfg"
+    old.write_text("root_categories = VP\nverbal_categories = V\n")
+    with pytest.raises(ResourceError) as err:
+        load_config(str(old))
+    assert str(err.value) == "%s:2: unknown config key 'verbal_categories'" % old
 
 
 def test_config_missing_file_rejected_at_load():
@@ -686,45 +694,52 @@ def test_cli_decode_reports_bad_blocks_and_goes_on(tmp_path, capsys):
     assert lines[-2] == "# good" and lines[-1].endswith("\thello")
 
 
-def test_cli_reports_a_verb_group_base_that_is_no_atom_per_line(tmp_path, capsys):
-    # the gloss rule binds base to the verb's missing tense: an empty node
+def _gloss_one_verb(tmp_path, capsys, gloss_rule):
+    """``gloss`` and ``translate`` output of ``taberu/V`` under a toy
+    config whose one gloss rule is ``gloss_rule``."""
     (tmp_path / "toy.rules").write_text("((VP -> V))\n")
-    (tmp_path / "toy.gloss").write_text("((VP -> V) ((X0 gloss base) = (X1 gloss tense)))\n")
+    (tmp_path / "toy.gloss").write_text(gloss_rule + "\n")
     (tmp_path / "syn.tsv").write_text("taberu\tV\n")
     (tmp_path / "bil.tsv").write_text("taberu\tV\teat\n")
     cfg = tmp_path / "toy.cfg"
     cfg.write_text(
         "grammar = toy.rules\ngloss_rules = toy.gloss\nsyn_lexicon = syn.tsv\n"
-        "bilingual = bil.tsv\nroot_categories = VP\nverbal_categories = V\n"
+        "bilingual = bil.tsv\nroot_categories = VP\n"
     )
     inp = tmp_path / "in.txt"
     inp.write_text("taberu/V\n")
-    error = "verb group base is not an atom: ((base ()))"
-    code, out, err = _run(capsys, ["--config", str(cfg), "gloss", "--input", str(inp)])
-    assert (code, out, err) == (0, "# taberu/V\n# error: %s\n" % error, "")
-    code, out, err = _run(capsys, ["--config", str(cfg), "translate", "--input", str(inp)])
-    assert (code, out, err) == (0, "# error: GlossError: %s\n" % error, "")
+    return [
+        _run(capsys, ["--config", str(cfg), command, "--input", str(inp)])
+        for command in ("gloss", "translate")
+    ]
+
+
+def _assert_gloss_error_per_line(results, error):
+    assert results == [
+        (0, "# taberu/V\n# error: %s\n" % error, ""),
+        (0, "# error: GlossError: %s\n" % error, ""),
+    ]
+
+
+def test_cli_reports_a_verb_group_base_that_is_no_atom_per_line(tmp_path, capsys):
+    # the gloss rule binds base to the verb's missing tense: an empty node
+    results = _gloss_one_verb(tmp_path, capsys, "((VP -> V) ((X0 gloss base) = (X1 tense)))")
+    _assert_gloss_error_per_line(results, "verb group base is not an atom: ((base ()))")
+
+
+def test_cli_names_a_backbone_whose_gloss_rules_solve_nothing(tmp_path, capsys):
+    # the verb's gloss is an atom, so it has no tense to bind base to
+    results = _gloss_one_verb(
+        tmp_path, capsys, "((VP -> V) ((X0 gloss base) = (X1 gloss tense)))"
+    )
+    _assert_gloss_error_per_line(results, "no gloss solution for backbones: (VP -> V)")
 
 
 def test_cli_reports_a_gloss_node_that_cannot_flatten_per_line(tmp_path, capsys):
     # the gloss rule puts the verb's gloss under a feature that is no
     # op, alt, base or gloss, so flattening finds nothing to expand
-    (tmp_path / "toy.rules").write_text("((VP -> V))\n")
-    (tmp_path / "toy.gloss").write_text("((VP -> V) ((X0 gloss foo) = (X1 gloss)))\n")
-    (tmp_path / "syn.tsv").write_text("taberu\tV\n")
-    (tmp_path / "bil.tsv").write_text("taberu\tV\teat\n")
-    cfg = tmp_path / "toy.cfg"
-    cfg.write_text(
-        "grammar = toy.rules\ngloss_rules = toy.gloss\nsyn_lexicon = syn.tsv\n"
-        "bilingual = bil.tsv\nroot_categories = VP\nverbal_categories =\n"
-    )
-    inp = tmp_path / "in.txt"
-    inp.write_text("taberu/V\n")
-    error = 'cannot flatten node: ((foo "eat"))'
-    code, out, err = _run(capsys, ["--config", str(cfg), "gloss", "--input", str(inp)])
-    assert (code, out, err) == (0, "# taberu/V\n# error: %s\n" % error, "")
-    code, out, err = _run(capsys, ["--config", str(cfg), "translate", "--input", str(inp)])
-    assert (code, out, err) == (0, "# error: GlossError: %s\n" % error, "")
+    results = _gloss_one_verb(tmp_path, capsys, "((VP -> V) ((X0 gloss foo) = (X1 gloss)))")
+    _assert_gloss_error_per_line(results, 'cannot flatten node: ((foo "eat"))')
 
 
 def test_cli_decode_without_a_model_exits_1(tmp_path, capsys):
@@ -982,7 +997,7 @@ def test_repeated_fragment_glosses_without_reentrancy():
 
     def gloss_text(pipe):
         forest = pipe.parse(pipe.chunk(line))
-        return canonical(glosser.gloss_forest(forest, pipe.rb, pipe.cfg.verbal_categories))
+        return canonical(glosser.gloss_forest(forest, pipe.rb))
 
     warm = Pipeline(load_config(fixture_path("gloss.cfg")))
     gloss_text(warm)

@@ -103,12 +103,14 @@ def test_tree_deterministic():
     assert a == b
 
 
-def test_tree_depth_and_leaf_limits():
-    tree = train_tree(_toy_instances(), max_depth=0)
+def test_tree_depth_and_leaf_limits(monkeypatch):
+    assert (posteditor.MAX_DEPTH, posteditor.MIN_LEAF) == (10, 5)
+    tiny = train_tree(_toy_instances()[:3])
+    assert tiny.is_leaf
+    monkeypatch.setattr(posteditor, "MAX_DEPTH", 0)
+    tree = train_tree(_toy_instances())
     assert tree.is_leaf
     assert sum(tree.dist.values()) == 60
-    tiny = train_tree(_toy_instances()[:3], min_leaf=5)
-    assert tiny.is_leaf
 
 
 def test_tree_training_requires_instances():
