@@ -41,10 +41,6 @@ class Token:
     __slots__ = ("surface", "tag", "marker", "marker_cat", "marker_side")
 
     def __init__(self, surface, tag="", marker=False, marker_cat=None, marker_side=None):
-        if not surface:
-            raise ValueError("token surface must be non-empty")
-        if marker and not marker_cat:
-            raise ValueError("marker tokens must carry a category")
         self.surface = surface
         self.tag = tag
         self.marker = marker

@@ -50,12 +50,6 @@ class WordLattice:
     def sink(self):
         return self.node_count - 1
 
-    def out_edges(self):
-        out = [[] for _ in range(self.node_count)]
-        for src, dst, label in self.edges:
-            out[src].append((dst, label))
-        return out
-
     def validate(self):
         _check_shape(self.node_count, self.edges)
         source, sink = self.source, self.sink
@@ -177,7 +171,7 @@ def all_paths(lattice, cap=10_000):
     Returns (paths, truncated); paths are tuples in deterministic
     depth-first order, deduplicated.
     """
-    out = lattice.out_edges()
+    out = _edge_pass(lattice)[0]
     seen = set()
     paths = []
     truncated = False

@@ -26,9 +26,9 @@ class ParseError(ValueError):
 
 
 class Constituent:
-    __slots__ = ("id", "category", "start", "end", "fs", "derivations", "lexical", "token")
+    __slots__ = ("id", "category", "start", "end", "fs", "derivations", "token")
 
-    def __init__(self, cid, category, start, end, fs, derivations, lexical=False, token=None):
+    def __init__(self, cid, category, start, end, fs, derivations, token=None):
         self.id = cid
         self.category = category
         self.start = start
@@ -37,7 +37,6 @@ class Constituent:
         # [(RuleKey, child id, ...)], the list ``parse`` handed over: one
         # flat tuple per derivation is one tracked container, not two
         self.derivations = derivations
-        self.lexical = lexical
         self.token = token
 
     def __repr__(self):
@@ -182,7 +181,7 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
     edges_left = max(edge_cap, 0)
     empty = FeatStruct.empty()  # the X0 of every equation-free rule
 
-    def install(category, start, end, fs, derivations, lexical=False, token=None):
+    def install(category, start, end, fs, derivations, token=None):
         """Pack ``derivations`` into a constituent or add one with
         them, unless a barrier forbids it.  A new constituent keeps the
         list itself, so the caller must not keep or hand on the list."""
@@ -205,7 +204,7 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
                 else:
                     held += derivations
                 return
-        const = Constituent(len(constituents), category, start, end, fs, derivations, lexical, token)
+        const = Constituent(len(constituents), category, start, end, fs, derivations, token)
         constituents.append(const)
         by_start[category].setdefault(start, []).append(const)
         if ending is None:
@@ -290,7 +289,7 @@ def parse(tokens, rb, root_categories=("S",), edge_cap=DEFAULT_EDGE_CAP):
 
     for token_pos, token in enumerate(words):
         for category, fs in lexical_entries(token, rb):
-            install(category, token_pos, token_pos + 1, fs, [], lexical=True, token=token)
+            install(category, token_pos, token_pos + 1, fs, [], token)
 
     close_unary(by_length[1])
     for length in range(2, n + 1):
@@ -366,7 +365,7 @@ def _count_trees(forest, i, memo):
     if i in memo:
         return memo[i]
     const = forest[i]
-    if const.lexical or not const.derivations:
+    if const.token is not None or not const.derivations:
         memo[i] = 1
         return 1
     total = 0
@@ -431,7 +430,7 @@ class Composition:
         if cid in memo:
             return memo[cid]
         const = self.forest[cid]
-        if const.lexical or not const.derivations:
+        if const.token is not None or not const.derivations:
             memo[cid] = self.leaf(const)[:cap]
             return memo[cid]
         # dedup keys start with a second candidate: one has nothing to

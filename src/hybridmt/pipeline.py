@@ -59,7 +59,7 @@ class PipelineConfig:
     def set(self, key, value):
         if key in _FILE_KEYS:
             path = os.path.join(self.base_dir, value)
-            if not os.path.exists(path):
+            if not os.path.isfile(path):
                 raise ResourceError("config key %s: missing file %s" % (key, path))
             self.values[key] = path
         elif key == "path" and value not in ("gloss", "interlingua"):
@@ -85,7 +85,7 @@ class PipelineConfig:
 def load_config(path):
     """Line-oriented ``key = value`` file; paths resolve relative to the
     config file's directory."""
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ResourceError("missing config file: %s" % path)
     cfg = PipelineConfig(base_dir=os.path.dirname(os.path.abspath(path)))
     for where, line in sexpr.records(sexpr.read_text(path), path):

@@ -31,10 +31,8 @@ class ArticleInstance:
     __slots__ = ("label", "features")
 
     def __init__(self, label, features):
-        if label not in LABELS:
-            raise PosteditError("unknown article label %r" % label)
         self.label = label
-        self.features = dict(features)
+        self.features = features
 
 
 # ---------------------------------------------------------------------

@@ -30,16 +30,12 @@ class RealizeError(ValueError):
 class GenEntry:
     __slots__ = ("concept", "lemma", "category", "countable", "preps")
 
-    def __init__(self, concept, lemma, category, countable=True, preps=None):
-        if not lemma:
-            raise RealizeError("generation entry for %r has an empty lemma" % concept)
-        if category not in CATEGORIES:
-            raise RealizeError("entry %r: unknown category %r" % (concept, category))
+    def __init__(self, concept, lemma, category, countable, preps):
         self.concept = concept
         self.lemma = lemma
         self.category = category
         self.countable = countable
-        self.preps = dict(preps or {})
+        self.preps = preps
 
 
 def parse_gen_lexicon(text, filename="<string>"):
@@ -65,7 +61,12 @@ def parse_gen_lexicon(text, filename="<string>"):
         concept = cols[0].strip()
         if len(concept) > 1 and concept.startswith("|") and concept.endswith("|"):
             concept = concept[1:-1]
-        table[concept] = GenEntry(concept, cols[1], cols[2].strip().lower(), countable, preps)
+        category = cols[2].strip().lower()
+        if not cols[1]:
+            raise RealizeError("%s: generation entry for %r has an empty lemma" % (where, concept))
+        if category not in CATEGORIES:
+            raise RealizeError("%s: entry %r: unknown category %r" % (where, concept, category))
+        table[concept] = GenEntry(concept, cols[1], category, countable, preps)
     return table
 
 

@@ -83,7 +83,7 @@ class LexiconEntry:
         self.surface = surface
         self.pos = pos
         self.features = features if features is not None else FeatStruct.empty()
-        self.translations = list(translations)
+        self.translations = translations
 
     def __repr__(self):
         return "LexiconEntry(%s/%s)" % (self.surface, self.pos)
@@ -195,9 +195,9 @@ def load_syn_lexicon(text, rb, filename="<string>"):
 
 def load_bilingual(text, rb, filename="<string>"):
     for where, cols in _tsv_rows(text, filename):
-        if len(cols) < 3 or not cols[2].strip():
+        alts = [a for a in cols[2].split("|") if a.strip()] if len(cols) > 2 else []
+        if not alts:
             raise RuleBaseError("%s: need surface TAB pos TAB alt1|alt2|..." % where)
-        alts = [a for a in cols[2].split("|") if a]
         rb.bilingual.setdefault(cols[0], []).append(
             LexiconEntry(cols[0], cols[1], translations=alts)
         )
@@ -205,11 +205,10 @@ def load_bilingual(text, rb, filename="<string>"):
 
 def load_sem_lexicon(text, rb, filename="<string>"):
     for where, cols in _tsv_rows(text, filename):
-        if len(cols) < 2 or not cols[1].strip():
+        concepts = [c for c in cols[1].split("|") if c.strip()] if len(cols) > 1 else []
+        if not concepts:
             raise RuleBaseError("%s: need surface TAB concept1|concept2" % where)
-        rb.sem_lexicon.setdefault(cols[0], []).extend(
-            c for c in cols[1].split("|") if c
-        )
+        rb.sem_lexicon.setdefault(cols[0], []).extend(concepts)
 
 
 def load_compounds(text, rb, filename="<string>"):

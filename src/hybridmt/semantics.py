@@ -119,7 +119,10 @@ class Taxonomy:
                 tax.disjoint_pairs.add(frozenset((fields[1], fields[2])))
             else:
                 raise TaxonomyError("%s: unknown directive %r" % (where, fields[0]))
-        tax.validate()
+        try:
+            tax.validate()
+        except TaxonomyError as err:
+            raise TaxonomyError("%s: %s" % (filename, err)) from None
         return tax
 
     def _parse_relation(self, fields, where):

@@ -6,10 +6,10 @@ without the product's private helpers, so that the two stay independent:
 ``from_phrase``, ``concat`` and ``alternate`` are the pairwise lattice
 algebra that ``lattice_lm.layout`` writes in one pass, and
 ``concat_all`` and ``alternate_all`` their left folds;
-``topological_order`` orders a lattice without
-``lattice_lm._edge_pass``, ``enumerate_trees`` unpacks the forest
-that ``count_trees`` only counts, and ``match_pattern`` and ``chunk``
-search each start of a chunk pattern by backtracking where
+``out_edges`` and ``topological_order`` list and order a lattice's
+edges without ``lattice_lm._edge_pass``, ``enumerate_trees`` unpacks
+the forest that ``count_trees`` only counts, and ``match_pattern`` and
+``chunk`` search each start of a chunk pattern by backtracking where
 ``chunker.match_table`` fills one table for every start.
 """
 
@@ -56,7 +56,7 @@ def enumerate_trees(forest, cid, cap=1000):
 
     def expand(const, budget):
         span = (const.start, const.end)
-        if const.lexical or not const.derivations:
+        if const.token is not None or not const.derivations:
             return [(const.category, span, None, ())]
         trees = []
         for rule_key, *child_ids in const.derivations:
@@ -152,6 +152,14 @@ def alternate_all(lattices):
     return reduce(alternate, lattices)
 
 
+def out_edges(lattice):
+    """Each node's (dst, label) out-edges, in edge order."""
+    out = [[] for _ in range(lattice.node_count)]
+    for src, dst, label in lattice.edges:
+        out[src].append((dst, label))
+    return out
+
+
 def topological_order(lattice):
     """Nodes in an order where every edge goes forward (Kahn's
     algorithm, first in first out), or None when the edges make a
@@ -159,7 +167,7 @@ def topological_order(lattice):
     indegree = [0] * lattice.node_count
     for _src, dst, _label in lattice.edges:
         indegree[dst] += 1
-    out = lattice.out_edges()
+    out = out_edges(lattice)
     order = [node for node in range(lattice.node_count) if indegree[node] == 0]
     for node in order:  # the list grows as nodes become free
         for dst, _label in out[node]:

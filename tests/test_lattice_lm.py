@@ -32,6 +32,7 @@ from oracles import (
     concat_all,
     from_phrase,
     from_word,
+    out_edges,
     topological_order,
 )
 
@@ -93,7 +94,7 @@ def eliminate_epsilon(lattice):
     preserves the path multiset as word sequences.  The reference
     decoder below runs on this lattice, so that it reaches its answer
     without ever carrying a state along an epsilon edge."""
-    out = lattice.out_edges()
+    out = out_edges(lattice)
     closures = []
     for node in range(lattice.node_count):
         seen, todo = {node}, [node]
@@ -379,7 +380,7 @@ def _reference_decode(lattice, model, n):
     order = topological_order(words_only)
     if order is None:
         raise LatticeError("cannot decode a cyclic lattice")
-    out = words_only.out_edges()
+    out = out_edges(words_only)
     states = {lattice.source: {(BOS, BOS): [(0.0, ())]}}
 
     def push(bucket, hist, score, seq):

@@ -1065,8 +1065,7 @@ def test_random_forests_list_roots_in_order_and_derive_every_phrase():
         # composition hands a constituent with no derivation to its leaf
         # function, which reads the token: only lexical ones may get there
         for c in forest:
-            assert (c.token is not None) == c.lexical
-            assert c.lexical or c.derivations
+            assert c.token is not None or c.derivations
     assert several > 10
 
 

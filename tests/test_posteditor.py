@@ -74,11 +74,6 @@ def test_article_without_nearby_noun_is_not_a_slot():
     assert [i.label for i in instances] == ["null"]
 
 
-def test_instance_rejects_unknown_label():
-    with pytest.raises(PosteditError):
-        ArticleInstance("definite", {})
-
-
 # -- decision tree -----------------------------------------------------
 
 def _toy_instances():

@@ -4,7 +4,6 @@ from hybridmt import lattice_lm as wl, sexpr
 from hybridmt.realizer import (
     DEFAULT_PREPOSITIONS,
     MONTH_NAMES,
-    GenEntry,
     RealizeError,
     parse_gen_lexicon,
     realize,
@@ -59,8 +58,6 @@ def test_parse_gen_lexicon_rejects_bad_rows():
         parse_gen_lexicon("c\tlemma\tadverbial\n")
     with pytest.raises(RealizeError):
         parse_gen_lexicon("c\tlemma\tnoun\t+\tnot-a-pair\n")
-    with pytest.raises(RealizeError):
-        GenEntry("c", "", "noun")
 
 
 # -- realization -------------------------------------------------------

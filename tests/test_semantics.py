@@ -90,8 +90,9 @@ def test_taxonomy_relation_levels(taxonomy):
 
 
 def test_taxonomy_rejects_undeclared_relation_concepts():
-    with pytest.raises(TaxonomyError):
-        Taxonomy.parse("concept a\nrelation r domain a range missing\n")
+    with pytest.raises(TaxonomyError) as err:
+        Taxonomy.parse("concept a\nrelation r domain a range zz\n", "t.txt")
+    assert str(err.value) == "t.txt: relation r: range concept 'zz' is not declared"
 
 
 @pytest.mark.parametrize(
@@ -114,8 +115,9 @@ def test_taxonomy_rejects_a_malformed_line(line, message):
 
 
 def test_taxonomy_rejects_isa_cycle():
-    with pytest.raises(TaxonomyError):
-        Taxonomy.parse("concept a isa b\nconcept b isa a\n")
+    with pytest.raises(TaxonomyError) as err:
+        Taxonomy.parse("concept zz isa b\nconcept b isa zz\n", "t.txt")
+    assert str(err.value) == "t.txt: is-a cycle through 'zz'"
 
 
 @pytest.mark.parametrize("penalty", ["7", "nan", "inf", "0", "-0.5", "1.0001"])
