@@ -19,6 +19,8 @@ values into X0 is solved by ``graft`` instead, which builds X0 around
 the children's own nodes; where a longer left-hand path adds to a
 child's node, X0 holds a copy of that node, which still shares the
 node's children, and the longer path writes into the copy.
+``EquationSet.solve`` is the one place that picks between the two: the
+rest of the package hands it a rule's children and takes the X0s.
 
 Sharing nodes between structures is sound only because nothing changes
 a ``FeatStruct`` once it is built: unification works on mutable
@@ -723,14 +725,19 @@ def graft_plan(eqs):
     A list is graftable when every equation is ``(X0 p) = (Xi q)`` with
     i >= 1, or ``(X0 p) = leaf`` with an atom or ``*OR*`` leaf, no
     left-hand path p is empty or equal to another, and a p that is a
-    prefix of another has a child path on its right.  The plan is the
-    highest child index named and ``(p, i, q, adds)`` per equation, in
-    path order so that a prefix comes before the paths it prefixes:
-    i None and q the leaf's atoms for a leaf, and ``adds`` the features
-    the longer paths add under p, or None when p prefixes none.
+    prefix of another has a child path on its right.  The plan is
+    ``(p, i, q, adds)`` per equation, in path order so that a prefix
+    comes before the paths it prefixes: i None and q the leaf's atoms
+    for a leaf, and ``adds`` the features the longer paths add under p,
+    or None when p prefixes none.  An empty list has the empty plan,
+    whose X0 is the shared ``FeatStruct.empty()``, as for a backbone
+    with no equation set at all.  The plan trusts every i to name
+    a child: the rule reader rejects a set that names a variable beyond
+    its backbone.
     """
+    if not eqs:
+        return []
     entries = []
-    arity = 0
     for eq in eqs:
         if type(eq) is not Assign or eq.lhs.var != "X0" or not eq.lhs.path:
             return None
@@ -738,9 +745,7 @@ def graft_plan(eqs):
         if type(rhs) is PathRef:
             if rhs.var[1] == "0":  # X0, or X00 or X01, which no child binds
                 return None
-            index = int(rhs.var[1:])
-            arity = max(arity, index)
-            entries.append((eq.lhs.path, index, rhs.path))
+            entries.append((eq.lhs.path, int(rhs.var[1:]), rhs.path))
         elif rhs.allowed is not None:
             entries.append((eq.lhs.path, None, rhs.allowed))
         else:
@@ -759,16 +764,17 @@ def graft_plan(eqs):
         if adds and index is None:
             return None
         plan.append((lhs, index, rhs, frozenset(adds) if adds else None))
-    return arity, plan
+    return plan
 
 
 def graft(plan, children):
     """Solve a graftable equation list (see ``graft_plan``) with X0
     empty and X1.. bound to ``children``, sharing instead of copying.
 
-    X0 is fresh nodes along the left-hand paths.  A leaf is the child's
-    own node at q, a fresh atom node, or, where q is missing in the
-    child, a fresh empty node (one per missing path and child node).
+    X0 is fresh nodes along the left-hand paths, or the shared empty
+    node for the empty plan.  A leaf is the child's own node at q, a
+    fresh atom node, or, where q is missing in the child, a fresh empty
+    node (one per missing path and child node).
     Where longer left-hand paths add to p, X0 holds a copy of the
     child's node at q instead, whose features are the child's own
     nodes, and the longer paths write into the copy: no child node
@@ -781,14 +787,11 @@ def graft(plan, children):
     there, shows wherever else X0 holds that node, and may close a
     cycle through a grown one.
     """
-    arity, entries = plan
-    if arity > len(children):
-        raise UnboundVariableError("X%d" % arity)
-    x0 = FeatStruct()
+    x0 = FeatStruct() if plan else _EMPTY
     shared = {}  # child index -> the child's nodes X0 shares
     grown = {}  # (child index, id of the last node found, missing steps) -> leaf
     copied = set()  # ids of the child nodes X0 holds a copy of
-    for lhs, index, rhs, adds in entries:
+    for lhs, index, rhs, adds in plan:
         if index is None:
             leaf = FeatStruct(allowed=rhs)
         else:
@@ -860,3 +863,30 @@ def _graft_agrees(shared, grown, copied):
                 return False
     return True
 
+
+# ---------------------------------------------------------------------
+# Equation sets: a parsed list and the engine that solves it
+# ---------------------------------------------------------------------
+
+class EquationSet:
+    """One rule's parsed equation list and its ``graft_plan`` (None: only
+    ``apply_equations`` solves it)."""
+
+    __slots__ = ("equations", "plan")
+
+    def __init__(self, equations):
+        self.equations = equations
+        self.plan = graft_plan(equations)
+
+    def solve(self, children):
+        """X0 of every solution with X0 empty and X1.. bound to
+        ``children``: ``graft``'s where the plan allows and it takes
+        these children, else ``apply_equations``'s, in order."""
+        if self.plan is not None:
+            grafted = graft(self.plan, children)
+            if grafted is not None:
+                return grafted
+        bindings = {"X0": _EMPTY}
+        for i, fs in enumerate(children, 1):
+            bindings["X%d" % i] = fs
+        return [sol["X0"] for sol in apply_equations(bindings, self.equations)]

@@ -14,7 +14,8 @@ over a forest; the glosser and the semantic analyzer both use it.
 from bisect import bisect_left, bisect_right
 
 from . import sexpr
-from .featstruct import FeatStruct, apply_equations, canonical, graft, subsumes
+# apply_equations is unused here but kept: the benchmark tracer wraps it by this name
+from .featstruct import FeatStruct, apply_equations, canonical, subsumes  # noqa: F401
 from .rulebase import tagged_entries
 
 UNKNOWN_CATEGORY = "UNKNOWN"
@@ -380,26 +381,10 @@ def _count_trees(forest, i, memo):
 
 def _solve_rule(equation_sets, child_structures):
     """X0 of every solution of every equation set, in order, with
-    X1..Xn bound to ``child_structures``.  A set with a graft plan
-    builds X0 from the children's own nodes when ``graft`` can."""
-    bindings = None
+    X1..Xn bound to ``child_structures``."""
     produced = []
     for eqset in equation_sets:
-        if not eqset.equations:
-            # nothing to solve: the one solution leaves X0 empty
-            produced.append(FeatStruct.empty())
-            continue
-        if eqset.plan is not None:
-            grafted = graft(eqset.plan, child_structures)
-            if grafted is not None:
-                produced += grafted
-                continue
-        if bindings is None:
-            bindings = {"X0": FeatStruct.empty()}
-            for i, fs in enumerate(child_structures, 1):
-                bindings["X%d" % i] = fs
-        for sol in apply_equations(bindings, eqset.equations):
-            produced.append(sol["X0"])
+        produced += eqset.solve(child_structures)
     return produced
 
 

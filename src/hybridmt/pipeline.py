@@ -239,9 +239,6 @@ class Pipeline:
             sem_lexicon_file=cfg.path_of("sem_lexicon"),
             compound_file=cfg.path_of("compounds"),
         )
-        problems = rulebase.arity_errors(self.rb)
-        if problems:
-            raise ResourceError(problems[0])
         if cfg.path_of("grammar"):
             self._check_categories()
         self.patterns = self._load("patterns", chunker.load_patterns, chunker.PatternSet())

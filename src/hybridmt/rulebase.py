@@ -5,6 +5,10 @@ carrying up to three kinds of equation sets that share the backbone:
 syntax equations (used by the parser), semantic equations (used by the
 analyzer) and gloss equations (used by the glosser).  All three kinds
 use one file format; which file a rule was loaded from decides its kind.
+Each set is a ``featstruct.EquationSet``, which alone decides how it is
+solved.  The reader rejects a set that names a variable beyond
+``X0..Xn`` of its backbone's n categories, with the file's name, since
+no solution could bind it.
 
 Lexicons are flat tab-separated files:
 
@@ -14,15 +18,14 @@ Lexicons are flat tab-separated files:
   - compound dictionary: ``compound TAB pos``
 """
 
-import os
 from operator import itemgetter
 
 from . import sexpr
 from .chunker import CompoundDictionary
 from .featstruct import (
+    EquationSet,
     FeatStruct,
     equation_variables,
-    graft_plan,
     parse_equations,
     parse_featstruct_expr,
 )
@@ -49,18 +52,6 @@ class RuleKey(tuple):
 
     def __repr__(self):
         return "(%s -> %s)" % (self.lhs, " ".join(self.rhs))
-
-
-class EquationSet:
-    """One parsed equation list and its ``featstruct.graft_plan``
-    (None: the full solver solves it, as it does a set ``graft`` turns
-    down for the children at hand)."""
-
-    __slots__ = ("equations", "plan")
-
-    def __init__(self, equations):
-        self.equations = equations
-        self.plan = graft_plan(equations) if equations else None
 
 
 class SynchronizedRule:
@@ -148,7 +139,8 @@ class RuleBase:
 
 
 def parse_rule_file(text, kind, rb=None, filename="<string>"):
-    """Parse one rule file into (or onto) a RuleBase."""
+    """Parse one rule file into (or onto) a RuleBase, rejecting a set
+    that names a variable beyond its backbone."""
     if rb is None:
         rb = RuleBase()
     try:
@@ -168,6 +160,17 @@ def parse_rule_file(text, kind, rb=None, filename="<string>"):
             equations = parse_equations(expr[1:])
         except sexpr.SexprError as err:
             raise RuleBaseError("%s: rule %r: %s" % (filename, key, err))
+        # no solution binds a variable past the backbone's arity, or one
+        # written with a leading zero (an empty set names none)
+        beyond = equations and [
+            v for v in equation_variables(equations)
+            if int(v[1:]) > key.arity or v[1:] != str(int(v[1:]))
+        ]
+        if beyond:
+            raise RuleBaseError(
+                "%s: %s rule %r references %s beyond arity %d"
+                % (filename, kind, key, max((int(v[1:]), v) for v in beyond)[1], key.arity)
+            )
         rb.rule(key).sets(kind).append(EquationSet(equations))
     return rb
 
@@ -235,8 +238,6 @@ def load_rulebase(
         (gloss_file, "gloss"),
     ):
         if path:
-            if not os.path.exists(path):
-                raise RuleBaseError("missing rule file: %s" % path)
             parse_rule_file(sexpr.read_text(path), kind, rb, filename=path)
     for path, loader in (
         (syn_lexicon_file, load_syn_lexicon),
@@ -245,24 +246,6 @@ def load_rulebase(
         (compound_file, load_compounds),
     ):
         if path:
-            if not os.path.exists(path):
-                raise RuleBaseError("missing lexicon file: %s" % path)
             loader(sexpr.read_text(path), rb, path)
     return rb
 
-
-def arity_errors(rb):
-    """One line per equation set that names a variable beyond its
-    backbone's right-hand side, which no solution could bind."""
-    lines = []
-    for key in sorted(rb.rules):
-        bound = {"X%d" % i for i in range(key.arity + 1)}
-        for kind in ("syntax", "semantics", "gloss"):
-            for eqset in rb.rules[key].sets(kind):
-                beyond = equation_variables(eqset.equations) - bound
-                if beyond:
-                    lines.append(
-                        "%s rule %r references X%d beyond arity %d"
-                        % (kind, key, max(int(v[1:]) for v in beyond), key.arity)
-                    )
-    return lines

@@ -19,7 +19,6 @@ from hybridmt import sexpr
 from hybridmt.chunker import Token
 from hybridmt.featstruct import parse_featstruct_expr
 from hybridmt.lattice_lm import EPS, WordLattice
-from hybridmt.rulebase import arity_errors
 
 
 # -- feature structures and rules ------------------------------------------
@@ -30,17 +29,17 @@ def parse_featstruct(text):
 
 
 def validate_rulebase(rb, mode):
-    """Report syntax backbones missing their gloss/semantic counterpart,
-    then equations referencing out-of-range variables."""
+    """Report syntax backbones missing their gloss/semantic counterpart.
+    A set naming a variable beyond its backbone never gets this far:
+    ``rulebase.parse_rule_file`` rejects it."""
     if mode not in ("gloss", "interlingua"):
         raise ValueError("mode must be 'gloss' or 'interlingua'")
     wanted = "gloss" if mode == "gloss" else "semantics"
-    lines = [
+    return [
         "missing %s rule for backbone %r" % (wanted, key)
         for key in sorted(rb.rules)
         if rb.rules[key].syntax_sets and not rb.rules[key].sets(wanted)
     ]
-    return lines + arity_errors(rb)
 
 
 # -- parse forests ----------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hybridmt.featstruct import (
     Assign,
     Constraint,
+    EquationSet,
     Exists,
     FeatStruct,
     OrBlock,
@@ -520,7 +521,7 @@ def test_sets_that_only_collect_child_values_are_graftable(text):
         "(X0 = X1)",  # no left-hand path
         "((X1 a) = (X2 a))",  # a left-hand side on a child
         "((X0 a) = (X0 b))",  # X0 on the right
-        "((X0 a) = (X00 b))",  # X00 is not X0; the solver reports it unbound
+        "((X0 a) = (X00 b))",  # X00 is not X0; the rule reader rejects it
         "((X0 a) = (*NOT* v1))",
         "((X0 a) = ((b v1)))",
         "((X0 a) =c v1)",
@@ -531,6 +532,13 @@ def test_sets_that_only_collect_child_values_are_graftable(text):
 )
 def test_sets_the_full_solver_must_solve_have_no_graft_plan(text):
     assert graft_plan(parse_equations(parse_all(text))) is None
+
+
+@pytest.mark.parametrize("arity", [0, 1, 2])
+def test_an_empty_set_solves_to_one_empty_x0(arity):
+    children = [parse_featstruct("((syn ((n sg))))")] * arity
+    (x0,) = EquationSet([]).solve(children)
+    assert x0 is FeatStruct.empty()
 
 
 def test_accessors_of_a_built_structure():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import fixture_path
 from oracles import enumerate_trees, parse_featstruct
-from hybridmt import parser
+from hybridmt import featstruct, parser
 from hybridmt.chunker import Token, parse_token_line
 from hybridmt.parser import (
     ParseError,
@@ -22,8 +22,8 @@ from hybridmt.parser import (
     parse,
 )
 from hybridmt.featstruct import (
+    EquationSet,
     FeatStruct,
-    UnboundVariableError,
     apply_equations,
     canonical,
     parse_equations,
@@ -33,7 +33,7 @@ from hybridmt.pipeline import Pipeline, load_config
 from hybridmt.posteditor import dump_tree
 from hybridmt.realizer import RealizeError
 from hybridmt.semantics import serialize_spl
-from hybridmt.rulebase import EquationSet, LexiconEntry, RuleKey, load_rulebase, parse_rule_file
+from hybridmt.rulebase import LexiconEntry, RuleKey, load_rulebase, parse_rule_file
 from hybridmt.sexpr import parse_all
 
 TOY = parse_rule_file(
@@ -340,7 +340,7 @@ def test_solve_rule_matches_apply_equations_per_set(case):
     for structures, cap in ((children, 64), (copies, 64), (children, 1)):
         with pytest.MonkeyPatch.context() as mp:
             capped = functools.partial(apply_equations, solution_cap=cap)
-            mp.setattr(parser, "apply_equations", capped)
+            mp.setattr(featstruct, "apply_equations", capped)
             got = [canonical(fs) for fs in parser._solve_rule(sets, structures)]
         assert got == want(cap)
 
@@ -534,12 +534,6 @@ def test_a_missing_path_stopping_at_a_copied_node_goes_to_the_solver():
         "((X0 a) = (X1 syn)) ((X0 a x) = v1) ((X0 b) = (X1 syn num))", parse_featstruct(SG)
     )
     assert got == ["((a ((n sg) (num #1=()) (x v1))) (b #1#))"]
-
-
-def test_a_graft_naming_an_unbound_variable_is_an_error():
-    child = parse_featstruct(SG)
-    with pytest.raises(UnboundVariableError):
-        parser._solve_rule([_equation_set("((X0 a) = (X3 syn))")], [child, child])
 
 
 def test_grafted_x0_shares_the_childs_structure():
@@ -923,9 +917,20 @@ def _nested_forest_case(seed):
 def test_forests_with_nested_left_hand_paths_equal_the_full_solvers(seed):
     grammar, tokens = _nested_forest_case(seed)
     forest = parse(tokens, grammar, root_categories=("S", "T"))
+    calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(parser, "graft", lambda plan, children: None)
+        mp.setattr(featstruct, "graft", lambda plan, children: None)
+        mp.setattr(
+            featstruct,
+            "apply_equations",
+            lambda *args: calls.append(args) or apply_equations(*args),
+        )
         solved = parse(tokens, grammar, root_categories=("S", "T"))
+    # the solver ran wherever a rule with equations derived a constituent
+    solving = {
+        key for key, rule in grammar.rules.items() if any(s.equations for s in rule.syntax_sets)
+    }
+    assert calls or not any(d[0] in solving for c in solved for d in c.derivations)
     assert dump_forest(forest) == dump_forest(solved)
     assert (forest.roots, forest.truncated) == (solved.roots, solved.truncated)
 

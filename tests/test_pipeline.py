@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridmt
-from hybridmt import glosser, lattice_lm, parser, posteditor, realizer, rulebase, semantics, sexpr
+from hybridmt import featstruct, glosser, lattice_lm, posteditor, realizer, rulebase, semantics, sexpr
 from hybridmt.featstruct import canonical
 from hybridmt.cli import main
 from hybridmt.pipeline import (
@@ -136,19 +136,25 @@ def test_load_config_relative_paths():
             "((NP -> N) ((X0 gloss) = (X2 gloss)))\n",
             "gloss rule (NP -> N) references X2 beyond arity 1",
         ),
+        (
+            "sem_rules",
+            "((NP -> N) ((X0 sem) = (X01 sem)))\n",
+            "semantics rule (NP -> N) references X01 beyond arity 1",
+        ),
     ],
-    ids=["syntax", "gloss"],
+    ids=["syntax", "gloss", "semantics"],
 )
 def test_rule_naming_a_variable_beyond_its_backbone_fails_at_load(
     tmp_path, capsys, key, rules, message
 ):
-    # no solution could bind the variable, so the first sentence that
-    # used the rule would fail with it unbound
+    # no solution could bind the variable, so the reader rejects the
+    # file before any sentence uses the rule
     (tmp_path / "bad.rules").write_text(rules)
     (tmp_path / "lex.tsv").write_text("neko\tN\n")
     config = tmp_path / "bad.cfg"
     config.write_text("%s = bad.rules\nsyn_lexicon = lex.tsv\n" % key)
-    with pytest.raises(ResourceError) as err:
+    message = "%s: %s" % (tmp_path / "bad.rules", message)
+    with pytest.raises(rulebase.RuleBaseError) as err:
         Pipeline(load_config(str(config)))
     assert str(err.value) == message
     inp = tmp_path / "in.txt"
@@ -943,9 +949,9 @@ def test_cli_analyze_reproduces_the_golden_meaning_graphs(capsys):
 def test_translating_the_batch_never_calls_the_full_solver(name, request, monkeypatch):
     # every shipped equation set grafts on these lines
     calls = []
-    solve = parser.apply_equations
+    solve = featstruct.apply_equations
     monkeypatch.setattr(
-        parser, "apply_equations", lambda *args: calls.append(args) or solve(*args)
+        featstruct, "apply_equations", lambda *args: calls.append(args) or solve(*args)
     )
     request.getfixturevalue(name).translate_batch(_read("batch50.txt").splitlines())
     assert calls == []

@@ -10,7 +10,7 @@ from hybridmt.rulebase import (
     parse_rule_file,
 )
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 from oracles import validate_rulebase
 
 SIMPLE = """
@@ -138,18 +138,25 @@ def test_load_rulebase_fixture_files():
     assert rb.compounds["shinkaisha"] == "N"
 
 
+def _assert_os_error_names(argument, path):
+    with pytest.raises(OSError) as err:
+        load_rulebase(**{argument: path})
+    assert err.value.filename == path
+
+
 def test_load_rulebase_missing_file():
-    with pytest.raises(RuleBaseError):
-        load_rulebase(grammar_file=fixture_path("no-such-file.rules"))
+    # the reader's OSError names the path, for a directory too
+    for argument in ("grammar_file", "sem_file", "gloss_file"):
+        _assert_os_error_names(argument, fixture_path("no-such-file.rules"))
+        _assert_os_error_names(argument, FIXTURES)
 
 
 @pytest.mark.parametrize(
     "argument", ["syn_lexicon_file", "bilingual_file", "sem_lexicon_file", "compound_file"]
 )
 def test_load_rulebase_names_a_missing_lexicon_file(argument):
-    path = fixture_path("no-such-lexicon.tsv")
-    with pytest.raises(RuleBaseError, match="^missing lexicon file: %s$" % re.escape(path)):
-        load_rulebase(**{argument: path})
+    _assert_os_error_names(argument, fixture_path("no-such-lexicon.tsv"))
+    _assert_os_error_names(argument, FIXTURES)
 
 
 def test_syn_lexicon_features_column_of_two_expressions_names_file_and_line(tmp_path):
@@ -185,10 +192,33 @@ def test_validate_reports_missing_counterpart():
 
 
 def test_validate_reports_out_of_range_variable():
+    # the reader rejects the set, so no report ever lists it
     rb = RuleBase()
-    parse_rule_file("((NP -> N) (X0 = X2))", "syntax", rb)
-    report = validate_rulebase(rb, "interlingua")
-    assert any("X2" in line and "arity 1" in line for line in report)
+    want = "<string>: syntax rule (NP -> N) references X2 beyond arity 1"
+    with pytest.raises(RuleBaseError, match="^%s$" % re.escape(want)):
+        parse_rule_file("((NP -> N) (X0 = X2))", "syntax", rb)
+    assert rb.rules == {}
+
+
+@pytest.mark.parametrize("kind", ["syntax", "semantics", "gloss"])
+@pytest.mark.parametrize(
+    "equations, variable",
+    [
+        ("((X0 a) = (X3 a))", "X3"),
+        ("((X0 a) = (X01 a))", "X01"),
+        ("((X00 a) = (X1 a))", "X00"),
+        ("((X0 a) = (X1 a)) ((X2 b) = (X10 b)) (IS (X02 c))", "X10"),
+        ("(*OR* (((X0 a) = v1)) (((X0 a) = (X2 a))))", "X2"),
+    ],
+)
+def test_a_set_naming_a_variable_beyond_its_backbone_is_rejected_with_its_file(
+    kind, equations, variable
+):
+    text = "((S -> NP VP) ((X0 a) = (X2 a)))\n((NP -> N) %s)\n" % equations
+    want = "bad.rules: %s rule (NP -> N) references %s beyond arity 1" % (kind, variable)
+    with pytest.raises(RuleBaseError) as err:
+        parse_rule_file(text, kind, filename="bad.rules")
+    assert str(err.value) == want
 
 
 def test_validate_clean_fixture():
