@@ -170,8 +170,6 @@ def _cmd_decode(pipe, args):
             words, _score = pipe.decode(lattice)
             return " ".join(words) + "\n"
         ranked = pipe.decode(lattice, args.n)
-        if not ranked:
-            raise lattice_lm.LatticeError("lattice has no complete path")
         return "".join("%.6f\t%s\n" % (score, " ".join(words)) for words, score in ranked)
 
     out = []

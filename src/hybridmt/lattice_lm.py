@@ -15,7 +15,10 @@ reserve, so every query has strictly positive probability.  Extraction
 is exact dynamic programming over (node, last-two-words) states, not a
 beam, run over the lattice's own edges: an epsilon edge carries a
 node's states on unchanged, so a lattice whose only cycle is made of
-epsilon edges is as undecodable as any other cyclic one.
+epsilon edges is as undecodable as any other cyclic one.  Two sweeps
+run in that order, each memoizing log P per decode and breaking ties
+alike: ``best_path``, the 1-best that every translation uses, keeps one
+entry per state, and ``top_n`` keeps a best-first list of n.
 """
 
 import math
@@ -627,8 +630,83 @@ def _push(entries, n, entry):
     del entries[n:]
 
 
-def _decode(lattice, model, n):
-    """Exact n-best over (node, last-two-words) states.
+def _smaller(a, b):
+    """Whether entry ``a`` ends a smaller word sequence than ``b``."""
+    mine, theirs = _tails(a, b)
+    return mine < theirs
+
+
+def best_path(lattice, model):
+    """Most likely complete path: (word sequence, log score).
+
+    ``top_n``'s sweep with one entry per (h1, h2) state in place of a
+    list: a merge keeps the higher score or, on an exact tie, the smaller
+    word sequence, which is ``_push``'s rule at n = 1, so the result is
+    bit for bit ``top_n(lattice, model, 1)[0]``.  The sink ranks its
+    states the same way, and only the winner's words are read back.
+    """
+    out, order = _edge_pass(lattice)
+    if order is None:
+        raise LatticeError("cannot decode a cyclic lattice")
+    symbol_of, prob, log = model._map, model.prob, math.log
+    # symbol -> {(h1, h2): log prob}
+    rows = {}
+    # node -> {(h1, h2): entry}, None until an entry arrives
+    states = [None] * lattice.node_count
+    states[lattice.source] = {(BOS, BOS): (0.0, None, None)}
+    sink = lattice.sink
+    for node in order:
+        here = states[node]
+        if here is None or node == sink:
+            continue
+        states[node] = None
+        for dst, word in out[node]:
+            there = states[dst]
+            if there is None:
+                there = states[dst] = {}
+            if word is EPS:
+                for hist, entry in here.items():
+                    other = there.get(hist)
+                    if other is None or entry[0] > other[0] or (
+                        entry[0] == other[0] and _smaller(entry, other)
+                    ):
+                        there[hist] = entry
+                continue
+            symbol = symbol_of(word)
+            row = rows.get(symbol)
+            if row is None:
+                row = rows[symbol] = {}
+            for hist, entry in here.items():
+                lp = row.get(hist)
+                if lp is None:
+                    lp = row[hist] = log(prob(word, hist))
+                key = (hist[1], symbol)
+                score = entry[0] + lp
+                other = there.get(key)
+                if other is None or score > other[0]:
+                    there[key] = (score, word, entry)
+                elif score == other[0]:
+                    entry = (score, word, entry)
+                    if _smaller(entry, other):
+                        there[key] = entry
+
+    best = None
+    row = rows.get(EOS, {})
+    for hist, entry in (states[sink] or {}).items():
+        lp = row.get(hist)
+        if lp is None:
+            lp = log(prob(EOS, hist))
+        score = entry[0] + lp
+        if best is None or score > best[0] or score == best[0] and _smaller(entry, best[1]):
+            best = (score, entry)
+    if best is None:
+        raise LatticeError("lattice has no complete path")
+    return list(_words(best[1])), best[0]
+
+
+def top_n(lattice, model, n):
+    """Exact n-best over (node, last-two-words) states, for ``decode
+    --n``; every other decode is ``best_path``'s.
 
     A state holds at most n entries (score, word, previous entry), best
     first, so extending one costs the same at any sentence length; word
@@ -641,7 +719,8 @@ def _decode(lattice, model, n):
     history, an epsilon edge carries the entries to its target under
     the same history, so the empty path reaches the sink as its
     (``<s>``, ``<s>``) state.  A cycle, even one of epsilon edges only
-    or one the source never reaches, is an error.
+    or one the source never reaches, is an error, and so is a lattice
+    with no complete path.
 
     A node's states are made when its first entry arrives and dropped
     once its out-edges are done.  A new state takes what ``_push`` would
@@ -652,6 +731,8 @@ def _decode(lattice, model, n):
     each distinct (h1, h2, symbol) query calls ``model.prob`` once per
     decode.
     """
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("n must be an integer >= 1")
     out, order = _edge_pass(lattice)
     if order is None:
         raise LatticeError("cannot decode a cyclic lattice")
@@ -709,21 +790,11 @@ def _decode(lattice, model, n):
             lp = log(prob(EOS, hist))
         for entry in entries:
             finals.append((entry[0] + lp, _words(entry)))
+    if not finals:
+        raise LatticeError("lattice has no complete path")
     finals.sort(key=lambda item: (-item[0], item[1]))
     # a word sequence fixes its (h1, h2) state and ``_push`` keeps it
     # once per state, so no sequence reaches the sink twice
     return [(list(seq), score) for score, seq in finals[:n]]
 
 
-def best_path(lattice, model):
-    """Most likely complete path: (word sequence, log score)."""
-    results = _decode(lattice, model, 1)
-    if not results:
-        raise LatticeError("lattice has no complete path")
-    return results[0]
-
-
-def top_n(lattice, model, n):
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _decode(lattice, model, n)

@@ -358,17 +358,31 @@ def test_best_path_through_trailing_epsilon():
     assert words == ["wants", "to", "eat"]
 
 
-def test_best_path_no_path_raises():
+@pytest.mark.parametrize(
+    "decode", [best_path, lambda lattice, model: top_n(lattice, model, 2)], ids=["best_path", "top_n"]
+)
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1, "a"), (1, 2, EPS), (2, 1, EPS), (2, 3, "b")], "cannot decode a cyclic lattice"),
+        ([(0, 3, "a"), (1, 2, EPS), (2, 1, EPS)], "cannot decode a cyclic lattice"),
+        ([(0, 1, "a"), (2, 3, "b")], "lattice has no complete path"),
+    ],
+    ids=["epsilon-cycle", "unreached-cycle", "dead-end"],
+)
+def test_both_decoders_raise_alike_on_a_cycle_or_a_dead_end(decode, edges, message):
     model = train_trigram(["a b"])
-    dead = WordLattice(4, [(0, 1, "a"), (2, 3, "b")])
-    with pytest.raises(LatticeError):
-        best_path(dead, model)
+    with pytest.raises(LatticeError, match="^%s$" % message):
+        decode(WordLattice(4, edges), model)
 
 
 def test_top_n_validates_n():
     model = train_trigram(["a"])
-    with pytest.raises(ValueError):
-        top_n(from_word("a"), model, 0)
+    # decoding this lattice would raise its cycle, so n is checked first
+    cyclic = WordLattice(3, [(0, 1, "a"), (1, 0, "a"), (1, 2, "a")])
+    for n in (0, -1, 1.5, "2", None):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1$"):
+            top_n(cyclic, model, n)
 
 
 # -- n-best properties on random lattices ---------------------------------
@@ -593,6 +607,24 @@ def renumbered_lattices(draw):
 def test_top_n_is_the_same_under_any_interior_numbering(case, model, n):
     lattice, renumbered = case
     assert top_n(renumbered, model, n) == top_n(lattice, model, n)
+
+
+@NBEST
+@given(
+    st.one_of(
+        small_lattices(),
+        epsilon_lattices(),
+        rerouted_lattices(),
+        renumbered_lattices().map(lambda case: case[1]),
+    ),
+    st.one_of(small_models(), direct_models()),
+)
+def test_best_path_is_the_first_entry_of_either_list_decoder(lattice, model):
+    # the tie-heavy models make merges of equal scores common, so the
+    # one-entry sweep must break them as the lists do, bit for bit
+    words, score = best_path(lattice, model)
+    for want_words, want_score in (_reference_decode(lattice, model, 1)[0], top_n(lattice, model, 1)[0]):
+        assert (words, repr(score)) == (want_words, repr(want_score))
 
 
 @pytest.mark.parametrize(
