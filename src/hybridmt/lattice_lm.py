@@ -2,11 +2,13 @@
 
 A word lattice is an acyclic word graph with a unique source (node 0)
 and sink (last node); each source-to-sink path is one candidate
-sentence.  Every lattice ``layout`` builds (every gloss and realizer
-lattice) is numbered forward, each edge from a lower node id to a
-higher one, so validation, path counting and decoding sweep the ids in
-turn; only a lattice with a backward edge, from ``parse_lattice`` or
-built by hand, gets its order from Kahn's algorithm.  The trigram model
+sentence.  ``layout`` builds every gloss and realizer lattice as the
+series-parallel graph of its term, one node per word or empty phrase
+plus one join node per alternation, numbered as they are made, so each
+edge runs from a lower node id to a higher one and validation, path
+counting and decoding sweep the ids in turn; only a lattice with a
+backward edge, from ``parse_lattice`` or built by hand, gets its order
+from Kahn's algorithm.  The trigram model
 is trained with two start symbols and one end symbol per sentence,
 Good-Turing discounting of low counts (r* = (r+1) * N_{r+1} / N_r below
 the cutoff, applied only where it lowers the count) and Katz-style
@@ -117,50 +119,39 @@ def _edge_pass(lattice):
 # ---------------------------------------------------------------------
 
 def layout(term):
-    """The word lattice of a term, written as one edge list: a phrase
-    (a string split on spaces into an edge sequence, or one epsilon
-    edge if it has no words), a concatenation (a tuple of terms, each
-    sink spliced to the next source by an epsilon edge) or an
-    alternation (a list of terms, folded left as pairs that each get a
-    fresh source and sink with epsilon edges around both); a one-term
-    tuple or list is that term.  Nodes are numbered and edges ordered as
-    that pairwise algebra would, so every edge runs forward."""
+    """The word lattice of a term, laid out as the series-parallel graph
+    it is: a phrase (a string split on spaces into a chain of word edges,
+    or one epsilon edge if it has no words), a concatenation (a tuple of
+    terms, each starting where the one before it ends) or an alternation
+    (a list of terms, each laid from the same node, whose ends each get
+    an epsilon edge into one new join node); a one-term tuple or list is
+    that term.  Nodes are numbered as they are made, so every edge runs
+    forward and the sink is the last node."""
     edges = []
-    return WordLattice(_lay(term, edges, 0), edges)
+    _end, node_count = _lay(term, edges, 0, 1)
+    return WordLattice(node_count, edges)
 
 
-def _lay(term, edges, start):
-    """Append the edges of ``term`` with its source at node ``start``;
-    return the node after its sink."""
+def _lay(term, edges, source, free):
+    """Append the edges of ``term`` from node ``source``, numbering new
+    nodes from ``free``; return (its end node, the next free node)."""
     if isinstance(term, str):
-        words = term.split() or [EPS]
-        for node, word in enumerate(words, start):
-            edges.append((node, node + 1, word))
-        return start + len(words) + 1
-    if len(term) == 1:
-        return _lay(term[0], edges, start)
+        for word in term.split() or [EPS]:
+            edges.append((source, free, word))
+            source, free = free, free + 1
+        return source, free
     if isinstance(term, tuple):
-        end = _lay(term[0], edges, start)
-        for part in term[1:]:
-            edges.append((end - 1, end, EPS))
-            end = _lay(part, edges, end)
-        return end
-    # step i of the fold over k operands has its source at node
-    # start+k-1-i; the steps' source edges, outermost first, precede
-    # operand 0 in slots filled once step i's operand has its node ids
-    last = len(term) - 1
-    slots = len(edges)
-    edges.extend([None] * (2 * last))
-    end = _lay(term[0], edges, start + last)
-    for i in range(1, last + 1):
-        source, slot = start + last - i, slots + 2 * (last - i)
-        edges[slot] = (source, source + 1, EPS)
-        edges[slot + 1] = (source, end, EPS)
-        sink = _lay(term[i], edges, end)
-        edges.append((end - 1, sink, EPS))
-        edges.append((sink - 1, sink, EPS))
-        end = sink + 1
-    return end
+        for part in term:
+            source, free = _lay(part, edges, source, free)
+        return source, free
+    if len(term) == 1:
+        return _lay(term[0], edges, source, free)
+    ends = []
+    for alternative in term:
+        end, free = _lay(alternative, edges, source, free)
+        ends.append(end)
+    edges.extend((end, free, EPS) for end in ends)
+    return free, free + 1
 
 
 def groups_term(groups):
@@ -723,13 +714,10 @@ def top_n(lattice, model, n):
     with no complete path.
 
     A node's states are made when its first entry arrives and dropped
-    once its out-edges are done.  A new state takes what ``_push`` would
-    build into an empty list: the extended entry of a one-entry source,
-    or a copy of the list an epsilon edge carries.  ``_push`` merges into
-    a state that has entries, the one place ties and duplicates arise.
-    Scores add up left to right from 0.0, as in ``score_sequence``, and
-    each distinct (h1, h2, symbol) query calls ``model.prob`` once per
-    decode.
+    once its out-edges are done; every arrival, into a new state or one
+    that has entries, merges through ``_push``.  Scores add up left to
+    right from 0.0, as in ``score_sequence``, and each distinct (h1, h2,
+    symbol) query calls ``model.prob`` once per decode.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be an integer >= 1")
@@ -756,12 +744,9 @@ def top_n(lattice, model, n):
                 there = states[dst] = {}
             if word is EPS:
                 for hist, entries in here.items():
-                    target = there.get(hist)
-                    if target is None:
-                        there[hist] = entries[:]
-                    else:
-                        for entry in entries:
-                            _push(target, n, entry)
+                    target = there.setdefault(hist, [])
+                    for entry in entries:
+                        _push(target, n, entry)
                 continue
             symbol = symbol_of(word)
             row = rows.get(symbol)
@@ -771,14 +756,7 @@ def top_n(lattice, model, n):
                 lp = row.get(hist)
                 if lp is None:
                     lp = row[hist] = log(prob(word, hist))
-                key = (hist[1], symbol)
-                target = there.get(key)
-                if target is None:
-                    if len(entries) == 1:
-                        entry = entries[0]
-                        there[key] = [(entry[0] + lp, word, entry)]
-                        continue
-                    target = there[key] = []
+                target = there.setdefault((hist[1], symbol), [])
                 for entry in entries:
                     _push(target, n, (entry[0] + lp, word, entry))
 

@@ -318,16 +318,18 @@ def parse_word_list(text, filename="<string>"):
 # ---------------------------------------------------------------------
 
 def parse_repairs(text, filename="<string>"):
-    """``pattern TAB replacement`` lines; empty replacement deletes.
-    Only blank lines are skipped: every other line is a rule, so a
-    pattern may start with ``#``."""
+    """``pattern TAB replacement`` lines, with exactly one tab; empty
+    replacement deletes.  Only blank lines are skipped: every other line
+    is a rule, so a pattern may start with ``#``."""
     rules = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        if "\t" not in line:
-            raise PosteditError("%s:%d: need pattern TAB replacement" % (filename, lineno))
-        pattern, replacement = line.split("\t", 1)
+        if line.count("\t") != 1:
+            raise PosteditError(
+                "%s:%d: need pattern TAB replacement, with one tab" % (filename, lineno)
+            )
+        pattern, replacement = line.split("\t")
         if not pattern:
             raise PosteditError("%s:%d: empty pattern" % (filename, lineno))
         rules.append((pattern, replacement))

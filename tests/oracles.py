@@ -4,13 +4,15 @@ Nothing in ``src/hybridmt`` or ``bench/`` calls these.  Each is the
 plain or pairwise form of a job the product does in one pass, written
 without the product's private helpers, so that the two stay independent:
 ``from_phrase``, ``concat`` and ``alternate`` are the pairwise lattice
-algebra that ``lattice_lm.layout`` writes in one pass, and
-``concat_all`` and ``alternate_all`` their left folds;
-``out_edges`` and ``topological_order`` list and order a lattice's
-edges without ``lattice_lm._edge_pass``, ``enumerate_trees`` unpacks
-the forest that ``count_trees`` only counts, and ``match_pattern`` and
-``chunk`` search each start of a chunk pattern by backtracking where
-``chunker.match_table`` fills one table for every start.
+algebra, and ``concat_all`` and ``alternate_all`` their left folds,
+whose lattices spell the same paths as those ``lattice_lm.layout``
+writes with fewer nodes; ``path_words`` lists those paths without
+deduplicating them; ``out_edges`` and ``topological_order`` list and
+order a lattice's edges without ``lattice_lm._edge_pass``,
+``enumerate_trees`` unpacks the forest that ``count_trees`` only
+counts, and ``match_pattern`` and ``chunk`` search each start of a
+chunk pattern by backtracking where ``chunker.match_table`` fills one
+table for every start.
 """
 
 from functools import reduce
@@ -149,6 +151,24 @@ def concat_all(lattices):
 
 def alternate_all(lattices):
     return reduce(alternate, lattices)
+
+
+def path_words(lattice):
+    """The word sequence of every source-sink path, one per path, so a
+    sequence that two paths spell is listed twice; ``lattice_lm.all_paths``
+    lists each sequence once."""
+    out = out_edges(lattice)
+
+    def walk(node):
+        if node == lattice.sink:
+            return [()]
+        return [
+            (() if label is EPS else (label,)) + rest
+            for dst, label in out[node]
+            for rest in walk(dst)
+        ]
+
+    return walk(lattice.source)
 
 
 def out_edges(lattice):

@@ -12,7 +12,6 @@ from hybridmt import rulebase
 from hybridmt.chunker import (
     CompoundDictionary,
     PatternError,
-    PatternSet,
     Token,
     TokenError,
     chunk,

@@ -58,7 +58,7 @@ CONSOLE_STEPS = [
 def test_workflow_reader_finds_every_block_step():
     block_steps = re.findall(r"^ *run: \|$", _WORKFLOW_TEXT, re.M)
     assert len(run_steps(_WORKFLOW_TEXT)) == len(block_steps)
-    assert len(CONSOLE_STEPS) == 19
+    assert len(CONSOLE_STEPS) == 20
     # the seed-1 digest step runs bench/run.py, not the console script
     assert all("bench/run.py" not in script for _name, script in CONSOLE_STEPS)
 

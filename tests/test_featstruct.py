@@ -6,15 +6,9 @@ import random
 import pytest
 
 from hybridmt.featstruct import (
-    Assign,
-    Constraint,
     EquationSet,
-    Exists,
     FeatStruct,
-    OrBlock,
-    PathRef,
     UnboundVariableError,
-    XorBlock,
     apply_equations,
     canonical,
     graft_plan,

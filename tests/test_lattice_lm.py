@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from oracles import (
     from_phrase,
     from_word,
     out_edges,
+    path_words,
     topological_order,
 )
 
@@ -679,12 +681,27 @@ def _fold_term(term):
     return concat_all(parts) if isinstance(term, tuple) else alternate_all(parts)
 
 
+def _term_size(term):
+    """(W, A, K) of a ``layout`` term: its words plus its empty phrases,
+    its alternations of two or more terms, and the sum of their arities."""
+    if isinstance(term, str):
+        return len(term.split()) or 1, 0, 0
+    words, alternations, arities = map(sum, zip(*map(_term_size, term)))
+    if isinstance(term, list) and len(term) > 1:
+        alternations, arities = alternations + 1, arities + len(term)
+    return words, alternations, arities
+
+
 @NBEST
 @given(layout_terms)
-def test_n_ary_algebra_dumps_what_the_pairwise_fold_dumps(term):
+def test_layout_spells_the_pairwise_fold_paths_with_a_node_per_word_and_join(term):
     lattice = layout(term)
-    assert dump_lattice(lattice) == dump_lattice(_fold_term(term))
+    assert Counter(path_words(lattice)) == Counter(path_words(_fold_term(term)))
     assert all(src < dst for src, dst, _label in lattice.edges)
+    lattice.validate()
+    words, alternations, arities = _term_size(term)
+    assert lattice.node_count == 1 + words + alternations
+    assert len(lattice.edges) == words + arities
 
 
 def test_top_n_lists_parallel_and_epsilon_routes_once():

@@ -1179,6 +1179,30 @@ def test_batch_lattices_numbered_backward_decode_alike(gloss_pipeline):
     assert backward == 37
 
 
+@pytest.mark.parametrize(
+    "name, sizes", [("gloss_pipeline", (318, 284, 32)), ("interlingua_pipeline", (281, 257, 37))]
+)
+def test_batch_lattices_have_a_node_per_word_and_join(request, monkeypatch, name, sizes):
+    # summed over the 50 lattices that translate decodes; an epsilon
+    # splice per concatenation, or the pairwise fold's four epsilon
+    # edges per extra alternative, would raise all three
+    pipe = request.getfixturevalue(name)
+    decoded, decode = [], pipe.decode
+
+    def recording(lattice):
+        decoded.append(lattice)
+        return decode(lattice)
+
+    monkeypatch.setattr(pipe, "decode", recording)
+    for index, line in enumerate(_read("batch50.txt").splitlines()):
+        assert pipe.translate_line(line, index).error is None
+    assert len(decoded) == 50
+    nodes = sum(lattice.node_count for lattice in decoded)
+    edges = [edge for lattice in decoded for edge in lattice.edges]
+    epsilons = sum(label is lattice_lm.EPS for _src, _dst, label in edges)
+    assert (nodes, len(edges), epsilons) == sizes
+
+
 @pytest.mark.parametrize("renumber", [lambda lattice: lattice, _reverse_interior])
 def test_decoding_leaves_the_lattice_as_it_was(gloss_pipeline, renumber):
     groups = [["John"], ["wants", "want"], ["to"], ["eat", "ate"]]

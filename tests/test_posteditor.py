@@ -281,6 +281,8 @@ def test_parse_repairs_format():
         parse_repairs("no-tab-here\n")
     with pytest.raises(PosteditError):
         parse_repairs("\treplacement\n")
+    with pytest.raises(PosteditError, match=r"^x\.tsv:2: need pattern TAB replacement, with one tab$"):
+        parse_repairs("a\tb\nJohn\tJo\thn\n", "x.tsv")
 
 
 def test_apply_repairs_single_pass_per_rule():
